@@ -9,9 +9,11 @@ next op starting when the previous returns; the first op is a warm-up and is
 not timed.  Every op's output is checked (see workloads.py) and compared
 byte for byte with the warm-up's.
 
-``--trace 0`` reports the end-to-end metrics: ``op_s`` (median wall seconds
-per op), ``setup_s`` (median wall time of a fresh interpreter importing
-``natfx.cli``) and ``peak_rss_mb``.  ``--trace 1`` alternates untraced and
+``--trace 0`` reports the end-to-end metrics: ``op_ref`` (median wall time
+per op in units of a fixed reference loop timed around each of its commands),
+``setup_s`` (median wall time of a fresh interpreter importing ``natfx.cli``)
+and ``peak_rss_mb``.  The plain median wall seconds per op is printed too,
+as ``op_wall_s`` on the info line.  ``--trace 1`` alternates untraced and
 traced ops and reports the per-layer metrics of tracer.py, per op, as
 medians over the traced ops.  The last line of stdout is the result JSON;
 the lines before it print every metric with its unit and an environment
@@ -38,13 +40,23 @@ import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+# One client runs on one core: BLAS is held to a single thread (before numpy
+# is first imported), so a run does not compete with itself for the host's
+# few cores.  The environment stamp reports the thread count.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 SCRATCH = ROOT / ".perfbench_tmp"
 
-END_TO_END_UNITS = {"op_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+END_TO_END_UNITS = {"op_ref": "ref-loops", "setup_s": "s", "peak_rss_mb": "MB"}
 SETUP_REPEATS = {"full": 3, "tiny": 1}
+# The reference loop: about 15 ms of pure-Python work on a 2020s x86 core,
+# timed three times in a row at each point; the fastest of the three is
+# kept, which drops the odd interrupted loop.
+REFERENCE_ITERATIONS = 150_000
+REFERENCE_REPEATS = 3
 MIN_TIMED_OPS = 5
 SETUP_TIMEOUT_S = 60
 
@@ -141,6 +153,27 @@ def environment() -> dict:
 # measurement
 
 
+def reference_loop() -> float:
+    """Wall seconds of a fixed pure-Python loop, the fastest of a few.
+
+    The host's speed drifts by up to 1.8x over minutes on shared machines
+    (other tenants on the same cores).  The loop is timed around every
+    command of an op and slows with the host, so a command's wall time over
+    the loop's cancels most of that drift while still moving with any change
+    to the command itself.
+    """
+    samples = []
+    for _ in range(REFERENCE_REPEATS):
+        start = time.perf_counter()
+        total = 0
+        for i in range(REFERENCE_ITERATIONS):
+            total += i * i % 7
+        samples.append(time.perf_counter() - start)
+        if total != 299_999:  # the loop's result, so it cannot be skipped
+            raise RuntimeError(f"reference loop computed {total}")
+    return min(samples)
+
+
 def measure_setup(repeats: int) -> float:
     """Median wall seconds of a fresh interpreter importing natfx.cli."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -164,13 +197,17 @@ class Client:
         self.failed = 0
         self.problems: list[str] = []
 
-    def op(self) -> tuple[float, float]:
-        """Run one op; returns (wall seconds, process CPU seconds)."""
-        outs, codes = [], []
+    def op(self, between=None) -> tuple[list[float], float]:
+        """Run one op; returns the wall seconds of each command and the
+        process CPU seconds of the op.  `between()` runs after every command
+        but the last, outside the commands' timed intervals."""
+        outs, codes, walls = [], [], []
         err = io.StringIO()
         cpu = time.process_time()
-        start = time.perf_counter()
-        for argv in self.inputs.commands:
+        for i, argv in enumerate(self.inputs.commands):
+            if i and between is not None:
+                between()
+            start = time.perf_counter()
             out = io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 try:
@@ -179,11 +216,11 @@ class Client:
                 except Exception:  # a crash is a failed op, not a failed run
                     traceback.print_exc()
                     codes.append(None)
+            walls.append(time.perf_counter() - start)
             outs.append(out.getvalue())
-        wall = time.perf_counter() - start
         cpu = time.process_time() - cpu
         self._check(outs, codes, err.getvalue())
-        return wall, cpu
+        return walls, cpu
 
     def _check(self, outs: list[str], codes: list[int], err: str) -> None:
         self.attempted += 1
@@ -206,12 +243,22 @@ class Client:
 
 
 def run_untraced(client: Client, seconds: float) -> dict:
+    """Runs the reference loop before and after every command of every op.
+    An op's cost is the sum over its commands of the command's wall time
+    over the mean of the loops just before and just after it."""
     client.op()  # warm-up
-    walls = []
+    refs = [reference_loop()]
+    ratios, walls = [], []
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline or len(walls) < MIN_TIMED_OPS:
-        walls.append(client.op()[0])
-    return {"op_s": statistics.median(walls), "timed_ops": len(walls)}
+        first = len(refs) - 1
+        commands = client.op(between=lambda: refs.append(reference_loop()))[0]
+        refs.append(reference_loop())
+        around = refs[first:]
+        ratios.append(sum(w / ((a + b) / 2) for w, a, b in zip(commands, around, around[1:])))
+        walls.append(sum(commands))
+    return {"op_ref": statistics.median(ratios), "op_wall_s": statistics.median(walls),
+            "ref_s": statistics.median(refs), "timed_ops": len(walls)}
 
 
 def run_traced(client: Client, seconds: float) -> dict:
@@ -222,14 +269,15 @@ def run_traced(client: Client, seconds: float) -> dict:
     plain_walls, plain_cpu, traced_walls, per_op = [], [], [], []
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline or len(traced_walls) < MIN_TIMED_OPS // 2 + 1:
-        wall, cpu = client.op()
-        plain_walls.append(wall)
+        walls, cpu = client.op()
+        plain_walls.append(sum(walls))
         plain_cpu.append(cpu)
         tracer.reset()
         with tracer:
-            traced_walls.append(client.op()[0])
+            traced_walls.append(sum(client.op()[0]))
         per_op.append(tracer.op_metrics())
     metrics = {name: statistics.median(op[name] for op in per_op) for name in per_op[0]}
+    metrics["proc.wall_s"] = statistics.median(plain_walls)
     metrics["proc.cpu_s"] = statistics.median(plain_cpu)
     metrics["trace.overhead_frac"] = statistics.median(traced_walls) / statistics.median(plain_walls) - 1.0
     return {"metrics": metrics, "timed_ops": len(traced_walls)}
@@ -270,7 +318,7 @@ def bench(args: argparse.Namespace) -> tuple[dict, list[str]]:
         else:
             run = run_untraced(client, args.seconds)
             values = {
-                "op_s": run["op_s"],
+                "op_ref": run["op_ref"],
                 "setup_s": measure_setup(SETUP_REPEATS[args.size]),
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             }
@@ -284,6 +332,8 @@ def bench(args: argparse.Namespace) -> tuple[dict, list[str]]:
     info = {"workload": workload.name, "why": workload.why, "seed": args.seed,
             "size": args.size, "closed_loop_clients": 1, "timed_ops": run["timed_ops"],
             "env": environment()}
+    if not args.trace:
+        info.update(op_wall_s=run["op_wall_s"], reference_loop_s=run["ref_s"])
     result = {
         "correct": client.failed == 0,
         "attempted": client.attempted,

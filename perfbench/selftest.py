@@ -3,8 +3,9 @@
     python3 perfbench/selftest.py
 
 Checks that every metric named in BENCHMARK.json is printed with its unit,
-that a perturbed report or a crash counts as a failed op, that the trace
-refuses a missing target, and that dropped bootstrap replicates are counted.
+that a perturbed report or a crash counts as a failed op, that each command
+is divided by the reference loops around it, that the trace refuses a
+missing target, and that dropped bootstrap replicates are counted.
 """
 from __future__ import annotations
 
@@ -160,6 +161,29 @@ class PerturbedReportsFail(unittest.TestCase):
             code, _text, result = bench("plugin-nonseq2")
         self.assertEqual(code, 1)
         self.assertEqual(result["failed"], result["attempted"] - 1)
+
+
+class ReferenceLoop(unittest.TestCase):
+    def test_each_command_is_divided_by_the_loops_around_it(self):
+        class TwoCommands:
+            def op(self, between=None):
+                walls = [0.3]
+                if between is not None:
+                    between()
+                walls.append(0.6)
+                return walls, 0.0
+
+        loops = itertools.cycle((0.01, 0.03))
+        original = run.reference_loop
+        run.reference_loop = lambda: next(loops)
+        try:
+            got = run.run_untraced(TwoCommands(), seconds=0.0)
+        finally:
+            run.reference_loop = original
+        # loops 0.01 | 0.3 s | 0.03 | 0.6 s | 0.01 ...: 0.3 / 0.02 + 0.6 / 0.02
+        self.assertAlmostEqual(got["op_ref"], 45.0)
+        self.assertAlmostEqual(got["op_wall_s"], 0.9)
+        self.assertEqual(got["timed_ops"], run.MIN_TIMED_OPS)
 
 
 class TraceTargets(unittest.TestCase):

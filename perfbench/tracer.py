@@ -71,6 +71,7 @@ PER_LAYER_UNITS = {
     "cli.load_dataset.rows": "count",
     "cli.render.s": "s",
     "cli.self_s": "s",
+    "proc.wall_s": "s",
     "proc.cpu_s": "s",
     "trace.overhead_frac": "ratio",
 }
@@ -206,8 +207,8 @@ class Tracer:
     def op_metrics(self) -> dict[str, float]:
         """Per-layer metrics of the op traced since the last `reset`.
 
-        ``proc.cpu_s`` and ``trace.overhead_frac`` come from untraced ops and
-        are filled in by the caller.
+        ``proc.wall_s``, ``proc.cpu_s`` and ``trace.overhead_frac`` come from
+        untraced ops and are filled in by the caller.
         """
         out: dict[str, float] = {}
         for name in PER_LAYER_UNITS:
