@@ -33,7 +33,6 @@ from .estimate import (
     LinearParams,
     fit_linear_system,
     linear_components,
-    plugin_seq2,
 )
 from .infer import BootstrapConfig, bootstrap
 from .scm import Dataset, NotIdentifiable, eval_expectation, from_dataset, load_model
@@ -664,19 +663,14 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
             Scenario.chain(2) if data.m2 is not None else Scenario.single()
         )
         q = _query_from(config)
-        if scenario.id == "seq2":
 
-            def estimator(d: Dataset) -> DecompositionResult:
-                return plugin_seq2(from_dataset(d, scenario), q)
-
-        else:
-
-            def estimator(d: Dataset) -> DecompositionResult:
-                return decompose(from_dataset(d, scenario), q)
+        def estimator(d: Dataset) -> DecompositionResult:
+            return decompose(from_dataset(d, scenario), q)
 
         diagnostics = {"n_used": data.n, "n_dropped": data.n_dropped}
 
     result = bootstrap(data, estimator, cfg, workers=config.workers)
+    diagnostics["replicates"] = result.diagnostics
     ledger = AssumptionLedger.for_scenario(scenario, config.ack_assumptions)
     provenance = {
         "data": config.data,

@@ -11,12 +11,15 @@ scenario catalogs are provided:
   reference interactions for AM2 and AM1M2 fuse into one identifiable row.
 
 Auxiliary rows (PDE, TDE, SIE_M1, TE, flavor pairs) carry ``in_sum=False``
-and are reported but excluded from the telescoping sum check.
+and are reported but excluded from the telescoping sum check.  Each catalog
+is compiled once, at import, into its distinct formulas and signed rows; an
+engine prices the formulas and the rows are exact sums of the priced terms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .cfexpr import (
     CfExpr,
@@ -29,7 +32,7 @@ from .cfexpr import (
     TREATMENT,
     format_cf,
 )
-from .scm import DiscreteScm, eval_expectation
+from .scm import DiscreteScm, _compile_formula, _price_formulas
 
 __all__ = [
     "ComponentSpec",
@@ -122,9 +125,16 @@ class ComponentValue:
 
 @dataclass(frozen=True)
 class DecompositionResult:
+    """Component rows, TE and the telescoping audit ``sum_gap``.
+
+    ``diagnostics`` is what the producer records about its run, such as the
+    replicates a bootstrap kept and dropped.
+    """
+
     components: tuple[ComponentValue, ...]
     te: float
     sum_gap: float
+    diagnostics: dict[str, Any] | None = None
 
     def __getitem__(self, name: str) -> float:
         for c in self.components:
@@ -171,12 +181,13 @@ def _w_flat(ey, e2, e1) -> CfExpr:
     return _y2(ey, _nat(e1), _nat(e2))
 
 
-def _check_requires(specs: Sequence[ComponentSpec], q: Query) -> None:
+def _requires(specs: Sequence[ComponentSpec]) -> frozenset[str]:
+    return frozenset(label for spec in specs for label in spec.requires)
+
+
+def _check_requires(needed: Iterable[str], q: Query) -> None:
     provided = {k for k, v in (("m1*", q.m1_star), ("m2*", q.m2_star)) if v is not None}
-    needed: set[str] = set()
-    for spec in specs:
-        needed.update(spec.requires)
-    missing = sorted(needed - provided)
+    missing = sorted(set(needed) - provided)
     if missing:
         raise MissingFixedLevel(
             f"query does not fix the mediator level(s) {', '.join(missing)}"
@@ -187,14 +198,7 @@ def _check_requires(specs: Sequence[ComponentSpec], q: Query) -> None:
 # catalogs
 
 
-def components_single(q: Query) -> list[ComponentSpec]:
-    """Four-way split for one mediator, plus flavor rows and TE.
-
-    Core rows (CDE, INT_ref, INT_med, PIE) sum to TE.  Auxiliary rows carry
-    the two direct/indirect flavors: NDE_pure with NIE_total and NDE_total
-    with NIE_pure both recover TE; NatINT_AM repeats INT_med's contrast
-    under its interaction-effect name.
-    """
+def _single_specs() -> tuple[ComponentSpec, ...]:
     ma = _nat(_A)
     mr = _nat(_R)
     int_med = (
@@ -231,18 +235,10 @@ def components_single(q: Query) -> list[ComponentSpec]:
         ),
         ComponentSpec("TE", ((+1, _y1(_A, ma)), (-1, _y1(_R, mr))), in_sum=False),
     ]
-    _check_requires(specs, q)
-    return specs
+    return tuple(specs)
 
 
-def components_nonseq2(q: Query, extended: bool = False) -> list[ComponentSpec]:
-    """Ten-component split for two non-sequential mediators.
-
-    Row order matches the report layout: controlled, reference
-    interactions, natural interactions, PDE, pure indirect rows, TE.  The
-    in-sum rows are the ten of the identity; `extended` appends TDE and
-    SIE_M1.
-    """
+def _nonseq2_specs(extended: bool) -> tuple[ComponentSpec, ...]:
     m1a, m1r = _nat(_A), _nat(_R)
     m2a, m2r = _nat(_A), _nat(_R)
     w1 = _y2(_A, m1a, m2a)
@@ -321,17 +317,10 @@ def components_nonseq2(q: Query, extended: bool = False) -> list[ComponentSpec]:
             ComponentSpec("TDE", ((+1, w1), (-1, w4)), in_sum=False),
             ComponentSpec("SIE_M1", ((+1, w4), (-1, w5)), in_sum=False),
         ]
-    _check_requires(specs, q)
-    return specs
+    return tuple(specs)
 
 
-def components_seq2(q: Query, extended: bool = False) -> list[ComponentSpec]:
-    """Nine-component split for two sequential mediators on one path.
-
-    The reference interactions for AM2 and AM1M2 are not separately
-    identifiable; only their fused sum appears, as a function of m2* alone.
-    Row order matches the report layout; `extended` appends TDE and SIE_M1.
-    """
+def _seq2_specs(extended: bool) -> tuple[ComponentSpec, ...]:
     w1 = _w_seq(_A, _A, _A)
     w2 = _w_seq(_A, _R, _A)
     w3 = _w_seq(_A, _A, _R)
@@ -397,20 +386,45 @@ def components_seq2(q: Query, extended: bool = False) -> list[ComponentSpec]:
             ComponentSpec("TDE", ((+1, w1), (-1, w4)), in_sum=False),
             ComponentSpec("SIE_M1", ((+1, w4), (-1, w5)), in_sum=False),
         ]
-    _check_requires(specs, q)
-    return specs
+    return tuple(specs)
+
+
+def components_single(q: Query) -> list[ComponentSpec]:
+    """Four-way split for one mediator, plus flavor rows and TE.
+
+    Core rows (CDE, INT_ref, INT_med, PIE) sum to TE.  Auxiliary rows carry
+    the two direct/indirect flavors: NDE_pure with NIE_total and NDE_total
+    with NIE_pure both recover TE; NatINT_AM repeats INT_med's contrast
+    under its interaction-effect name.
+    """
+    return _checked(_catalog(Scenario.single()), q)
+
+
+def components_nonseq2(q: Query, extended: bool = False) -> list[ComponentSpec]:
+    """Ten-component split for two non-sequential mediators.
+
+    Row order matches the report layout: controlled, reference
+    interactions, natural interactions, PDE, pure indirect rows, TE.  The
+    in-sum rows are the ten of the identity; `extended` appends TDE and
+    SIE_M1.
+    """
+    return _checked(_catalog(Scenario.nonseq(2), extended), q)
+
+
+def components_seq2(q: Query, extended: bool = False) -> list[ComponentSpec]:
+    """Nine-component split for two sequential mediators on one path.
+
+    The reference interactions for AM2 and AM1M2 are not separately
+    identifiable; only their fused sum appears, as a function of m2* alone.
+    Row order matches the report layout; `extended` appends TDE and SIE_M1.
+    """
+    return _checked(_catalog(Scenario.chain(2), extended), q)
 
 
 def components_for(
     scenario: Scenario, q: Query, extended: bool = False
 ) -> list[ComponentSpec]:
-    if scenario.kind is ScenarioKind.SINGLE:
-        return components_single(q)
-    if scenario.k != 2:
-        raise ValueError(f"no component catalog for scenario {scenario.id}")
-    if scenario.kind is ScenarioKind.NONSEQ:
-        return components_nonseq2(q, extended=extended)
-    return components_seq2(q, extended=extended)
+    return _checked(_catalog(scenario, extended), q)
 
 
 def total_effect(scenario: Scenario) -> ComponentSpec:
@@ -468,7 +482,7 @@ def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
     )
     if scenario.kind is ScenarioKind.NONSEQ:
         specs = [int_med_am1]
-        _check_requires(specs, q)
+        _check_requires(_requires(specs), q)
         return specs
     m2aa = _chain(_A, m1a)
     m2rr = _chain(_R, m1r)
@@ -503,7 +517,7 @@ def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
         problematic=True,
     )
     specs = [int_med_am1, int_med_am2, int_med_am1m2]
-    _check_requires(specs, q)
+    _check_requires(_requires(specs), q)
     return specs
 
 
@@ -523,20 +537,102 @@ def additive_interaction(cell_means) -> float:
 
 
 # ---------------------------------------------------------------------------
+# compiled catalogs
+
+
+@dataclass(frozen=True)
+class _Catalog:
+    """Specs compiled once against their distinct formulas.
+
+    ``formulas`` holds each distinct formula once, in the slot form of
+    `scm._compile_formula`, so every engine prices it once.  ``rows[i]``
+    lists the (sign, formula index) terms of ``specs[i]``; ``te`` those of
+    the scenario's total effect; ``requires`` the fixed labels the rows use.
+    """
+
+    specs: tuple[ComponentSpec, ...]
+    formulas: tuple[tuple, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    te: tuple[tuple[int, int], ...]
+    requires: frozenset[str]
+
+
+def _compile(specs: Sequence[ComponentSpec], scenario: Scenario) -> _Catalog:
+    """Validate and index `specs` plus the scenario's TE against `scenario`."""
+    index: dict[CfExpr, int] = {}
+
+    def terms(spec: ComponentSpec) -> tuple[tuple[int, int], ...]:
+        if spec.problematic:
+            raise EvaluationOfProblematicSpec(
+                f"{spec.name} contains non-identifiable counterfactual formulas "
+                "and has no model-defined value"
+            )
+        return tuple((sign, index.setdefault(expr, len(index))) for sign, expr in spec.terms)
+
+    rows = tuple(terms(spec) for spec in specs)
+    te = terms(total_effect(scenario))
+    formulas = tuple(_compile_formula(expr, scenario) for expr in index)
+    return _Catalog(tuple(specs), formulas, rows, te, _requires(specs))
+
+
+def _build_catalogs() -> dict[tuple[str, bool], _Catalog]:
+    single = _compile(_single_specs(), Scenario.single())
+    catalogs = {("single", False): single, ("single", True): single}
+    for scenario, build in (
+        (Scenario.nonseq(2), _nonseq2_specs),
+        (Scenario.chain(2), _seq2_specs),
+    ):
+        for extended in (False, True):
+            catalogs[scenario.id, extended] = _compile(build(extended), scenario)
+    return catalogs
+
+
+def _catalog(scenario: Scenario, extended: bool = False) -> _Catalog:
+    try:
+        return _CATALOGS[scenario.id, extended]
+    except KeyError:
+        raise ValueError(f"no component catalog for scenario {scenario.id}") from None
+
+
+def _checked(catalog: _Catalog, q: Query) -> list[ComponentSpec]:
+    _check_requires(catalog.requires, q)
+    return list(catalog.specs)
+
+
+def _assemble(catalog: _Catalog, addends: Sequence[Sequence[float]]) -> DecompositionResult:
+    """Rows of a compiled catalog from each formula's priced addends.
+
+    A row is the `math.fsum` of its terms' signed addends, so addends that
+    cancel between the terms of a row cancel exactly, and a row that is
+    zero in exact arithmetic comes out as 0.0.
+    """
+
+    def total(terms: tuple[tuple[int, int], ...]) -> float:
+        return math.fsum([sign * x for sign, j in terms for x in addends[j]])
+
+    values = tuple(
+        ComponentValue(spec.name, total(terms), in_sum=spec.in_sum)
+        for spec, terms in zip(catalog.specs, catalog.rows)
+    )
+    te = total(catalog.te)
+    in_sum = math.fsum(v.value for v in values if v.in_sum)
+    return DecompositionResult(values, te=te, sum_gap=abs(in_sum - te))
+
+
+def _evaluate(model: DiscreteScm, catalog: _Catalog, q: Query) -> DecompositionResult:
+    """A compiled catalog priced on a discrete model's tables."""
+    _check_requires(catalog.requires, q)
+    values = _price_formulas(model, catalog.formulas, q.to_binding())
+    return _assemble(catalog, [(v,) for v in values.tolist()])
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
 def evaluate_spec(model: DiscreteScm, spec: ComponentSpec, q: Query) -> float:
     """Signed sum of the spec's formula expectations under the query."""
-    if spec.problematic:
-        raise EvaluationOfProblematicSpec(
-            f"{spec.name} contains non-identifiable counterfactual formulas "
-            "and has no model-defined value"
-        )
-    binding = q.to_binding()
-    return float(
-        sum(sign * eval_expectation(model, expr, binding) for sign, expr in spec.terms)
-    )
+    return evaluate_decomposition(model, (spec,), q).components[0].value
 
 
 def evaluate_decomposition(
@@ -545,21 +641,20 @@ def evaluate_decomposition(
     """Evaluate a catalog and audit the telescoping identity.
 
     ``sum_gap`` is the absolute difference between the sum of the in-sum
-    rows and the independently computed total effect; exact enumeration
+    rows and the independently computed total effect; exact evaluation
     keeps it at floating-point noise.
     """
-    values = [
-        ComponentValue(spec.name, evaluate_spec(model, spec, q), in_sum=spec.in_sum)
-        for spec in specs
-    ]
-    te = evaluate_spec(model, total_effect(model.scenario), q)
-    total = sum(v.value for v in values if v.in_sum)
-    return DecompositionResult(tuple(values), te=te, sum_gap=abs(total - te))
+    return _evaluate(model, _compile(specs, model.scenario), q)
 
 
 def decompose(
     model: DiscreteScm, q: Query, extended: bool = False
 ) -> DecompositionResult:
     """Catalog lookup by the model's scenario plus evaluation, in one call."""
-    specs = components_for(model.scenario, q, extended=extended)
-    return evaluate_decomposition(model, specs, q)
+    return _evaluate(model, _catalog(model.scenario, extended), q)
+
+
+# Each catalog is built and compiled once per process, so the per-call paths
+# (decompose, plugin_seq2, linear_components) neither rebuild, hash nor
+# re-validate a spec.
+_CATALOGS = _build_catalogs()

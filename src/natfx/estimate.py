@@ -1,15 +1,13 @@
 """Estimators for mediation components.
 
-Two independent routes to the same decomposition:
+Two routes to the seq2 decomposition, both evaluations of the one seq2
+component catalog in :mod:`natfx.decomp`:
 
-* ``plugin_seq2`` sums outcome cell means against mediator probability
-  tables from a categorical model (literal double sums over the support).
-* ``linear_components`` evaluates closed-form expressions under a
-  Gaussian-linear sequential model whose coefficients come from three
-  least-squares regressions fitted by ``fit_linear_system``.
-
-The routes share the report layout of the component catalogs in
-:mod:`natfx.decomp`, so results can be compared row by row.
+* ``plugin_seq2`` prices its formulas on the probability tables and cell
+  means of a categorical model;
+* ``linear_components`` prices them in closed form under a Gaussian-linear
+  sequential model whose coefficients come from three least-squares
+  regressions fitted by ``fit_linear_system``.
 """
 from __future__ import annotations
 
@@ -21,8 +19,15 @@ import numpy as np
 from scipy import linalg
 
 from .cfexpr import Scenario, ScenarioKind
-from .decomp import ComponentValue, DecompositionResult, MissingFixedLevel, Query
-from .scm import Dataset, DiscreteScm, _resolve_level
+from .decomp import (
+    DecompositionResult,
+    Query,
+    _assemble,
+    _catalog,
+    _check_requires,
+    _evaluate,
+)
+from .scm import Dataset, DiscreteScm
 
 __all__ = [
     "Assumption",
@@ -510,7 +515,9 @@ def fit_linear_system(
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# linear pricing
+
+_SEQ2 = Scenario.chain(2)
 
 # Exposure triple (e_Y, e_M2, e_M1) behind each world: which slots take the
 # treated level and which the reference.
@@ -526,31 +533,49 @@ _W_TRIPLES: dict[str, tuple[str, str, str]] = {
 }
 
 
-def _world_mean(
-    params: LinearParams, e_y: float, e_m2: float, e_m1: float, cvec: tuple[float, ...]
-) -> float:
-    """E[Y(e_Y, M1(e_M1), M2(e_M2, M1(e_M1)))] given the covariate values.
+def _linear_pricer(
+    params: LinearParams, cvec: tuple[float, ...], level: Mapping[str, float]
+) -> Callable[[tuple], tuple[float, ...]]:
+    """Price compiled seq2 formulas under the Gaussian-linear chain model.
 
     Integrating the outcome equation over M2 then M1 leaves a polynomial in
-    the mean of M1 and its second moment, hence the sigma2_m1 term.
+    the mean of M1 and its second moment.  A fixed M1 has mean m1* and
+    variance 0; a fixed M2 has base m2* and slope 0 on M1.  A formula's
+    expectation is returned as its monomial addends, with the sigma2_m1 term
+    in its own addend, so that terms which cancel within a component cancel
+    exactly when the component is summed.
     """
     t, b, g = params.theta, params.beta, params.gamma
-    mu1 = g[0] + g[1] * e_m1 + _dot(params.gamma_c, cvec)
-    base2 = b[0] + b[1] * e_m2 + _dot(params.beta_c, cvec)
-    slope2 = b[2] + b[3] * e_m2
-    on_m2 = t[3] + t[5] * e_y
-    on_m1 = t[2] + t[4] * e_y
-    on_m1m2 = t[6] + t[7] * e_y
-    return (
-        t[0]
-        + t[1] * e_y
-        + _dot(params.theta_c, cvec)
-        + on_m2 * base2
-        + on_m1 * mu1
-        + on_m1m2 * base2 * mu1
-        + on_m2 * slope2 * mu1
-        + on_m1m2 * slope2 * (params.sigma2_m1 + mu1 * mu1)
-    )
+    t_c, b_c, g_c = (_dot(v, cvec) for v in (params.theta_c, params.beta_c, params.gamma_c))
+
+    def addends(formula: tuple) -> tuple[float, ...]:
+        e_y = level[formula[0]]
+        (fixed1, s1), (fixed2, s2) = formula[1], formula[2]
+        if fixed1:
+            mu1, var1 = level[s1], 0.0
+        else:
+            mu1, var1 = g[0] + g[1] * level[s1] + g_c, params.sigma2_m1
+        if fixed2:
+            base2, slope2 = level[s2], 0.0
+        else:
+            e_m2 = level[s2]
+            base2, slope2 = b[0] + b[1] * e_m2 + b_c, b[2] + b[3] * e_m2
+        on_m2 = t[3] + t[5] * e_y
+        on_m1 = t[2] + t[4] * e_y
+        on_m1m2 = t[6] + t[7] * e_y
+        return (
+            t[0],
+            t[1] * e_y,
+            t_c,
+            on_m2 * base2,
+            on_m1 * mu1,
+            on_m1m2 * base2 * mu1,
+            on_m2 * slope2 * mu1,
+            on_m1m2 * slope2 * mu1 * mu1,
+            on_m1m2 * slope2 * var1,
+        )
+
+    return addends
 
 
 def expectation_w(
@@ -569,29 +594,10 @@ def expectation_w(
     key = f"W{which}" if isinstance(which, int) else str(which).upper()
     if key not in _W_TRIPLES:
         raise ValueError(f"which must be one of W1..W8, got {which!r}")
-    levels = {"a": float(a), "a*": float(a_star)}
-    e_y, e_m2, e_m1 = (levels[s] for s in _W_TRIPLES[key])
-    return _world_mean(params, e_y, e_m2, e_m1, _covariate_vector(params, c))
-
-
-def _require_numeric_query(q: Query) -> tuple[float, float, float, float]:
-    missing = [
-        label
-        for label, v in (("m1*", q.m1_star), ("m2*", q.m2_star))
-        if v is None
-    ]
-    if missing:
-        raise MissingFixedLevel(
-            f"linear decomposition needs fixed level(s) {', '.join(missing)}"
-        )
-    try:
-        return float(q.a), float(q.a_star), float(q.m1_star), float(q.m2_star)
-    except (TypeError, ValueError):
-        raise ValueError(
-            "linear decomposition needs numeric exposure and fixed mediator "
-            f"levels, got a={q.a!r}, a*={q.a_star!r}, m1*={q.m1_star!r}, "
-            f"m2*={q.m2_star!r}"
-        ) from None
+    e_y, e_m2, e_m1 = _W_TRIPLES[key]
+    level = {"a": float(a), "a*": float(a_star)}
+    price = _linear_pricer(params, _covariate_vector(params, c), level)
+    return math.fsum(price((e_y, (False, e_m1), (False, e_m2))))
 
 
 def linear_components(
@@ -599,183 +605,45 @@ def linear_components(
     q: Query,
     c: CovariateProfile | Sequence[float] | None = None,
 ) -> DecompositionResult:
-    """Closed-form decomposition under the Gaussian-linear chain model.
+    """Decomposition under the Gaussian-linear chain model.
 
-    Each component is evaluated from its own polynomial display (CDE and
-    the reference interaction rows as products involving m1* and m2*, the
-    natural interaction and pure indirect rows as polynomials in the
-    coefficients), while TE comes from the two corner worlds, so the
-    telescoping identity is a genuine cross-check rather than bookkeeping.
-    Exposure levels may be any reals; a == a* collapses everything to zero.
+    The seq2 component catalog priced in closed form: every formula of the
+    catalog is integrated over the model's Gaussian mediators, and each
+    component is the exact sum of its formulas' signed monomials.  TE comes
+    from its own two corner worlds, so ``sum_gap`` audits the telescoping
+    identity.  Exposure levels may be any reals; a == a* collapses
+    everything to zero.
     """
-    a, a_star, m1s, m2s = _require_numeric_query(q)
-    cvec = _covariate_vector(params, c)
-    t, b, g = params.theta, params.beta, params.gamma
-    sig2 = params.sigma2_m1
-
-    d = a - a_star
-    s = a + a_star
-    gamma0c = g[0] + _dot(params.gamma_c, cvec)
-    mu1s = gamma0c + g[1] * a_star
-    base2s = b[0] + b[1] * a_star + _dot(params.beta_c, cvec)
-    slope2s = b[2] + b[3] * a_star
-    ref2 = sig2 + mu1s * mu1s
-
-    cde = (t[1] + t[4] * m1s + t[5] * m2s + t[7] * m1s * m2s) * d
-    ir1 = (mu1s - m1s) * (t[4] + t[7] * m2s) * d
-    ir2 = (
-        t[1]
-        + t[5] * base2s
-        + t[7] * base2s * mu1s
-        + t[5] * slope2s * mu1s
-        + t[7] * slope2s * ref2
-        - (t[1] + t[5] * m2s)
-        - t[7] * m2s * mu1s
-    ) * d
-    nat_am1 = (
-        t[4] * g[1]
-        + t[7] * g[1] * base2s
-        + t[5] * g[1] * slope2s
-        + 2.0 * t[7] * g[1] * slope2s * gamma0c
-        + t[7] * g[1] * g[1] * slope2s * s
-    ) * d * d
-    nat_am2 = (
-        t[5] * b[1] + t[7] * b[1] * mu1s + t[5] * b[3] * mu1s + t[7] * b[3] * ref2
-    ) * d * d
-    nat_am1m2 = (
-        t[7] * b[1] * g[1]
-        + t[5] * b[3] * g[1]
-        + 2.0 * t[7] * b[3] * g[1] * gamma0c
-        + t[7] * b[3] * g[1] * g[1] * s
-    ) * d * d * d
-    nat_m1m2 = (
-        b[1] * g[1] * (t[6] + t[7] * a_star)
-        + b[3] * g[1] * (t[3] + t[5] * a_star)
-        + 2.0 * b[3] * g[1] * (t[6] + t[7] * a_star) * gamma0c
-        + b[3] * g[1] * g[1] * (t[6] + t[7] * a_star) * s
-    ) * d * d
-    pie_m1 = (
-        g[1] * (t[2] + t[4] * a_star)
-        + g[1] * (t[6] + t[7] * a_star) * base2s
-        + g[1] * (t[3] + t[5] * a_star) * slope2s
-        + 2.0 * g[1] * (t[6] + t[7] * a_star) * slope2s * gamma0c
-        + g[1] * g[1] * (t[6] + t[7] * a_star) * slope2s * s
-    ) * d
-    pie_m2 = (
-        b[1] * (t[3] + t[5] * a_star)
-        + b[1] * (t[6] + t[7] * a_star) * mu1s
-        + b[3] * (t[3] + t[5] * a_star) * mu1s
-        + b[3] * (t[6] + t[7] * a_star) * ref2
-    ) * d
-
-    te = _world_mean(params, a, a, a, cvec) - _world_mean(
-        params, a_star, a_star, a_star, cvec
-    )
-    pde = cde + ir1 + ir2
-    core = (cde, ir1, ir2, nat_am1, nat_am2, nat_am1m2, nat_m1m2, pie_m1, pie_m2)
-    rows = (
-        ComponentValue("CDE", cde),
-        ComponentValue("INT_ref-AM1", ir1),
-        ComponentValue("INT_ref-AM2+AM1M2", ir2),
-        ComponentValue("NatINT_AM1", nat_am1),
-        ComponentValue("NatINT_AM2", nat_am2),
-        ComponentValue("NatINT_AM1M2", nat_am1m2),
-        ComponentValue("NatINT_M1M2", nat_m1m2),
-        ComponentValue("PDE", pde, in_sum=False),
-        ComponentValue("PIE_M1", pie_m1),
-        ComponentValue("PIE_M2", pie_m2),
-        ComponentValue("TE", te, in_sum=False),
-    )
-    return DecompositionResult(
-        components=rows, te=te, sum_gap=abs(math.fsum(core) - te)
-    )
+    catalog = _catalog(_SEQ2)
+    _check_requires(catalog.requires, q)
+    symbols = {"a": q.a, "a*": q.a_star, "m1*": q.m1_star, "m2*": q.m2_star}
+    try:
+        level = {symbol: float(v) for symbol, v in symbols.items()}
+    except (TypeError, ValueError):
+        got = ", ".join(f"{symbol}={v!r}" for symbol, v in symbols.items())
+        raise ValueError(
+            f"linear decomposition needs numeric exposure and fixed mediator levels, got {got}"
+        ) from None
+    price = _linear_pricer(params, _covariate_vector(params, c), level)
+    return _assemble(catalog, [price(formula) for formula in catalog.formulas])
 
 
 # ---------------------------------------------------------------------------
-# plug-in sums for categorical models
+# plug-in tables
 
 
 def plugin_seq2(model: DiscreteScm, q: Query) -> DecompositionResult:
     """Plug-in decomposition from categorical mediator tables.
 
-    The nine summed components come from their literal double sums over the
-    (m1, m2) support; TE comes from its own two-world sum, so ``sum_gap``
-    measures the telescoping identity instead of restating it.  A
-    non-sequential two-mediator model runs through the same sums, its
-    conditional M2 table being constant in m1.
+    The seq2 component catalog priced on the model's tables: each component
+    is a signed sum of outcome cell means against the mediator probability
+    rows, and TE comes from its own two-world sum, so ``sum_gap`` measures
+    the telescoping identity instead of restating it.  A non-sequential
+    two-mediator model runs through the same catalog, its conditional M2
+    table being constant in m1.
     """
     if model.k != 2:
         raise ValueError(
             f"two-mediator model required for the plug-in sums, got {model.scenario.id}"
         )
-    missing = [
-        label for label, v in (("m1*", q.m1_star), ("m2*", q.m2_star)) if v is None
-    ]
-    if missing:
-        raise MissingFixedLevel(
-            f"plug-in decomposition needs fixed level(s) {', '.join(missing)}"
-        )
-    a = _resolve_level(q.a, model.exposure_levels, "exposure a")
-    a_star = _resolve_level(q.a_star, model.exposure_levels, "exposure a*")
-    m1s = _resolve_level(q.m1_star, model.m1_levels, "fixed level m1*")
-    m2s = _resolve_level(q.m2_star, model.m2_levels, "fixed level m2*")
-
-    p = model.ymean
-    pr1 = model.pm1
-    pr2 = model.pm2
-    m1_levels = model.m1_levels
-    m2_levels = model.m2_levels
-
-    cde = p[a][m1s][m2s] - p[a_star][m1s][m2s]
-
-    ir1 = 0.0
-    for m1 in m1_levels:
-        ir1 += (
-            p[a][m1][m2s] - p[a_star][m1][m2s] - p[a][m1s][m2s] + p[a_star][m1s][m2s]
-        ) * pr1[a_star][m1]
-
-    ir2 = 0.0
-    nat_am1 = 0.0
-    nat_am2 = 0.0
-    nat_am1m2 = 0.0
-    nat_m1m2 = 0.0
-    pie_m1 = 0.0
-    pie_m2 = 0.0
-    te = 0.0
-    for m1 in m1_levels:
-        w1_ref = pr1[a_star][m1]
-        d1 = pr1[a][m1] - w1_ref
-        for m2 in m2_levels:
-            y_trt = p[a][m1][m2]
-            y_ref = p[a_star][m1][m2]
-            w2_ref = pr2[a_star][m1][m2]
-            d2 = pr2[a][m1][m2] - w2_ref
-            ir2 += (
-                y_trt - p[a][m1][m2s] - y_ref + p[a_star][m1][m2s]
-            ) * w1_ref * w2_ref
-            nat_am1 += (y_trt - y_ref) * w2_ref * d1
-            nat_am2 += (y_trt - y_ref) * w1_ref * d2
-            nat_am1m2 += (y_trt - y_ref) * d1 * d2
-            nat_m1m2 += y_ref * d1 * d2
-            pie_m1 += y_ref * w2_ref * d1
-            pie_m2 += y_ref * w1_ref * d2
-            te += y_trt * pr1[a][m1] * pr2[a][m1][m2] - y_ref * w1_ref * w2_ref
-
-    pde = cde + ir1 + ir2
-    core = (cde, ir1, ir2, nat_am1, nat_am2, nat_am1m2, nat_m1m2, pie_m1, pie_m2)
-    rows = (
-        ComponentValue("CDE", cde),
-        ComponentValue("INT_ref-AM1", ir1),
-        ComponentValue("INT_ref-AM2+AM1M2", ir2),
-        ComponentValue("NatINT_AM1", nat_am1),
-        ComponentValue("NatINT_AM2", nat_am2),
-        ComponentValue("NatINT_AM1M2", nat_am1m2),
-        ComponentValue("NatINT_M1M2", nat_m1m2),
-        ComponentValue("PDE", pde, in_sum=False),
-        ComponentValue("PIE_M1", pie_m1),
-        ComponentValue("PIE_M2", pie_m2),
-        ComponentValue("TE", te, in_sum=False),
-    )
-    return DecompositionResult(
-        components=rows, te=te, sum_gap=abs(math.fsum(core) - te)
-    )
+    return _evaluate(model, _catalog(_SEQ2), q)

@@ -7,6 +7,7 @@ replicates, data, estimator) and never on how the work is scheduled.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -72,7 +73,10 @@ def bootstrap(
 
     Rows are the resampling unit.  A failure on the full data propagates;
     failures on resamples are dropped until they exceed `cfg.max_fail` as a
-    fraction of `cfg.replicates`.
+    fraction of `cfg.replicates`.  A resample whose estimate has a
+    non-finite component fails too, as a `FloatingPointError`.  The result's
+    ``diagnostics`` count the kept and failed replicates and group the
+    failures by exception class, each with its first message.
     """
     if cfg is None:
         cfg = BootstrapConfig()
@@ -87,9 +91,13 @@ def bootstrap(
         rng = np.random.default_rng(streams[index])
         draw = data.take(rng.integers(0, n, size=n))
         try:
-            return estimator(draw), None
+            result = estimator(draw)
         except _REPLICATE_ERRORS as err:
             return None, err
+        bad = [f"{c.name}={c.value}" for c in result.components if not math.isfinite(c.value)]
+        if bad:
+            return None, FloatingPointError(f"non-finite component(s) {', '.join(bad)}")
+        return result, None
 
     if workers == 1:
         outcomes = [one(i) for i in range(cfg.replicates)]
@@ -97,17 +105,14 @@ def bootstrap(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, range(cfg.replicates)))
 
-    kept: list[DecompositionResult] = []
-    last_error: Exception | None = None
-    failed = 0
-    for result, err in outcomes:
-        if result is None:
-            failed += 1
-            last_error = err
-        else:
-            kept.append(result)
-    if failed > cfg.max_fail * cfg.replicates:
-        raise TooManyFailedReplicates(failed, cfg.replicates, cfg.max_fail, last_error)
+    kept = [result for result, err in outcomes if err is None]
+    errors = [err for _, err in outcomes if err is not None]
+    failed_by_error: dict[str, dict] = {}
+    for err in errors:
+        entry = failed_by_error.setdefault(type(err).__name__, {"count": 0, "first": str(err)})
+        entry["count"] += 1
+    if len(errors) > cfg.max_fail * cfg.replicates:
+        raise TooManyFailedReplicates(len(errors), cfg.replicates, cfg.max_fail, errors[-1])
 
     alpha = (1.0 - cfg.level) / 2.0
     with_ci = []
@@ -115,6 +120,10 @@ def bootstrap(
         values = np.array([r[row.name] for r in kept])
         lo, hi = np.quantile(values, [alpha, 1.0 - alpha], method="linear")
         with_ci.append(replace(row, ci=(float(lo), float(hi))))
+    diagnostics = {"kept": len(kept), "failed": len(errors), "failed_by_error": failed_by_error}
     return DecompositionResult(
-        components=tuple(with_ci), te=point.te, sum_gap=point.sum_gap
+        components=tuple(with_ci),
+        te=point.te,
+        sum_gap=point.sum_gap,
+        diagnostics=diagnostics,
     )

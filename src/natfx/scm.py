@@ -1,12 +1,12 @@
 """Discrete structural causal model over one or two mediators.
 
 Holds the tables Pr(M1 | A), Pr(M2 | A, M1) and the outcome cell means
-E[Y | A, M1, M2], evaluates identifiable counterfactual expectations by
-exhaustive enumeration, simulates datasets for testing, and builds plug-in
-models from categorical data.
+E[Y | A, M1, M2] as dense arrays, prices identifiable counterfactual formulas
+by contracting those arrays, simulates datasets for testing, and builds
+plug-in models from categorical data.
 
 Non-sequential two-mediator models are stored in sequential shape with
-Pr(M2 | A, M1) constant in m1, so a single enumeration routine serves both
+Pr(M2 | A, M1) constant in m1, so a single pricing routine serves both
 structures.
 """
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from .cfexpr import (
     CfExpr,
-    Counterfactual,
-    ExposureLevel,
     Fixed,
     IdentifiabilityVerdict,
     Scenario,
@@ -92,27 +90,49 @@ class NonCategoricalColumn(ValueError):
     """A column bound as categorical looks continuous."""
 
 
-def _as_prob_row(row: Mapping[Any, float], levels: tuple, what: str) -> dict:
-    out = {}
+def _as_prob_row(row: Mapping[Any, float], levels: tuple, what: str) -> list[float]:
+    out = []
     for level in levels:
         if level not in row:
             raise ValueError(f"{what} is missing an entry for level {level!r}")
         p = float(row[level])
         if p < 0:
             raise ValueError(f"{what} has a negative probability at {level!r}")
-        out[level] = p
+        out.append(p)
     extras = [k for k in row if k not in levels]
     if extras:
         raise ValueError(f"{what} has entries outside the support: {extras!r}")
-    total = sum(out.values())
+    total = sum(out)
     if abs(total - 1.0) > _ROW_SUM_TOL:
         raise ValueError(f"{what} sums to {total!r}, not 1")
     if total != 1.0:
-        out = {k: v / total for k, v in out.items()}
+        out = [p / total for p in out]
     return out
 
 
-@dataclass(frozen=True)
+def _row(table: Mapping, key: Any, what: str) -> Mapping:
+    if key not in table:
+        raise ValueError(f"{what} is missing the row for level {key!r}")
+    return table[key]
+
+
+def _dense(table: Mapping, axes: Sequence[tuple], what: str, read_row) -> np.ndarray:
+    """Array of a nested mapping along level tuples; `read_row` reads the last axis."""
+    if len(axes) == 1:
+        return np.array(read_row(table, axes[0], what))
+    return np.array(
+        [_dense(_row(table, level, what), axes[1:], f"{what}[{level!r}]", read_row)
+         for level in axes[0]]
+    )
+
+
+def _nested(table: np.ndarray, axes: Sequence[tuple], key=lambda level: level) -> dict:
+    """Nested ``{level: {level: value}}`` dict of an array, one level tuple per axis."""
+    if len(axes) == 1:
+        return {key(level): v for level, v in zip(axes[0], table.tolist())}
+    return {key(level): _nested(sub, axes[1:], key) for level, sub in zip(axes[0], table)}
+
+
 class DiscreteScm:
     """Tables of a discrete one- or two-mediator model.
 
@@ -134,102 +154,87 @@ class DiscreteScm:
         Levels the symbols ``a`` and ``a*`` evaluate to.
 
     Probability rows must sum to one within 1e-12 and are renormalized to
-    exactly one; larger drift is an error.
+    exactly one; larger drift is an error.  The tables are stored as dense
+    arrays indexed by level position (``[a, m1]`` and ``[a, m1, m2]``); the
+    ``pm1``, ``pm2`` and ``ymean`` attributes are nested-dict copies of them.
     """
 
-    scenario: Scenario
-    pm1: Mapping[Any, Mapping[Any, float]]
-    ymean: Mapping[Any, Any]
-    pm2: Mapping[Any, Mapping[Any, Mapping[Any, float]]] | None = None
-    exposure_levels: tuple = ()
-    m1_levels: tuple = ()
-    m2_levels: tuple | None = None
-    treatment: Any = None
-    reference: Any = None
-
-    def __post_init__(self) -> None:
-        if self.scenario.k > 2:
+    def __init__(
+        self,
+        scenario: Scenario,
+        pm1: Mapping[Any, Mapping[Any, float]],
+        ymean: Mapping[Any, Any],
+        pm2: Mapping[Any, Mapping[Any, Mapping[Any, float]]] | None = None,
+        exposure_levels: tuple = (),
+        m1_levels: tuple = (),
+        m2_levels: tuple | None = None,
+        treatment: Any = None,
+        reference: Any = None,
+    ) -> None:
+        if scenario.k > 2:
             raise ValueError("enumeration models support at most two mediators")
-        exposure = self.exposure_levels or tuple(self.pm1.keys())
+        exposure = exposure_levels or tuple(pm1.keys())
         if not exposure:
             raise ValueError("model needs at least one exposure level")
-        first = next(iter(self.pm1.values()))
-        m1 = self.m1_levels or tuple(first.keys())
-        pm1 = {
-            a: _as_prob_row(self._row(self.pm1, a, "pm1"), m1, f"pm1[{a!r}]")
-            for a in exposure
-        }
-        if self.scenario.k == 1:
-            if self.pm2 is not None or self.m2_levels is not None:
+        m1 = m1_levels or tuple(next(iter(pm1.values())).keys())
+        p1 = _dense(pm1, (exposure, m1), "pm1", _as_prob_row)
+        if scenario.k == 1:
+            if pm2 is not None or m2_levels is not None:
                 raise ValueError("single-mediator model takes no pm2 table")
-            ymean = {
-                a: {
-                    lvl: float(self._cell(self._row(self.ymean, a, "ymean"), lvl, f"ymean[{a!r}]"))
-                    for lvl in m1
-                }
-                for a in exposure
-            }
-            m2 = None
-            pm2 = None
+            m2 = p2 = None
         else:
-            if self.pm2 is None:
+            if pm2 is None:
                 raise ValueError("two-mediator model requires a pm2 table")
-            some_row = next(iter(next(iter(self.pm2.values())).values()))
-            m2 = self.m2_levels or tuple(some_row.keys())
-            pm2 = {
-                a: {
-                    lvl: _as_prob_row(
-                        self._cell(self._row(self.pm2, a, "pm2"), lvl, f"pm2[{a!r}]"),
-                        m2,
-                        f"pm2[{a!r}][{lvl!r}]",
-                    )
-                    for lvl in m1
-                }
-                for a in exposure
-            }
-            if self.scenario.kind is ScenarioKind.NONSEQ:
-                for a in exposure:
-                    rows = [pm2[a][lvl] for lvl in m1]
-                    for other in rows[1:]:
-                        drift = max(abs(other[v] - rows[0][v]) for v in m2)
-                        if drift > _ROW_SUM_TOL:
-                            raise ValueError(
-                                "non-sequential model requires Pr(M2 | A) "
-                                f"independent of M1; pm2[{a!r}] varies by {drift:g}"
-                            )
-            ymean = {
-                a: {
-                    l1: {
-                        l2: float(
-                            self._cell(
-                                self._cell(self._row(self.ymean, a, "ymean"), l1, "ymean"),
-                                l2,
-                                f"ymean[{a!r}][{l1!r}]",
-                            )
+            m2 = m2_levels or tuple(next(iter(next(iter(pm2.values())).values())).keys())
+            p2 = _dense(pm2, (exposure, m1, m2), "pm2", _as_prob_row)
+            if scenario.kind is ScenarioKind.NONSEQ:
+                drift = np.abs(p2 - p2[:, :1, :]).max(axis=(1, 2))
+                for a, d in zip(exposure, drift.tolist()):
+                    if d > _ROW_SUM_TOL:
+                        raise ValueError(
+                            "non-sequential model requires Pr(M2 | A) "
+                            f"independent of M1; pm2[{a!r}] varies by {d:g}"
                         )
-                        for l2 in m2
-                    }
-                    for l1 in m1
-                }
-                for a in exposure
-            }
-        for name, level in (("treatment", self.treatment), ("reference", self.reference)):
-            if level is not None and level not in exposure:
+        cells = lambda row, levels, what: [float(_row(row, v, what)) for v in levels]
+        y = _dense(ymean, (exposure, m1, m2)[: scenario.k + 1], "ymean", cells)
+        levels = (tuple(exposure), tuple(m1), None if m2 is None else tuple(m2))
+        self._set(scenario, levels, p1, p2, y, treatment, reference)
+
+    def _set(self, scenario, levels, p1, p2, y, treatment, reference) -> None:
+        for name, level in (("treatment", treatment), ("reference", reference)):
+            if level is not None and level not in levels[0]:
                 raise ValueError(f"{name} level {level!r} is not an exposure level")
-        object.__setattr__(self, "exposure_levels", tuple(exposure))
-        object.__setattr__(self, "m1_levels", tuple(m1))
-        object.__setattr__(self, "m2_levels", tuple(m2) if m2 is not None else None)
-        object.__setattr__(self, "pm1", pm1)
-        object.__setattr__(self, "pm2", pm2)
-        object.__setattr__(self, "ymean", ymean)
+        for table in (p1, p2, y):
+            if table is not None:
+                table.flags.writeable = False
+        names = ("scenario", "exposure_levels", "m1_levels", "m2_levels", "treatment",
+                 "reference", "_p1", "_p2", "_y")
+        for name, value in zip(names, (scenario, *levels, treatment, reference, p1, p2, y)):
+            object.__setattr__(self, name, value)
 
-    @staticmethod
-    def _row(table: Mapping, key: Any, what: str) -> Mapping:
-        if key not in table:
-            raise ValueError(f"{what} is missing the row for level {key!r}")
-        return table[key]
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"DiscreteScm is read-only; cannot set {name!r}")
 
-    _cell = _row
+    @classmethod
+    def _from_arrays(cls, scenario, levels, p1, p2, y, treatment=None, reference=None):
+        """A model from dense tables already known to be valid (plug-in use)."""
+        model = cls.__new__(cls)
+        model._set(scenario, levels, p1, p2, y, treatment, reference)
+        return model
+
+    @property
+    def pm1(self) -> dict:
+        return _nested(self._p1, (self.exposure_levels, self.m1_levels))
+
+    @property
+    def pm2(self) -> dict | None:
+        axes = (self.exposure_levels, self.m1_levels, self.m2_levels)
+        return None if self._p2 is None else _nested(self._p2, axes)
+
+    @property
+    def ymean(self) -> dict:
+        axes = (self.exposure_levels, self.m1_levels, self.m2_levels)
+        return _nested(self._y, axes[: self.k + 1])
 
     @staticmethod
     def nonseq2(
@@ -312,17 +317,14 @@ class Dataset:
 # evaluation
 
 
-def _bind_exposure(
-    exp: ExposureLevel, model: DiscreteScm, binding: Mapping[str, Any]
-) -> Any:
-    symbol = exp.symbol
+def _bind_exposure(symbol: str, model: DiscreteScm, binding: Mapping[str, Any]) -> Any:
     if symbol in binding:
         return _resolve_level(binding[symbol], model.exposure_levels, f"exposure {symbol}")
-    if exp.is_treatment:
+    if symbol == "a":
         if model.treatment is None:
             raise UnboundLevel("no level bound for the treatment symbol 'a'")
         return model.treatment
-    if exp.is_reference:
+    if symbol == "a*":
         if model.reference is None:
             raise UnboundLevel("no level bound for the reference symbol 'a*'")
         return model.reference
@@ -341,16 +343,74 @@ def _bind_fixed(
     return _resolve_level(label, levels, f"{mediator} level {label!r}")
 
 
+def _compile_formula(expr: CfExpr, scenario: Scenario) -> tuple:
+    """Check a formula against `scenario` and reduce it to its slots.
+
+    The result is Y's exposure symbol followed by one ``(fixed, symbol)``
+    pair per mediator: a fixed level's label, or the exposure symbol the
+    mediator is activated under.  A mediator's history needs no slot of its
+    own because identifiability forces every occurrence of M1's spec to
+    coincide, so M2's parent is always the M1 slot.  Engines price these
+    slots; no validation is left for them to do.
+
+    Raises `NotIdentifiable` for a problematic formula and `ArityError` for
+    one that does not fit the scenario.
+    """
+    validate_cf(expr, scenario)
+    verdict = check_identifiability(expr, scenario)
+    if not verdict.identifiable:
+        raise NotIdentifiable(expr, verdict)
+    return (expr.exposure.symbol,) + tuple(
+        (True, spec.label) if isinstance(spec, Fixed) else (False, spec.exposure.symbol)
+        for spec in expr.mediators
+    )
+
+
+def _price_formulas(
+    model: DiscreteScm, formulas: Sequence[tuple], binding: Mapping[str, Any]
+) -> np.ndarray:
+    """Expectations of compiled formulas (see `_compile_formula`) under a binding.
+
+    Each formula is the sum over m1 of ``w1[m1]`` times the sum over m2 of
+    ``w2[m1, m2] * ymean[e_Y, m1, m2]``, where a weight is the conditional
+    probability row at the slot's exposure or a point mass at a fixed level;
+    M2's row is taken at the shared m1 index.  All formulas are priced in
+    one vectorised contraction, summed in that order.
+    """
+    ka, k1 = model._p1.shape
+
+    def rows(i: int, levels: tuple | None = None) -> list[int]:
+        """Per formula, the row of its slot `i` in a weight table stacked as
+        the exposure rows followed by one point-mass row per level."""
+        resolved = {}
+        for slot in dict.fromkeys(f[i] for f in formulas):
+            fixed, symbol = slot if i else (False, slot)
+            if fixed:
+                level = _bind_fixed(symbol, levels, binding, f"M{i}")
+                resolved[slot] = ka + levels.index(level)
+            else:
+                level = _bind_exposure(symbol, model, binding)
+                resolved[slot] = model.exposure_levels.index(level)
+        return [resolved[f[i]] for f in formulas]
+
+    y = model._y.take(rows(0), axis=0)
+    w1 = np.concatenate([model._p1, np.eye(k1)]).take(rows(1, model.m1_levels), axis=0)
+    if model.k == 1:
+        return (w1 * y).sum(axis=1)
+    k2 = len(model.m2_levels)
+    point2 = np.repeat(np.eye(k2)[:, None, :], k1, axis=1)
+    w2 = np.concatenate([model._p2, point2]).take(rows(2, model.m2_levels), axis=0)
+    return (w1 * (w2 * y).sum(axis=2)).sum(axis=1)
+
+
 def eval_expectation(
     model: DiscreteScm, expr: CfExpr, binding: Mapping[str, Any] | None = None
 ) -> float:
-    """Expectation of an identifiable counterfactual formula, by enumeration.
+    """Expectation of an identifiable counterfactual formula.
 
     Computes sum over (m1, m2) of ``ymean(e_Y, m1, m2) * w1(m1) * w2(m2 | m1)``
     where each weight is a point mass at a fixed level or the conditional
-    probability row at the spec's exposure; the parent value of M2's history
-    is the shared summation index, which is sound because identifiability
-    forces every occurrence of M1's spec to coincide.
+    probability row at the spec's exposure (see `_price_formulas`).
 
     Parameters
     ----------
@@ -369,46 +429,8 @@ def eval_expectation(
     UnboundLevel, UnknownSupportValue
         A symbol cannot be mapped into the model's supports.
     """
-    validate_cf(expr, model.scenario)
-    verdict = check_identifiability(expr, model.scenario)
-    if not verdict.identifiable:
-        raise NotIdentifiable(expr, verdict)
-    binding = binding or {}
-
-    e_y = _bind_exposure(expr.exposure, model, binding)
-    spec1 = expr.mediators[0]
-    if isinstance(spec1, Fixed):
-        level1 = _bind_fixed(spec1.label, model.m1_levels, binding, "M1")
-        w1 = {lvl: (1.0 if lvl == level1 else 0.0) for lvl in model.m1_levels}
-    else:
-        row = model.pm1[_bind_exposure(spec1.exposure, model, binding)]
-        w1 = row
-
-    if model.k == 1:
-        return float(sum(w1[m1] * model.ymean[e_y][m1] for m1 in model.m1_levels))
-
-    spec2 = expr.mediators[1]
-    if isinstance(spec2, Fixed):
-        level2 = _bind_fixed(spec2.label, model.m2_levels, binding, "M2")
-        w2 = {
-            m1: {lvl: (1.0 if lvl == level2 else 0.0) for lvl in model.m2_levels}
-            for m1 in model.m1_levels
-        }
-    else:
-        w2 = model.pm2[_bind_exposure(spec2.exposure, model, binding)]
-
-    total = 0.0
-    for m1 in model.m1_levels:
-        p1 = w1[m1]
-        if p1 == 0.0:
-            continue
-        inner = 0.0
-        row_y = model.ymean[e_y][m1]
-        row_w = w2[m1]
-        for m2 in model.m2_levels:
-            inner += row_w[m2] * row_y[m2]
-        total += p1 * inner
-    return float(total)
+    formula = _compile_formula(expr, model.scenario)
+    return float(_price_formulas(model, (formula,), binding or {})[0])
 
 
 # ---------------------------------------------------------------------------
@@ -462,38 +484,20 @@ def simulate(
     rng = np.random.default_rng(seed)
     a_idx = _sample_rows(rng, np.tile(probs, (1, 1)), np.zeros(n, dtype=int))
 
-    p1 = np.array([[model.pm1[a][m] for m in model.m1_levels] for a in levels])
-    m1_idx = _sample_rows(rng, p1, a_idx)
+    m1_idx = _sample_rows(rng, model._p1, a_idx)
 
     exposure = np.asarray(levels)[a_idx]
     m1 = np.asarray(model.m1_levels)[m1_idx]
 
     if model.k == 1:
-        ymat = np.array(
-            [[model.ymean[a][m] for m in model.m1_levels] for a in levels]
-        )
-        mean = ymat[a_idx, m1_idx]
+        mean = model._y[a_idx, m1_idx]
         outcome = mean + rng.normal(size=n) * noise_sd
         return Dataset(exposure=exposure, m1=m1, outcome=outcome)
 
-    k1 = len(model.m1_levels)
-    p2 = np.array(
-        [
-            [model.pm2[a][m][v] for v in model.m2_levels]
-            for a in levels
-            for m in model.m1_levels
-        ]
-    )
-    m2_idx = _sample_rows(rng, p2, a_idx * k1 + m1_idx)
+    k1, k2 = model._p2.shape[1:]
+    m2_idx = _sample_rows(rng, model._p2.reshape(-1, k2), a_idx * k1 + m1_idx)
     m2 = np.asarray(model.m2_levels)[m2_idx]
-    ymat = np.array(
-        [
-            [model.ymean[a][m][v] for v in model.m2_levels]
-            for a in levels
-            for m in model.m1_levels
-        ]
-    )
-    mean = ymat[a_idx * k1 + m1_idx, m2_idx]
+    mean = model._y[a_idx, m1_idx, m2_idx]
     outcome = mean + rng.normal(size=n) * noise_sd
     return Dataset(exposure=exposure, m1=m1, outcome=outcome, m2=m2)
 
@@ -560,110 +564,56 @@ def from_dataset(
     m1_enc = _check_categorical("m1", data.m1)
     a_levels, a_codes = _codes(*a_enc, exposure_levels, "exposure")
     l1, c1 = _codes(*m1_enc, m1_levels, "m1")
-    ka, k1 = len(a_levels), len(l1)
+    levels = [a_levels, l1]
+    cell = a_codes * len(l1) + c1
+    if scenario.k == 2:
+        if data.m2 is None:
+            raise ValueError("two-mediator scenario requires an m2 column")
+        l2, c2 = _codes(*_check_categorical("m2", data.m2), m2_levels, "m2")
+        levels.append(l2)
+        cell = cell * len(l2) + c2
+    shape = tuple(len(lv) for lv in levels)
+    size = int(np.prod(shape))
     y = np.asarray(data.outcome, dtype=float)
+    counts = np.bincount(cell, minlength=size).reshape(shape)
+    ysum = np.bincount(cell, weights=y, minlength=size).reshape(shape)
+    if not counts.all():
+        raise EmptyCell(_empty_cells(counts, levels))
 
-    empty: list[tuple[tuple[str, Any], ...]] = []
-    n_a = np.bincount(a_codes, minlength=ka)
-    thin_a = {i for i in range(ka) if n_a[i] == 0}
-    for i in sorted(thin_a):
-        empty.append((("A", a_levels[i]),))
-
+    n_a = counts.reshape(shape[0], -1).sum(axis=1)[:, None]
+    n_am1 = counts if scenario.k == 1 else counts.sum(axis=2)
     if scenario.k == 1:
-        cell = a_codes * k1 + c1
-        counts = np.bincount(cell, minlength=ka * k1)
-        ysum = np.bincount(cell, weights=y, minlength=ka * k1)
-        for i in range(ka):
-            if i in thin_a:
-                continue
-            for j in range(k1):
-                if counts[i * k1 + j] == 0:
-                    empty.append((("A", a_levels[i]), ("M1", l1[j])))
-        if empty:
-            raise EmptyCell(empty)
-        counts2 = counts.reshape(ka, k1)
-        pm1 = {
-            a_levels[i]: {l1[j]: counts2[i, j] / n_a[i] for j in range(k1)}
-            for i in range(ka)
-        }
-        ymean = {
-            a_levels[i]: {
-                l1[j]: ysum[i * k1 + j] / counts2[i, j] for j in range(k1)
-            }
-            for i in range(ka)
-        }
-        return DiscreteScm(
-            scenario,
-            pm1=pm1,
-            ymean=ymean,
-            treatment=treatment,
-            reference=reference,
-        )
-
-    if data.m2 is None:
-        raise ValueError("two-mediator scenario requires an m2 column")
-    l2, c2 = _codes(*_check_categorical("m2", data.m2), m2_levels, "m2")
-    k2 = len(l2)
-    cell = (a_codes * k1 + c1) * k2 + c2
-    counts = np.bincount(cell, minlength=ka * k1 * k2).reshape(ka, k1, k2)
-    ysum = np.bincount(cell, weights=y, minlength=ka * k1 * k2).reshape(ka, k1, k2)
-    n_am1 = counts.sum(axis=2)
-
-    for i in range(ka):
-        if i in thin_a:
-            continue
-        for j in range(k1):
-            if n_am1[i, j] == 0:
-                empty.append((("A", a_levels[i]), ("M1", l1[j])))
-                continue
-            for v in range(k2):
-                if counts[i, j, v] == 0:
-                    empty.append(
-                        (("A", a_levels[i]), ("M1", l1[j]), ("M2", l2[v]))
-                    )
-    if empty:
-        raise EmptyCell(empty)
-
-    pm1 = {
-        a_levels[i]: {l1[j]: n_am1[i, j] / n_a[i] for j in range(k1)}
-        for i in range(ka)
-    }
-    ymean = {
-        a_levels[i]: {
-            l1[j]: {l2[v]: ysum[i, j, v] / counts[i, j, v] for v in range(k2)}
-            for j in range(k1)
-        }
-        for i in range(ka)
-    }
-    if scenario.kind is ScenarioKind.NONSEQ:
-        n_am2 = counts.sum(axis=1)
-        pm2_marginal = {
-            a_levels[i]: {l2[v]: n_am2[i, v] / n_a[i] for v in range(k2)}
-            for i in range(ka)
-        }
-        return DiscreteScm.nonseq2(
-            pm1,
-            pm2_marginal,
-            ymean,
-            m1_levels=tuple(l1),
-            treatment=treatment,
-            reference=reference,
-        )
-    pm2 = {
-        a_levels[i]: {
-            l1[j]: {l2[v]: counts[i, j, v] / n_am1[i, j] for v in range(k2)}
-            for j in range(k1)
-        }
-        for i in range(ka)
-    }
-    return DiscreteScm(
+        p2 = None
+    elif scenario.kind is ScenarioKind.NONSEQ:
+        p2 = np.repeat((counts.sum(axis=1) / n_a)[:, None, :], shape[1], axis=1)
+    else:
+        p2 = counts / n_am1[:, :, None]
+    return DiscreteScm._from_arrays(
         scenario,
-        pm1=pm1,
-        pm2=pm2,
-        ymean=ymean,
-        treatment=treatment,
-        reference=reference,
+        (a_levels, l1, levels[2] if scenario.k == 2 else None),
+        n_am1 / n_a,
+        p2,
+        ysum / counts,
+        treatment,
+        reference,
     )
+
+
+def _empty_cells(counts: np.ndarray, levels: Sequence[tuple]) -> list:
+    """Cells without rows, as `EmptyCell` lists them: empty exposure levels
+    first, then per exposure level each empty (A, M1) cell, else its empty
+    (A, M1, M2) cells."""
+    by_a = counts.reshape(len(levels[0]), len(levels[1]), -1)
+    empty: list = [(("A", a),) for a, n in zip(levels[0], by_a) if not n.any()]
+    for (i, j), n_am1 in np.ndenumerate(by_a.sum(axis=2)):
+        if not by_a[i].any():
+            continue
+        cell = (("A", levels[0][i]), ("M1", levels[1][j]))
+        if n_am1 == 0:
+            empty.append(cell)
+        elif len(levels) == 3:
+            empty.extend(cell + (("M2", v),) for v, n in zip(levels[2], by_a[i, j]) if n == 0)
+    return empty
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +623,12 @@ def from_dataset(
 def model_to_json(model: DiscreteScm) -> dict:
     """Plain-JSON shape of a model; all levels rendered as strings."""
     s = str
+    exposure, m1, m2 = model.exposure_levels, model.m1_levels, model.m2_levels
     levels: dict[str, Any] = {
-        "exposure": [s(a) for a in model.exposure_levels],
-        "m1": [s(v) for v in model.m1_levels],
+        role: [s(v) for v in support]
+        for role, support in (("exposure", exposure), ("m1", m1), ("m2", m2))
+        if support is not None
     }
-    if model.m2_levels is not None:
-        levels["m2"] = [s(v) for v in model.m2_levels]
     if model.treatment is not None:
         levels["treatment"] = s(model.treatment)
     if model.reference is not None:
@@ -686,29 +636,23 @@ def model_to_json(model: DiscreteScm) -> dict:
     doc: dict[str, Any] = {
         "scenario": model.scenario.id,
         "levels": levels,
-        "pm1": {s(a): {s(m): p for m, p in row.items()} for a, row in model.pm1.items()},
+        "pm1": _nested(model._p1, (exposure, m1), s),
     }
-    if model.k == 1:
-        doc["ymean"] = {
-            s(a): {s(m): v for m, v in row.items()} for a, row in model.ymean.items()
-        }
-    else:
+    if model.k == 2:
         if model.scenario.kind is ScenarioKind.NONSEQ:
-            first_m1 = model.m1_levels[0]
-            doc["pm2"] = {
-                s(a): {s(v): p for v, p in rows[first_m1].items()}
-                for a, rows in model.pm2.items()
-            }
+            doc["pm2"] = _nested(model._p2[:, 0, :], (exposure, m2), s)
         else:
-            doc["pm2"] = {
-                s(a): {s(m): {s(v): p for v, p in row.items()} for m, row in rows.items()}
-                for a, rows in model.pm2.items()
-            }
-        doc["ymean"] = {
-            s(a): {s(m): {s(v): y for v, y in row.items()} for m, row in rows.items()}
-            for a, rows in model.ymean.items()
-        }
+            doc["pm2"] = _nested(model._p2, (exposure, m1, m2), s)
+    doc["ymean"] = _nested(model._y, (exposure, m1, m2)[: model.k + 1], s)
     return doc
+
+
+def _str_keys(table: Mapping) -> dict:
+    """A nested JSON table with string keys and float leaves."""
+    return {
+        str(k): _str_keys(v) if isinstance(v, Mapping) else float(v)
+        for k, v in table.items()
+    }
 
 
 def model_from_json(doc: Mapping[str, Any]) -> DiscreteScm:
@@ -719,48 +663,22 @@ def model_from_json(doc: Mapping[str, Any]) -> DiscreteScm:
         "treatment": levels.get("treatment"),
         "reference": levels.get("reference"),
     }
-    if "exposure" in levels:
-        kwargs["exposure_levels"] = tuple(str(v) for v in levels["exposure"])
-    if "m1" in levels:
-        kwargs["m1_levels"] = tuple(str(v) for v in levels["m1"])
-    pm1 = {str(a): {str(m): float(p) for m, p in row.items()} for a, row in doc["pm1"].items()}
+    roles = ("exposure", "m1") if scenario.k == 1 else ("exposure", "m1", "m2")
+    for role in roles:
+        if role in levels:
+            kwargs[f"{role}_levels"] = tuple(str(v) for v in levels[role])
+    pm1, ymean = _str_keys(doc["pm1"]), _str_keys(doc["ymean"])
     if scenario.k == 1:
-        ymean = {
-            str(a): {str(m): float(v) for m, v in row.items()}
-            for a, row in doc["ymean"].items()
-        }
         return DiscreteScm(scenario, pm1=pm1, ymean=ymean, **kwargs)
-    ymean = {
-        str(a): {
-            str(m): {str(v): float(y) for v, y in row.items()} for m, row in rows.items()
-        }
-        for a, rows in doc["ymean"].items()
-    }
-    if "m2" in levels:
-        kwargs["m2_levels"] = tuple(str(v) for v in levels["m2"])
-    raw_pm2 = doc["pm2"]
-    nested = isinstance(next(iter(next(iter(raw_pm2.values())).values())), Mapping)
-    if not nested and scenario.kind is not ScenarioKind.NONSEQ:
+    pm2 = _str_keys(doc["pm2"])
+    if isinstance(next(iter(next(iter(pm2.values())).values())), Mapping):
+        return DiscreteScm(scenario, pm1=pm1, pm2=pm2, ymean=ymean, **kwargs)
+    if scenario.kind is not ScenarioKind.NONSEQ:
         raise ValueError(
             "sequential model files need the full pm2[a][m1][m2] table; "
             "the flat pm2[a][m2] shape is only valid for nonseq scenarios"
         )
-    if scenario.kind is ScenarioKind.NONSEQ and not nested:
-        pm2_marginal = {
-            str(a): {str(v): float(p) for v, p in row.items()}
-            for a, row in raw_pm2.items()
-        }
-        m1_levels = kwargs.pop("m1_levels", None) or tuple(next(iter(pm1.values())).keys())
-        return DiscreteScm.nonseq2(
-            pm1, pm2_marginal, ymean, m1_levels=m1_levels, **kwargs
-        )
-    pm2 = {
-        str(a): {
-            str(m): {str(v): float(p) for v, p in row.items()} for m, row in rows.items()
-        }
-        for a, rows in raw_pm2.items()
-    }
-    return DiscreteScm(scenario, pm1=pm1, pm2=pm2, ymean=ymean, **kwargs)
+    return DiscreteScm.nonseq2(pm1, pm2, ymean, **kwargs)
 
 
 def load_model(path: str) -> DiscreteScm:

@@ -144,6 +144,118 @@ def plugin_seq2_tables(exposure, m1, m2, outcome, a_levels, m1_levels, m2_levels
 
 
 # ---------------------------------------------------------------------------
+# hand-derived seq2 reports, independent of the package's component catalogs
+
+
+def plugin_seq2_sums(ymean, pm1, pm2, q):
+    """The eleven seq2 report rows of a categorical model by literal double sums.
+
+    Each summed component has its own double sum over the (m1, m2) support;
+    PDE is CDE plus the two reference interaction rows and TE is its own
+    two-world sum.  `q` carries a, a_star, m1_star and m2_star as levels.
+    """
+    p, a, a_star, m1s, m2s = ymean, q.a, q.a_star, q.m1_star, q.m2_star
+    rows = dict.fromkeys(
+        ("INT_ref-AM2+AM1M2", "NatINT_AM1", "NatINT_AM2", "NatINT_AM1M2",
+         "NatINT_M1M2", "PIE_M1", "PIE_M2", "TE"),
+        0.0,
+    )
+    rows["CDE"] = p[a][m1s][m2s] - p[a_star][m1s][m2s]
+    rows["INT_ref-AM1"] = 0.0
+    for m1 in pm1[a]:
+        w1_ref = pm1[a_star][m1]
+        d1 = pm1[a][m1] - w1_ref
+        rows["INT_ref-AM1"] += (
+            p[a][m1][m2s] - p[a_star][m1][m2s] - p[a][m1s][m2s] + p[a_star][m1s][m2s]
+        ) * w1_ref
+        for m2 in pm2[a][m1]:
+            y_trt, y_ref = p[a][m1][m2], p[a_star][m1][m2]
+            w2_ref = pm2[a_star][m1][m2]
+            d2 = pm2[a][m1][m2] - w2_ref
+            rows["INT_ref-AM2+AM1M2"] += (
+                y_trt - p[a][m1][m2s] - y_ref + p[a_star][m1][m2s]
+            ) * w1_ref * w2_ref
+            rows["NatINT_AM1"] += (y_trt - y_ref) * w2_ref * d1
+            rows["NatINT_AM2"] += (y_trt - y_ref) * w1_ref * d2
+            rows["NatINT_AM1M2"] += (y_trt - y_ref) * d1 * d2
+            rows["NatINT_M1M2"] += y_ref * d1 * d2
+            rows["PIE_M1"] += y_ref * w2_ref * d1
+            rows["PIE_M2"] += y_ref * w1_ref * d2
+            rows["TE"] += y_trt * pm1[a][m1] * pm2[a][m1][m2] - y_ref * w1_ref * w2_ref
+    rows["PDE"] = rows["CDE"] + rows["INT_ref-AM1"] + rows["INT_ref-AM2+AM1M2"]
+    return rows
+
+
+def linear_closed_forms(params, q, c=()):
+    """The eleven seq2 report rows under the Gaussian-linear chain model.
+
+    Each row is its own polynomial display in the coefficients: CDE and the
+    reference interaction rows as products involving m1* and m2*, the
+    natural interaction and pure indirect rows as polynomials, PDE as CDE
+    plus the reference rows, TE as the difference of the two corner worlds.
+    `params` carries theta, beta, gamma, their covariate vectors theta_c,
+    beta_c, gamma_c, and sigma2_m1; `c` is the covariate profile.
+    """
+    t, b, g, sig2 = params.theta, params.beta, params.gamma, params.sigma2_m1
+    tc, bc, gc = (
+        sum(u * v for u, v in zip(coefs, c))
+        for coefs in (params.theta_c, params.beta_c, params.gamma_c)
+    )
+    a, a_star, m1s, m2s = (float(v) for v in (q.a, q.a_star, q.m1_star, q.m2_star))
+    d, s = a - a_star, a + a_star
+    gamma0c = g[0] + gc
+    mu1s = gamma0c + g[1] * a_star
+    base2s = b[0] + b[1] * a_star + bc
+    slope2s = b[2] + b[3] * a_star
+    ref2 = sig2 + mu1s * mu1s
+    on_m2s, on_m1m2s = t[3] + t[5] * a_star, t[6] + t[7] * a_star
+
+    def corner_world(e):
+        mu1, base2, slope2 = g[0] + g[1] * e + gc, b[0] + b[1] * e + bc, b[2] + b[3] * e
+        on_m2, on_m1, on_m1m2 = t[3] + t[5] * e, t[2] + t[4] * e, t[6] + t[7] * e
+        return (
+            t[0] + t[1] * e + tc + on_m2 * base2 + on_m1 * mu1 + on_m1m2 * base2 * mu1
+            + on_m2 * slope2 * mu1 + on_m1m2 * slope2 * (sig2 + mu1 * mu1)
+        )
+
+    rows = {
+        "CDE": (t[1] + t[4] * m1s + t[5] * m2s + t[7] * m1s * m2s) * d,
+        "INT_ref-AM1": (mu1s - m1s) * (t[4] + t[7] * m2s) * d,
+        "INT_ref-AM2+AM1M2": (
+            t[1] + t[5] * base2s + t[7] * base2s * mu1s + t[5] * slope2s * mu1s
+            + t[7] * slope2s * ref2 - (t[1] + t[5] * m2s) - t[7] * m2s * mu1s
+        ) * d,
+        "NatINT_AM1": (
+            t[4] * g[1] + t[7] * g[1] * base2s + t[5] * g[1] * slope2s
+            + 2.0 * t[7] * g[1] * slope2s * gamma0c + t[7] * g[1] * g[1] * slope2s * s
+        ) * d * d,
+        "NatINT_AM2": (
+            t[5] * b[1] + t[7] * b[1] * mu1s + t[5] * b[3] * mu1s + t[7] * b[3] * ref2
+        ) * d * d,
+        "NatINT_AM1M2": (
+            t[7] * b[1] * g[1] + t[5] * b[3] * g[1]
+            + 2.0 * t[7] * b[3] * g[1] * gamma0c + t[7] * b[3] * g[1] * g[1] * s
+        ) * d * d * d,
+        "NatINT_M1M2": (
+            b[1] * g[1] * on_m1m2s + b[3] * g[1] * on_m2s
+            + 2.0 * b[3] * g[1] * on_m1m2s * gamma0c + b[3] * g[1] * g[1] * on_m1m2s * s
+        ) * d * d,
+        "PIE_M1": (
+            g[1] * (t[2] + t[4] * a_star) + g[1] * on_m1m2s * base2s
+            + g[1] * on_m2s * slope2s + 2.0 * g[1] * on_m1m2s * slope2s * gamma0c
+            + g[1] * g[1] * on_m1m2s * slope2s * s
+        ) * d,
+        "PIE_M2": (
+            b[1] * on_m2s + b[1] * on_m1m2s * mu1s + b[3] * on_m2s * mu1s
+            + b[3] * on_m1m2s * ref2
+        ) * d,
+        "TE": corner_world(a) - corner_world(a_star),
+    }
+    rows["PDE"] = rows["CDE"] + rows["INT_ref-AM1"] + rows["INT_ref-AM2+AM1M2"]
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # frozen golden tables
 
 # DM-1: binary chain model, hand-checked world values.

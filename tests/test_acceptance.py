@@ -115,20 +115,32 @@ def test_a01_component_sums_recover_total_effect_on_random_models():
 
 def test_a02_plugin_sums_match_formula_evaluation_component_wise():
     t0 = time.perf_counter()
-    for trial, (chain, flat, q, _) in enumerate(
+    for trial, (chain, flat, q, tables) in enumerate(
         _random_trials(200, MODEL_STREAM_SEED)
     ):
+        pm1, pm2, marginal, ymean = tables
         by_sums = plugin_seq2(chain, q)
         by_formulas = evaluate_decomposition(chain, components_seq2(q), q)
+        # the literal double sums, written without the component catalog
+        by_hand = oracles.plugin_seq2_sums(ymean, pm1, pm2, q)
         for name in SEQ2_ROWS:
             assert by_sums[name] == pytest.approx(
                 by_formulas[name], abs=1e-9
+            ), f"trial {trial}: {name}"
+            assert by_sums[name] == pytest.approx(
+                by_hand[name], abs=1e-9
             ), f"trial {trial}: {name}"
 
         # the same sums on the no-edge model, whose catalog keeps the two
         # reference interaction rows separate instead of fused
         by_sums = plugin_seq2(flat, q)
         split = decompose(flat, q)
+        expanded = {a: {m1: marginal[a] for m1 in pm1[a]} for a in marginal}
+        by_hand = oracles.plugin_seq2_sums(ymean, pm1, expanded, q)
+        for name in SEQ2_ROWS:
+            assert by_sums[name] == pytest.approx(
+                by_hand[name], abs=1e-9
+            ), f"trial {trial}: {name}"
         for name in set(SEQ2_ROWS) - {"INT_ref-AM2+AM1M2"}:
             assert by_sums[name] == pytest.approx(
                 split[name], abs=1e-9

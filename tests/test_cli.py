@@ -414,6 +414,33 @@ class TestBootstrapReportCommand:
         assert report.provenance["seed"] == 5
         assert report.provenance["replicates"] == 200
 
+    def test_failed_replicates_are_counted_by_cause(self, tmp_path, capsys):
+        # M2 = 1 in only three rows of each (A, M1) cell, so some resamples
+        # leave a cell empty
+        a = np.repeat([0, 1], 150)
+        m1 = np.tile([0, 1], 150)
+        m2 = np.zeros(300, dtype=int)
+        for cell in range(4):
+            m2[np.nonzero(a * 2 + m1 == cell)[0][:3]] = 1
+        y = np.random.default_rng(0).normal(size=300)
+        rows = zip(a.tolist(), m1.tolist(), m2.tolist(), y.tolist())
+        data = write(
+            tmp_path / "rare.csv",
+            "A,M1,M2,Y\n" + "".join(f"{i},{j},{k},{v!r}\n" for i, j, k, v in rows),
+        )
+        code = main(
+            ["bootstrap-report", "--data", data, "--roles", write_roles(tmp_path),
+             "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+             "--boot", "100", "--seed", "3", "--max-fail", "0.5", "--format", "json"]
+        )
+        assert code == 0
+        replicates = json.loads(capsys.readouterr().out)["diagnostics"]["replicates"]
+        assert replicates["failed"] > 0
+        assert replicates["kept"] + replicates["failed"] == 100
+        empty = replicates["failed_by_error"]["EmptyCell"]
+        assert empty["count"] == replicates["failed"]
+        assert empty["first"].startswith("empty cells: (A=")
+
     def test_linear_method_with_mean_references(self, tmp_path):
         data, roles = linear_csv(tmp_path, n=500)
         report, code = run(

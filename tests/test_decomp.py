@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from natfx.cfexpr import Scenario, check_identifiability, format_cf
+from natfx.cfexpr import Fixed, Scenario, check_identifiability, format_cf
 from natfx.decomp import (
     ComponentSpec,
     EvaluationOfProblematicSpec,
@@ -362,3 +364,64 @@ class TestDispatch:
             spec = total_effect(scenario)
             assert spec.name == "TE"
             assert len(spec.terms) == 2
+
+
+@st.composite
+def _model_and_query(draw):
+    """A random single, nonseq2 or seq2 model whose declared level orders are
+    permuted against its table keys, plus a query, and the raw tables."""
+    scenario = draw(st.sampled_from([SINGLE, NONSEQ2, SEQ2]))
+    ka, k1, k2 = (draw(st.integers(2, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    pm1, pm2, ymean = oracles.random_seq2_tables(rng, ka, k1, k2)
+    order = {
+        "exposure_levels": tuple(draw(st.permutations(range(ka)))),
+        "m1_levels": tuple(draw(st.permutations(range(k1)))),
+    }
+    if scenario is SINGLE:
+        ymean = {a: {m1: row[0] for m1, row in rows.items()} for a, rows in ymean.items()}
+        model = DiscreteScm(scenario, pm1=pm1, ymean=ymean, **order)
+    else:
+        if scenario is NONSEQ2:
+            pm2 = {a: {m1: rows[0] for m1 in rows} for a, rows in pm2.items()}
+        order["m2_levels"] = tuple(draw(st.permutations(range(k2))))
+        model = DiscreteScm(scenario, pm1=pm1, pm2=pm2, ymean=ymean, **order)
+    a, a_star = (draw(st.integers(0, ka - 1)) for _ in range(2))
+    q = Query(a, a_star, draw(st.integers(0, k1 - 1)), draw(st.integers(0, k2 - 1)))
+    return model, q, (pm1, pm2, ymean)
+
+
+def _oracle_value(spec, q, scenario, tables):
+    """Signed sum of the spec's formulas, each by the explicit-loop oracle."""
+    pm1, pm2, ymean = tables
+    level = {"a": q.a, "a*": q.a_star, "m1*": q.m1_star, "m2*": q.m2_star}
+
+    def slot(med):
+        if isinstance(med, Fixed):
+            return ("fixed", level[med.label])
+        return ("nat", level[med.exposure.symbol])
+
+    total = 0.0
+    for sign, expr in spec.terms:
+        e_y, slots = level[expr.exposure.symbol], [slot(m) for m in expr.mediators]
+        if scenario is SINGLE:
+            total += sign * oracles.single_mean(ymean, pm1, e_y, *slots)
+        else:
+            total += sign * oracles.seq2_mean(ymean, pm1, pm2, e_y, *slots)
+    return total
+
+
+class TestCatalogAgainstOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(_model_and_query())
+    def test_every_component_matches_loop_enumeration(self, case):
+        model, q, tables = case
+        result = decompose(model, q, extended=True)
+        specs = components_for(model.scenario, q, extended=True)
+        assert [c.name for c in result.components] == [s.name for s in specs]
+        for spec in specs:
+            want = _oracle_value(spec, q, model.scenario, tables)
+            assert result[spec.name] == pytest.approx(want, abs=1e-12), spec.name
+        want_te = _oracle_value(total_effect(model.scenario), q, model.scenario, tables)
+        assert result.te == pytest.approx(want_te, abs=1e-12)
+        assert result.sum_gap <= 1e-12

@@ -213,10 +213,14 @@ class TestPluginSeq2:
 
     def test_dm1_golden_values(self, dm1):
         result = plugin_seq2(dm1, Q)
+        by_hand = oracles.plugin_seq2_sums(
+            oracles.DM1_YMEAN, oracles.DM1_PM1, oracles.DM1_PM2, Q
+        )
         assert result["NatINT_AM2"] == pytest.approx(0.04, abs=1e-12)
         for name in ROW_NAMES:
             want = oracles.DM1_COMPONENTS[GOLDEN_KEY.get(name, name)]
             assert result[name] == pytest.approx(want, abs=1e-12), name
+            assert by_hand[name] == pytest.approx(want, abs=1e-12), name
         assert result.sum_gap <= 1e-12
 
     def test_agrees_with_formula_route_on_dm1(self, dm1):
@@ -248,9 +252,13 @@ class TestPluginSeq2:
             worlds = oracles.seq2_worlds(ymean, pm1, pm2)
             assert by_sums.te == pytest.approx(worlds[0] - worlds[7], abs=1e-12)
             by_formulas = evaluate_decomposition(model, components_seq2(q), q)
+            by_hand = oracles.plugin_seq2_sums(ymean, pm1, pm2, q)
             for name in ROW_NAMES:
                 assert by_sums[name] == pytest.approx(
                     by_formulas[name], abs=1e-9
+                ), f"trial {trial}: {name}"
+                assert by_sums[name] == pytest.approx(
+                    by_hand[name], abs=1e-9
                 ), f"trial {trial}: {name}"
 
     def test_nonseq_model_runs_through_the_same_sums(self):
@@ -630,6 +638,12 @@ class TestLinearComponents:
             c = tuple(rng.uniform(-1, 1, size=trial % 3))
             result = linear_components(params, q, c)
             assert result.sum_gap <= 1e-9, f"trial {trial}"
+            # each row's own polynomial display, written without the catalog
+            by_hand = oracles.linear_closed_forms(params, q, c)
+            for name in ROW_NAMES:
+                assert result[name] == pytest.approx(
+                    by_hand[name], rel=1e-9, abs=1e-9
+                ), f"trial {trial}: {name}"
 
     def test_rows_match_world_combinations(self):
         rng = np.random.default_rng(33)
@@ -651,6 +665,11 @@ class TestLinearComponents:
             q = Query(1.6, -0.4, m1_star=0.2, m2_star=0.9)
             c = (0.5,)
             result = linear_components(params, q, c)
+            by_hand = oracles.linear_closed_forms(params, q, c)
+            for name in ROW_NAMES:
+                assert result[name] == pytest.approx(
+                    by_hand[name], rel=1e-9, abs=1e-9
+                ), name
             for name, combo in combos.items():
                 want = sum(
                     sign * expectation_w(params, w, q.a, q.a_star, c)

@@ -144,6 +144,36 @@ class TestBootstrap:
         )
         assert out.components[0].ci is not None
 
+    def test_non_finite_replicates_fail_under_their_own_cause(self):
+        data = toy_dataset()
+        calls = {"n": 0}
+
+        def sometimes_nan(d):
+            calls["n"] += 1
+            # after the full-data call, every fourth resample yields NaN
+            if calls["n"] > 1 and calls["n"] % 4 == 0:
+                return constant_result(float("nan"))
+            return mean_result(d)
+
+        with pytest.raises(TooManyFailedReplicates, match="non-finite"):
+            bootstrap(data, sometimes_nan, BootstrapConfig(replicates=100, seed=1))
+
+        calls["n"] = 0
+        out = bootstrap(
+            data, sometimes_nan, BootstrapConfig(replicates=100, seed=1, max_fail=0.3)
+        )
+        assert out.diagnostics == {
+            "kept": 75,
+            "failed": 25,
+            "failed_by_error": {
+                "FloatingPointError": {
+                    "count": 25,
+                    "first": "non-finite component(s) ONLY=nan, TE=nan",
+                }
+            },
+        }
+        assert all(np.isfinite(row.ci).all() for row in out.components)
+
     def test_rare_level_failures_dropped_within_policy(self):
         rng = np.random.default_rng(17)
         n = 120
