@@ -36,7 +36,7 @@ from natfx.estimate import (
     linear_components,
     plugin_seq2,
 )
-from natfx.infer import BootstrapConfig, bootstrap
+from natfx.infer import BootstrapConfig, PluginEstimator, bootstrap
 from natfx.scm import (
     Dataset,
     DiscreteScm,
@@ -63,6 +63,7 @@ __all__ = [
     "IdentifiabilityVerdict",
     "LinearFit",
     "LinearParams",
+    "PluginEstimator",
     "Query",
     "Scenario",
     "bootstrap",

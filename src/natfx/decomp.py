@@ -599,8 +599,11 @@ def _checked(catalog: _Catalog, q: Query) -> list[ComponentSpec]:
     return list(catalog.specs)
 
 
-def _assemble(catalog: _Catalog, addends: Sequence[Sequence[float]]) -> DecompositionResult:
-    """Rows of a compiled catalog from each formula's priced addends.
+def _totals(
+    catalog: _Catalog, addends: Sequence[Sequence[float]]
+) -> tuple[list[float], float, float]:
+    """Row values, TE and ``sum_gap`` of a compiled catalog from each
+    formula's priced addends.
 
     A row is the `math.fsum` of its terms' signed addends, so addends that
     cancel between the terms of a row cancel exactly, and a row that is
@@ -610,13 +613,20 @@ def _assemble(catalog: _Catalog, addends: Sequence[Sequence[float]]) -> Decompos
     def total(terms: tuple[tuple[int, int], ...]) -> float:
         return math.fsum([sign * x for sign, j in terms for x in addends[j]])
 
-    values = tuple(
-        ComponentValue(spec.name, total(terms), in_sum=spec.in_sum)
-        for spec, terms in zip(catalog.specs, catalog.rows)
-    )
+    values = [total(terms) for terms in catalog.rows]
     te = total(catalog.te)
-    in_sum = math.fsum(v.value for v in values if v.in_sum)
-    return DecompositionResult(values, te=te, sum_gap=abs(in_sum - te))
+    in_sum = math.fsum(v for v, spec in zip(values, catalog.specs) if spec.in_sum)
+    return values, te, abs(in_sum - te)
+
+
+def _assemble(catalog: _Catalog, addends: Sequence[Sequence[float]]) -> DecompositionResult:
+    """A `DecompositionResult` of the rows `_totals` computes."""
+    values, te, sum_gap = _totals(catalog, addends)
+    rows = tuple(
+        ComponentValue(spec.name, value, in_sum=spec.in_sum)
+        for spec, value in zip(catalog.specs, values)
+    )
+    return DecompositionResult(rows, te=te, sum_gap=sum_gap)
 
 
 def _evaluate(model: DiscreteScm, catalog: _Catalog, q: Query) -> DecompositionResult:

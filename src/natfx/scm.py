@@ -317,20 +317,22 @@ class Dataset:
 # evaluation
 
 
-def _bind_exposure(symbol: str, model: DiscreteScm, binding: Mapping[str, Any]) -> Any:
+def _bind_exposure(
+    symbol: str, levels: tuple, treatment: Any, reference: Any, binding: Mapping[str, Any]
+) -> Any:
     if symbol in binding:
-        return _resolve_level(binding[symbol], model.exposure_levels, f"exposure {symbol}")
+        return _resolve_level(binding[symbol], levels, f"exposure {symbol}")
     if symbol == "a":
-        if model.treatment is None:
+        if treatment is None:
             raise UnboundLevel("no level bound for the treatment symbol 'a'")
-        return model.treatment
+        return treatment
     if symbol == "a*":
-        if model.reference is None:
+        if reference is None:
             raise UnboundLevel("no level bound for the reference symbol 'a*'")
-        return model.reference
+        return reference
     if "*" in symbol:
         raise UnboundLevel(f"no level bound for exposure symbol {symbol!r}")
-    return _resolve_level(symbol, model.exposure_levels, f"exposure {symbol!r}")
+    return _resolve_level(symbol, levels, f"exposure {symbol!r}")
 
 
 def _bind_fixed(
@@ -366,41 +368,72 @@ def _compile_formula(expr: CfExpr, scenario: Scenario) -> tuple:
     )
 
 
-def _price_formulas(
-    model: DiscreteScm, formulas: Sequence[tuple], binding: Mapping[str, Any]
-) -> np.ndarray:
-    """Expectations of compiled formulas (see `_compile_formula`) under a binding.
+def _formula_rows(
+    formulas: Sequence[tuple],
+    binding: Mapping[str, Any],
+    levels: Sequence[tuple],
+    treatment: Any = None,
+    reference: Any = None,
+) -> tuple[list[int], ...]:
+    """Per slot, each formula's row in that slot's stacked weight table.
 
-    Each formula is the sum over m1 of ``w1[m1]`` times the sum over m2 of
-    ``w2[m1, m2] * ymean[e_Y, m1, m2]``, where a weight is the conditional
-    probability row at the slot's exposure or a point mass at a fixed level;
-    M2's row is taken at the shared m1 index.  All formulas are priced in
-    one vectorised contraction, summed in that order.
+    `levels` are the exposure and mediator supports, and `treatment` and
+    `reference` the levels ``a`` and ``a*`` fall back to.  Slot 0 indexes
+    the exposure rows of ``ymean``; a mediator slot indexes its conditional
+    probability rows at each exposure level followed by one point-mass row
+    per mediator level.  The rows serve every table on those supports.
     """
-    ka, k1 = model._p1.shape
+    exposure = levels[0]
 
-    def rows(i: int, levels: tuple | None = None) -> list[int]:
-        """Per formula, the row of its slot `i` in a weight table stacked as
-        the exposure rows followed by one point-mass row per level."""
+    def rows(i: int) -> list[int]:
         resolved = {}
         for slot in dict.fromkeys(f[i] for f in formulas):
             fixed, symbol = slot if i else (False, slot)
             if fixed:
-                level = _bind_fixed(symbol, levels, binding, f"M{i}")
-                resolved[slot] = ka + levels.index(level)
+                level = _bind_fixed(symbol, levels[i], binding, f"M{i}")
+                resolved[slot] = len(exposure) + levels[i].index(level)
             else:
-                level = _bind_exposure(symbol, model, binding)
-                resolved[slot] = model.exposure_levels.index(level)
+                level = _bind_exposure(symbol, exposure, treatment, reference, binding)
+                resolved[slot] = exposure.index(level)
         return [resolved[f[i]] for f in formulas]
 
-    y = model._y.take(rows(0), axis=0)
-    w1 = np.concatenate([model._p1, np.eye(k1)]).take(rows(1, model.m1_levels), axis=0)
-    if model.k == 1:
-        return (w1 * y).sum(axis=1)
-    k2 = len(model.m2_levels)
-    point2 = np.repeat(np.eye(k2)[:, None, :], k1, axis=1)
-    w2 = np.concatenate([model._p2, point2]).take(rows(2, model.m2_levels), axis=0)
-    return (w1 * (w2 * y).sum(axis=2)).sum(axis=1)
+    return tuple(rows(i) for i in range(len(levels)))
+
+
+def _price_tables(
+    p1: np.ndarray, p2: np.ndarray | None, y: np.ndarray, rows: Sequence[list[int]]
+) -> np.ndarray:
+    """Formula expectations per table set, shaped ``[replicate, formula]``.
+
+    The tables carry a leading replicate axis (``p1[r, a, m1]`` and so on)
+    and `rows` comes from `_formula_rows`.  Each formula is the sum over m1
+    of ``w1[m1]`` times the sum over m2 of ``w2[m1, m2] * ymean[e_Y, m1,
+    m2]``, where a weight is a probability row or a point mass and M2's row
+    is taken at the shared m1 index.  All formulas of all replicates are
+    priced in one vectorised contraction, summed in that order over the
+    contiguous last axis, so a replicate's values do not depend on how many
+    replicates share the call.
+    """
+    r, _, k1 = p1.shape
+    point1 = np.broadcast_to(np.eye(k1), (r, k1, k1))
+    w1 = np.concatenate([p1, point1], axis=1).take(rows[1], axis=1)
+    y = y.take(rows[0], axis=1)
+    if p2 is None:
+        return (w1 * y).sum(axis=-1)
+    k2 = p2.shape[-1]
+    point2 = np.broadcast_to(np.eye(k2)[:, None, :], (r, k2, k1, k2))
+    w2 = np.concatenate([p2, point2], axis=1).take(rows[2], axis=1)
+    return (w1 * (w2 * y).sum(axis=-1)).sum(axis=-1)
+
+
+def _price_formulas(
+    model: DiscreteScm, formulas: Sequence[tuple], binding: Mapping[str, Any]
+) -> np.ndarray:
+    """Expectations of compiled formulas (see `_compile_formula`) under a binding."""
+    levels = (model.exposure_levels, model.m1_levels, model.m2_levels)[: model.k + 1]
+    rows = _formula_rows(formulas, binding, levels, model.treatment, model.reference)
+    p2 = None if model._p2 is None else model._p2[None]
+    return _price_tables(model._p1[None], p2, model._y[None], rows)[0]
 
 
 def eval_expectation(
@@ -541,6 +574,71 @@ def _codes(
     return tuple(levels), positions[inverse]
 
 
+def _encode(
+    data: Dataset,
+    scenario: Scenario,
+    exposure_levels: Iterable | None = None,
+    m1_levels: Iterable | None = None,
+    m2_levels: Iterable | None = None,
+) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Levels per role, each row's cell code on the level grid, and float y.
+
+    The code is the row-major position of the row's (a, m1(, m2)) cell.
+    """
+    if scenario.k > 2:
+        raise ValueError("plug-in models support at most two mediators")
+    a_enc = _check_categorical("exposure", data.exposure)
+    m1_enc = _check_categorical("m1", data.m1)
+    a_levels, a_codes = _codes(*a_enc, exposure_levels, "exposure")
+    l1, c1 = _codes(*m1_enc, m1_levels, "m1")
+    levels = [a_levels, l1]
+    cell = a_codes * len(l1) + c1
+    if scenario.k == 2:
+        if data.m2 is None:
+            raise ValueError("two-mediator scenario requires an m2 column")
+        l2, c2 = _codes(*_check_categorical("m2", data.m2), m2_levels, "m2")
+        levels.append(l2)
+        cell = cell * len(l2) + c2
+    return tuple(levels), cell, np.asarray(data.outcome, dtype=float)
+
+
+def _tally(cells: np.ndarray, y: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Row counts and y-sums per cell of the level grid `shape`.
+
+    A 2-D `cells` (with `y` alongside) holds one replicate per row and gives
+    tables with a leading replicate axis: each replicate's codes are offset
+    into a grid of their own, so one `bincount` tallies them all, and each
+    y-sum adds its rows in the same order as a tally of that replicate alone.
+    """
+    size = int(np.prod(shape))
+    lead = cells.shape[:-1]
+    if lead:
+        cells = cells + (np.arange(lead[0]) * size)[:, None]
+    total = size * (lead[0] if lead else 1)
+    counts = np.bincount(cells.ravel(), minlength=total).reshape(lead + shape)
+    ysum = np.bincount(cells.ravel(), weights=y.ravel(), minlength=total)
+    return counts, ysum.reshape(lead + shape)
+
+
+def _tables(
+    scenario: Scenario, counts: np.ndarray, ysum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Plug-in ``p1``, ``p2`` and ``ymean`` of non-empty cell tables.
+
+    The tables are shaped ``[..., a, m1(, m2)]``; leading replicate axes pass
+    through.
+    """
+    n_am1 = counts if scenario.k == 1 else counts.sum(axis=-1)
+    n_a = n_am1.sum(axis=-1)[..., None]
+    if scenario.k == 1:
+        p2 = None
+    elif scenario.kind is ScenarioKind.NONSEQ:
+        p2 = np.repeat((counts.sum(axis=-2) / n_a)[..., None, :], counts.shape[-2], axis=-2)
+    else:
+        p2 = counts / n_am1[..., None]
+    return n_am1 / n_a, p2, ysum / counts
+
+
 def from_dataset(
     data: Dataset,
     scenario: Scenario,
@@ -558,44 +656,13 @@ def from_dataset(
     raises `EmptyCell` naming every offending cell — empty cells are never
     imputed.
     """
-    if scenario.k > 2:
-        raise ValueError("plug-in models support at most two mediators")
-    a_enc = _check_categorical("exposure", data.exposure)
-    m1_enc = _check_categorical("m1", data.m1)
-    a_levels, a_codes = _codes(*a_enc, exposure_levels, "exposure")
-    l1, c1 = _codes(*m1_enc, m1_levels, "m1")
-    levels = [a_levels, l1]
-    cell = a_codes * len(l1) + c1
-    if scenario.k == 2:
-        if data.m2 is None:
-            raise ValueError("two-mediator scenario requires an m2 column")
-        l2, c2 = _codes(*_check_categorical("m2", data.m2), m2_levels, "m2")
-        levels.append(l2)
-        cell = cell * len(l2) + c2
-    shape = tuple(len(lv) for lv in levels)
-    size = int(np.prod(shape))
-    y = np.asarray(data.outcome, dtype=float)
-    counts = np.bincount(cell, minlength=size).reshape(shape)
-    ysum = np.bincount(cell, weights=y, minlength=size).reshape(shape)
+    levels, cell, y = _encode(data, scenario, exposure_levels, m1_levels, m2_levels)
+    counts, ysum = _tally(cell, y, tuple(len(lv) for lv in levels))
     if not counts.all():
         raise EmptyCell(_empty_cells(counts, levels))
-
-    n_a = counts.reshape(shape[0], -1).sum(axis=1)[:, None]
-    n_am1 = counts if scenario.k == 1 else counts.sum(axis=2)
-    if scenario.k == 1:
-        p2 = None
-    elif scenario.kind is ScenarioKind.NONSEQ:
-        p2 = np.repeat((counts.sum(axis=1) / n_a)[:, None, :], shape[1], axis=1)
-    else:
-        p2 = counts / n_am1[:, :, None]
+    tables = _tables(scenario, counts, ysum)
     return DiscreteScm._from_arrays(
-        scenario,
-        (a_levels, l1, levels[2] if scenario.k == 2 else None),
-        n_am1 / n_a,
-        p2,
-        ysum / counts,
-        treatment,
-        reference,
+        scenario, levels + (None,) * (2 - scenario.k), *tables, treatment, reference
     )
 
 

@@ -6,14 +6,8 @@ tautology.
 """
 from __future__ import annotations
 
-import numpy as np
-
 # ---------------------------------------------------------------------------
 # enumeration oracle
-
-
-def dirac(level, levels):
-    return {v: (1.0 if v == level else 0.0) for v in levels}
 
 
 def seq2_mean(ymean, pm1, pm2, e_y, spec1, spec2):
@@ -304,81 +298,7 @@ DS1_COMPONENTS = {
 
 
 # ---------------------------------------------------------------------------
-# linear Gaussian chain simulator (shared-noise structural draws)
-
-
-def linear_chain_draw(rng, n, params, a, c=None):
-    """One structural draw of (M1, M2, Y) at exposure column `a`.
-
-    params holds gamma (M1), beta (M2), theta (Y) coefficient dicts plus
-    noise standard deviations.  `a` is an array of exposure values; `c` an
-    optional covariate column entering each equation linearly.
-    """
-    g, b, t = params["gamma"], params["beta"], params["theta"]
-    c_term = 0.0 if c is None else c
-    m1 = (
-        g["g0"]
-        + g["g1"] * a
-        + g.get("g2", 0.0) * c_term
-        + rng.normal(size=n) * params.get("sd_m1", 1.0)
-    )
-    m2 = (
-        b["b0"]
-        + b["b1"] * a
-        + b["b2"] * m1
-        + b["b3"] * a * m1
-        + b.get("b4", 0.0) * c_term
-        + rng.normal(size=n) * params.get("sd_m2", 1.0)
-    )
-    y = (
-        t["t0"]
-        + t["t1"] * a
-        + t["t2"] * m1
-        + t["t3"] * m2
-        + t["t4"] * a * m1
-        + t["t5"] * a * m2
-        + t["t6"] * m1 * m2
-        + t["t7"] * a * m1 * m2
-        + t.get("t8", 0.0) * c_term
-        + rng.normal(size=n) * params.get("sd_y", 1.0)
-    )
-    return m1, m2, y
-
-
-def linear_world_mc(rng, n, params, e_y, e_m2, e_m1, c_value=0.0):
-    """Monte Carlo E[Y(e_Y, M2(e_M2, M1(e_M1)), M1(e_M1))] at a covariate value.
-
-    The same M1 draw feeds both the M2 equation and the Y equation, which is
-    the shared-index coupling a one-path world requires.
-    """
-    g, b, t = params["gamma"], params["beta"], params["theta"]
-    c = c_value
-    m1 = (
-        g["g0"]
-        + g["g1"] * e_m1
-        + g.get("g2", 0.0) * c
-        + rng.normal(size=n) * params.get("sd_m1", 1.0)
-    )
-    m2 = (
-        b["b0"]
-        + b["b1"] * e_m2
-        + b["b2"] * m1
-        + b["b3"] * e_m2 * m1
-        + b.get("b4", 0.0) * c
-        + rng.normal(size=n) * params.get("sd_m2", 1.0)
-    )
-    y = (
-        t["t0"]
-        + t["t1"] * e_y
-        + t["t2"] * m1
-        + t["t3"] * m2
-        + t["t4"] * e_y * m1
-        + t["t5"] * e_y * m2
-        + t["t6"] * m1 * m2
-        + t["t7"] * e_y * m1 * m2
-        + t.get("t8", 0.0) * c
-    )
-    return float(np.mean(y))
+# linear Gaussian chain world, closed form
 
 
 def linear_world_exact(params, e_y, e_m2, e_m1, c_value=0.0):

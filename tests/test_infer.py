@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from natfx import infer
 from natfx.cfexpr import Scenario
-from natfx.decomp import ComponentValue, DecompositionResult, Query
+from natfx.decomp import ComponentValue, DecompositionResult, Query, decompose
 from natfx.estimate import plugin_seq2
-from natfx.infer import BootstrapConfig, TooManyFailedReplicates, bootstrap
+from natfx.infer import BootstrapConfig, PluginEstimator, TooManyFailedReplicates, bootstrap
 from natfx.scm import Dataset, from_dataset, simulate
 
 SEQ2 = Scenario.chain(2)
@@ -171,6 +174,7 @@ class TestBootstrap:
                     "first": "non-finite component(s) ONLY=nan, TE=nan",
                 }
             },
+            "max_sum_gap": 0.0,
         }
         assert all(np.isfinite(row.ci).all() for row in out.components)
 
@@ -206,6 +210,131 @@ class TestBootstrap:
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             bootstrap(toy_dataset(), mean_result, BootstrapConfig(replicates=5), workers=0)
+
+
+SCENARIOS = {"single": Scenario.single(), "nonseq2": Scenario.nonseq(2), "seq2": SEQ2}
+
+
+def fingerprint(run):
+    """Bootstrap output as exact hex strings, or the error it raised."""
+    try:
+        out = run()
+    except (ValueError, TooManyFailedReplicates) as err:
+        return type(err).__name__, str(err)
+    diagnostics = dict(out.diagnostics, max_sum_gap=out.diagnostics["max_sum_gap"].hex())
+    rows = tuple(
+        (c.name, c.value.hex(), c.ci[0].hex(), c.ci[1].hex()) for c in out.components
+    )
+    return out.te.hex(), out.sum_gap.hex(), rows, diagnostics
+
+
+def plain_and_plugin(data, scenario, q, cfg):
+    """Fingerprints of the per-resample closure and of `PluginEstimator` at
+    chunk caps of one index entry, seven replicates and the default."""
+    plain = fingerprint(
+        lambda: bootstrap(data, lambda d: decompose(from_dataset(d, scenario), q), cfg)
+    )
+    chunked = []
+    for cap in (1, 7 * data.n, infer._CHUNK_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(infer, "_CHUNK_ENTRIES", cap)
+            chunked.append(fingerprint(lambda: bootstrap(data, PluginEstimator(scenario, q), cfg)))
+    return plain, chunked
+
+
+@st.composite
+def sparse_plugin_runs(draw):
+    """Random single/nonseq2/seq2 data in which every cell of the full data
+    is present but some only once or twice, so resamples lose cells (the
+    chunked path falls back), lose whole levels (the support shrinks, or an
+    m1* level vanishes) or come out complete; some outcomes are not finite."""
+    scenario = SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))]
+    shape = tuple(draw(st.integers(2, 3)) for _ in range(scenario.k + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = np.stack(np.unravel_index(np.arange(np.prod(shape)), shape), axis=1)
+    copies = rng.integers(1, draw(st.integers(2, 6)), size=len(base))
+    n_extra = draw(st.integers(0, 80))
+    extra = np.stack([rng.integers(0, k, size=n_extra) for k in shape], axis=1)
+    rows = np.concatenate([np.repeat(base, copies, axis=0), extra])
+    m1_values = np.array([7, 3, 5])  # m1 levels whose sorted order is not their code order
+    outcome = rng.normal(size=len(rows)) * 3.0 + rows.sum(axis=1)
+    # a few non-finite outcomes: replicates then fail as non-finite or on
+    # inf - inf inside a row's fsum
+    for value in draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=2)):
+        outcome[rng.integers(len(outcome))] = value
+    data = Dataset(
+        exposure=rows[:, 0],
+        m1=m1_values[rows[:, 1]],
+        m2=rows[:, 2] if scenario.k == 2 else None,
+        outcome=outcome,
+    )
+    q = Query(
+        a=draw(st.integers(0, shape[0] - 1)),
+        a_star=draw(st.integers(0, shape[0] - 1)),
+        m1_star=int(m1_values[draw(st.integers(0, shape[1] - 1))]),
+        m2_star=draw(st.integers(0, shape[2] - 1)) if scenario.k == 2 else None,
+    )
+    cfg = BootstrapConfig(
+        replicates=draw(st.integers(2, 40)),
+        seed=draw(st.integers(0, 2**31)),
+        max_fail=draw(st.sampled_from([0.0, 0.3, 0.99])),
+    )
+    return data, scenario, q, cfg
+
+
+class TestChunkedPlugin:
+    """The chunked plug-in path against the per-resample closure it replaces."""
+
+    # inf and nan outcomes make numpy warn on both paths alike
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_plugin_runs())
+    def test_matches_plain_closure_for_any_chunk_size(self, run):
+        plain, chunked = plain_and_plugin(*run)
+        assert chunked == [plain] * 3
+
+    def test_fallback_keeps_shrunk_supports_and_their_errors(self, monkeypatch):
+        # every (A, M1) cell populated, but M1=2 and M1=3 only once per
+        # exposure level: resamples lose one such row (EmptyCell), both M1=2
+        # rows (a smaller support that still prices) or both M1=3 rows, the
+        # m1* level (UnknownSupportValue), or keep all of them
+        rare = [(a, m1) for a in (0, 1) for m1 in (2, 3)]
+        rows = np.array([(a, m1) for a in (0, 1) for m1 in (0, 1)] * 10 + rare)
+        data = Dataset(exposure=rows[:, 0], m1=rows[:, 1],
+                       outcome=np.sin(np.arange(len(rows), dtype=float)))
+        q = Query(a=1, a_star=0, m1_star=3)
+        cfg = BootstrapConfig(replicates=300, seed=8, max_fail=0.99)
+        calls = []
+        monkeypatch.setattr(infer, "from_dataset", lambda d, s: calls.append(1) or from_dataset(d, s))
+        plain, chunked = plain_and_plugin(data, Scenario.single(), q, cfg)
+        assert chunked == [plain] * 3
+        diagnostics = plain[3]
+        assert set(diagnostics["failed_by_error"]) == {"EmptyCell", "UnknownSupportValue"}
+        # per chunked run: one full-data call, then one per fallback; some
+        # fallbacks are kept, and some replicates never fall back
+        fallbacks = len(calls) // 3 - 1
+        assert diagnostics["failed"] < fallbacks < 300
+
+    def test_max_sum_gap_is_the_worst_kept_replicate(self):
+        rng = np.random.default_rng(3)
+        n = 300
+        data = Dataset(exposure=rng.integers(0, 3, n), m1=rng.integers(0, 3, n),
+                       m2=rng.integers(0, 3, n), outcome=rng.normal(size=n) * 7 + 3)
+        q = Query(a=2, a_star=0, m1_star=1, m2_star=2)
+        cfg = BootstrapConfig(replicates=200, seed=1, max_fail=0.5)
+        seen = []
+
+        def plain(d):
+            result = decompose(from_dataset(d, SEQ2), q)
+            seen.append(result.sum_gap)
+            return result
+
+        closure = bootstrap(data, plain, cfg).diagnostics
+        chunked = bootstrap(data, PluginEstimator(SEQ2, q), cfg).diagnostics
+        assert closure["failed"] > 0
+        # seen[0] is the full-data estimate; failed resamples record nothing
+        assert len(seen) == 1 + closure["kept"]
+        assert chunked["max_sum_gap"] == closure["max_sum_gap"] == max(seen[1:]) > 0.0
 
 
 class TestSimulatedCoverage:
