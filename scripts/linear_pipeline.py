@@ -20,7 +20,7 @@ from natfx.estimate import (
     fit_linear_system,
     linear_components,
 )
-from natfx.infer import BootstrapConfig, bootstrap
+from natfx.infer import BootstrapConfig, LinearEstimator, bootstrap
 from natfx.scm import Dataset
 
 TRUTH = LinearParams(
@@ -76,11 +76,8 @@ def main() -> None:
     q = Query(a=1.0, a_star=0.0, m1_star=m1_ref, m2_star=m2_ref)
     profile = CovariateProfile(values=(fit.sample_means["age"],), names=("age",))
 
-    def estimator(d: Dataset):
-        return linear_components(fit_linear_system(d).params, q, profile)
-
     cfg = BootstrapConfig(replicates=args.boot, seed=args.seed)
-    est = bootstrap(data, estimator, cfg)
+    est = bootstrap(data, LinearEstimator(q, profile), cfg)
     true_decomp = linear_components(TRUTH, q, profile)
 
     print(f"\nreference levels: m1* = {m1_ref:.3f}, m2* = {m2_ref:.3f}")

@@ -36,7 +36,7 @@ from natfx.estimate import (
     linear_components,
     plugin_seq2,
 )
-from natfx.infer import BootstrapConfig, PluginEstimator, bootstrap
+from natfx.infer import BootstrapConfig, LinearEstimator, PluginEstimator, bootstrap
 from natfx.scm import (
     Dataset,
     DiscreteScm,
@@ -61,6 +61,7 @@ __all__ = [
     "DiscreteScm",
     "Fixed",
     "IdentifiabilityVerdict",
+    "LinearEstimator",
     "LinearFit",
     "LinearParams",
     "PluginEstimator",

@@ -34,7 +34,7 @@ from .estimate import (
     fit_linear_system,
     linear_components,
 )
-from .infer import BootstrapConfig, PluginEstimator, bootstrap
+from .infer import BootstrapConfig, LinearEstimator, PluginEstimator, bootstrap
 # from_dataset stays bound here: perfbench's tracer and selftest look it up on this module
 from .scm import Dataset, NotIdentifiable, eval_expectation, from_dataset, load_model  # noqa: F401
 from .scm import simulate as simulate_model
@@ -229,6 +229,8 @@ def _scalar_text(value: Any) -> str:
         return _fmt4(value)
     if isinstance(value, list):
         return "[" + ", ".join(_scalar_text(v) for v in value) + "]"
+    if isinstance(value, Mapping):
+        return "{" + ", ".join(f"{k}={_scalar_text(v)}" for k, v in value.items()) + "}"
     return str(value)
 
 
@@ -531,7 +533,8 @@ def _run_fit(config: RunConfig) -> tuple[Report, int]:
         "roles": dict(roles),
         "transforms": {"m2": "log"} if config.log_m2 else {},
     }
-    return Report("fit", body, provenance=provenance), 0
+    diagnostics = {"pivot_ratio": fit.pivot_ratio}
+    return Report("fit", body, diagnostics=diagnostics, provenance=provenance), 0
 
 
 def _load_params_document(path: str) -> tuple[LinearParams, dict]:
@@ -579,6 +582,15 @@ def _align_profile(
     return CovariateProfile(values=tuple(profile.values()), names=tuple(profile))
 
 
+def _profile_echo(profile: CovariateProfile | None) -> dict | list:
+    """The profile the components were evaluated at, for provenance."""
+    if profile is None:
+        return {}
+    if profile.names:
+        return dict(zip(profile.names, profile.values))
+    return list(profile.values)
+
+
 def _run_decompose_linear(config: RunConfig) -> tuple[Report, int]:
     params, fitdoc = _load_params_document(config.params)
     q = Query(
@@ -602,11 +614,7 @@ def _run_decompose_linear(config: RunConfig) -> tuple[Report, int]:
     provenance = {
         "params": config.params,
         "query": _query_echo(q),
-        "covariate_profile": (
-            dict(zip(profile.names, profile.values))
-            if profile is not None and profile.names
-            else (list(profile.values) if profile is not None else {})
-        ),
+        "covariate_profile": _profile_echo(profile),
     }
     report = Report(
         "decompose-linear",
@@ -632,8 +640,7 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
     diagnostics: dict[str, Any] = {}
 
     if config.method == "linear":
-        transforms = {"m2": "log"} if config.log_m2 else None
-        full = fit_linear_system(data, transforms=transforms)
+        full = fit_linear_system(data, transforms={"m2": "log"} if config.log_m2 else None)
         q = Query(
             a=_parse_level(config.a),
             a_star=_parse_level(config.aref),
@@ -645,11 +652,9 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
             full.covariate_names,
             full.params.n_covariates,
         )
-
-        def estimator(d: Dataset) -> DecompositionResult:
-            fit = fit_linear_system(d, transforms=transforms)
-            return linear_components(fit.params, q, profile)
-
+        estimator = LinearEstimator(q, profile, config.log_m2)
+        # the estimator on the full data, from the fit already made
+        point = linear_components(full.params, q, profile)
         scenario = Scenario.chain(2)
         diagnostics = {
             "sigma2_m1": full.params.sigma2_m1,
@@ -658,6 +663,7 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
             "n_used": full.n_used,
             "n_dropped": full.n_dropped,
             "tables": full.tables,
+            "pivot_ratio": full.pivot_ratio,
         }
     else:
         scenario = Scenario.from_id(config.scenario) if config.scenario else (
@@ -665,9 +671,10 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
         )
         q = _query_from(config)
         estimator = PluginEstimator(scenario, q)
+        point = None
         diagnostics = {"n_used": data.n, "n_dropped": data.n_dropped}
 
-    result = bootstrap(data, estimator, cfg, workers=config.workers)
+    result = bootstrap(data, estimator, cfg, workers=config.workers, point=point)
     diagnostics["replicates"] = result.diagnostics
     ledger = AssumptionLedger.for_scenario(scenario, config.ack_assumptions)
     provenance = {
@@ -683,8 +690,8 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
         "max_fail": cfg.max_fail,
         "workers": config.workers,
     }
-    if config.method == "linear" and config.cov:
-        provenance["covariate_profile"] = _parse_profile(config.cov)
+    if config.method == "linear":
+        provenance["covariate_profile"] = _profile_echo(profile)
     report = Report(
         "bootstrap-report",
         {"scenario": scenario.id},

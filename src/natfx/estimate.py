@@ -12,7 +12,7 @@ component catalog in :mod:`natfx.decomp`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -178,9 +178,9 @@ class CovariateProfile:
 
 
 def _covariate_vector(
-    params: LinearParams, c: CovariateProfile | Sequence[float] | None
+    k: int, c: CovariateProfile | Sequence[float] | None
 ) -> tuple[float, ...]:
-    k = params.n_covariates
+    """The profile's values, checked against a model with `k` covariates."""
     if c is None:
         return (0.0,) * k
     values = c.values if isinstance(c, CovariateProfile) else tuple(float(v) for v in c)
@@ -300,17 +300,43 @@ class AssumptionLedger:
 # least squares
 
 
+def _pivoted_qr(
+    x: np.ndarray, names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``x[:, pivots] = q @ r`` by column-pivoted QR, plus the pivot ratio
+    ``min|r_kk| / |r_11|``; raises :class:`RankDeficient` at the first pivot
+    at or below `_PIVOT_TOL` of the leading one."""
+    q, r, pivots = linalg.qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    lead = float(diag[0]) if diag.size else 0.0
+    if x.shape[1] > 0 and lead == 0.0:
+        j = int(pivots[0])
+        raise RankDeficient(str(names[j]), j, 0.0)
+    small = np.nonzero(diag <= _PIVOT_TOL * lead)[0]
+    if small.size:
+        k = int(small[0])
+        j = int(pivots[k])
+        raise RankDeficient(str(names[j]), j, float(diag[k]))
+    ratio = float(diag[-1]) / lead if diag.size else 1.0
+    return q, r, pivots, ratio
+
+
 def fit_ols(
     design: np.ndarray,
     response: np.ndarray,
     names: Sequence[str] | None = None,
-) -> tuple[np.ndarray, float]:
+    *,
+    pivot_ratio: bool = False,
+) -> tuple[np.ndarray, float] | tuple[np.ndarray, float, float]:
     """Least squares with a rank guard.
 
     Returns ``(coefficients, residual_variance)`` where the variance is
     RSS/(n - p).  A pivoted QR factorization screens the design first: any
     pivot below 1e-10 of the leading one raises :class:`RankDeficient`
     naming the dependent column instead of returning a garbage solution.
+    With ``pivot_ratio=True`` a third value follows: the smallest pivot
+    over the leading one, ``min|r_kk| / |r_11|``, a cheap gauge of how
+    close the design came to that guard.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -328,25 +354,15 @@ def fit_ols(
     elif len(names) != p:
         raise ValueError(f"{len(names)} names for {p} columns")
 
-    q, r, pivots = linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    lead = float(diag[0]) if diag.size else 0.0
-    if p > 0 and lead == 0.0:
-        j = int(pivots[0])
-        raise RankDeficient(str(names[j]), j, 0.0)
-    small = np.nonzero(diag <= _PIVOT_TOL * lead)[0]
-    if small.size:
-        k = int(small[0])
-        j = int(pivots[k])
-        raise RankDeficient(str(names[j]), j, float(diag[k]))
-
+    q, r, pivots, ratio = _pivoted_qr(x, names)
     permuted = linalg.solve_triangular(r, q.T @ y)
     coef = np.empty(p)
     coef[pivots] = permuted
     resid = y - x @ coef
     rss = float(resid @ resid)
     dof = n - p
-    return coef, (rss / dof if dof > 0 else 0.0)
+    sigma2 = rss / dof if dof > 0 else 0.0
+    return (coef, sigma2, ratio) if pivot_ratio else (coef, sigma2)
 
 
 @dataclass(frozen=True)
@@ -368,6 +384,7 @@ class LinearFit:
     covariate_names: tuple[str, ...]
     sample_means: dict[str, float]
     tables: dict[str, dict[str, float]]
+    pivot_ratio: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -405,20 +422,16 @@ def _numeric_column(values: np.ndarray, role: str) -> np.ndarray:
         raise ValueError(f"column for role {role!r} is not numeric") from None
 
 
-def fit_linear_system(
+def _prepared_columns(
     data: Dataset,
-    *,
-    transforms: Mapping[str, Callable[[np.ndarray], np.ndarray] | str] | None = None,
-) -> LinearFit:
-    """Fit the three-equation chain model by least squares.
+    transforms: Mapping[str, Callable[[np.ndarray], np.ndarray] | str] | None,
+) -> tuple[dict[str, np.ndarray], np.ndarray, tuple[str, ...]]:
+    """The fit's columns by role: rows with a non-finite value in any used
+    column dropped, then `transforms` applied.
 
-    Regressor sets are fixed: Y on (A, M1, M2, A·M1, A·M2, M1·M2, A·M1·M2,
-    C), M2 on (A, M1, A·M1, C), M1 on (A, C), each with an intercept.
-    Column roles are carried by the Dataset.  ``transforms`` maps a role
-    ("exposure", "m1", "m2", "outcome", or a covariate name) to a callable
-    applied before fitting, or to the string "log", which also checks its
-    domain and reports offending row numbers.  Rows with non-finite values
-    in any used column are dropped and counted.
+    Returns the columns, the kept row indices into `data`, and the
+    covariate names.  The mask and a "log" transform act row by row, so
+    with those the columns of a resample are the resampled rows of these.
     """
     if data.m2 is None:
         raise ValueError("two-mediator dataset required: the m2 role is missing")
@@ -438,8 +451,7 @@ def fit_linear_system(
     for col in columns.values():
         mask &= np.isfinite(col)
     kept = np.nonzero(mask)[0]
-    n_used = int(kept.size)
-    if n_used == 0:
+    if kept.size == 0:
         raise ValueError("no complete rows left after dropping missing values")
     columns = {name: col[kept] for name, col in columns.items()}
 
@@ -466,26 +478,59 @@ def fit_linear_system(
             columns[role] = out
         else:
             raise ValueError(f"transform for {role!r} must be callable or 'log'")
+    return columns, kept, cov_names
 
+
+# The three equations in fitting order: (response role, regressor names
+# before the covariates).
+_EQUATIONS = (
+    ("outcome", ("intercept", "A", "M1", "M2", "A:M1", "A:M2", "M1:M2", "A:M1:M2")),
+    ("m2", ("intercept", "A", "M1", "A:M1")),
+    ("m1", ("intercept", "A")),
+)
+
+
+def _designs(
+    columns: Mapping[str, np.ndarray], cov_names: tuple[str, ...]
+) -> list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]]:
+    """(design, response, column names) of each equation in `_EQUATIONS`."""
     a = columns["exposure"]
     m1 = columns["m1"]
     m2 = columns["m2"]
-    y = columns["outcome"]
     covs = [columns[name] for name in cov_names]
     ones = np.ones_like(a)
-
-    y_design = np.column_stack(
-        [ones, a, m1, m2, a * m1, a * m2, m1 * m2, a * m1 * m2, *covs]
+    # one design at a time, so only one equation's product columns are alive
+    designs = (
+        np.column_stack([ones, a, m1, m2, a * m1, a * m2, m1 * m2, a * m1 * m2, *covs]),
+        np.column_stack([ones, a, m1, a * m1, *covs]),
+        np.column_stack([ones, a, *covs]),
     )
-    y_names = ("intercept", "A", "M1", "M2", "A:M1", "A:M2", "M1:M2", "A:M1:M2") + cov_names
-    m2_design = np.column_stack([ones, a, m1, a * m1, *covs])
-    m2_names = ("intercept", "A", "M1", "A:M1") + cov_names
-    m1_design = np.column_stack([ones, a, *covs])
-    m1_names = ("intercept", "A") + cov_names
+    return [
+        (x, columns[role], names + cov_names)
+        for x, (role, names) in zip(designs, _EQUATIONS)
+    ]
 
-    theta, sigma2_y = fit_ols(y_design, y, y_names)
-    beta, sigma2_m2 = fit_ols(m2_design, m2, m2_names)
-    gamma, sigma2_m1 = fit_ols(m1_design, m1, m1_names)
+
+def fit_linear_system(
+    data: Dataset,
+    *,
+    transforms: Mapping[str, Callable[[np.ndarray], np.ndarray] | str] | None = None,
+) -> LinearFit:
+    """Fit the three-equation chain model by least squares.
+
+    Regressor sets are fixed: Y on (A, M1, M2, A·M1, A·M2, M1·M2, A·M1·M2,
+    C), M2 on (A, M1, A·M1, C), M1 on (A, C), each with an intercept.
+    Column roles are carried by the Dataset.  ``transforms`` maps a role
+    ("exposure", "m1", "m2", "outcome", or a covariate name) to a callable
+    applied before fitting, or to the string "log", which also checks its
+    domain and reports offending row numbers.  Rows with non-finite values
+    in any used column are dropped and counted.
+    """
+    columns, kept, cov_names = _prepared_columns(data, transforms)
+    n_used = int(kept.size)
+    designs = _designs(columns, cov_names)
+    fits = [fit_ols(x, y, names, pivot_ratio=True) for x, y, names in designs]
+    (theta, sigma2_y, _), (beta, sigma2_m2, _), (gamma, sigma2_m1, _) = fits
 
     params = LinearParams(
         theta=tuple(theta[:8]),
@@ -498,9 +543,8 @@ def fit_linear_system(
     )
     sample_means = {name: float(np.mean(col)) for name, col in columns.items()}
     tables = {
-        "outcome": dict(zip(y_names, (float(v) for v in theta))),
-        "m2": dict(zip(m2_names, (float(v) for v in beta))),
-        "m1": dict(zip(m1_names, (float(v) for v in gamma))),
+        role: dict(zip(names, (float(v) for v in coef)))
+        for (role, _), (_, _, names), (coef, _, _) in zip(_EQUATIONS, designs, fits)
     }
     return LinearFit(
         params=params,
@@ -511,6 +555,7 @@ def fit_linear_system(
         covariate_names=cov_names,
         sample_means=sample_means,
         tables=tables,
+        pivot_ratio={role: ratio for (role, _), (_, _, ratio) in zip(_EQUATIONS, fits)},
     )
 
 
@@ -544,6 +589,10 @@ def _linear_pricer(
     expectation is returned as its monomial addends, with the sigma2_m1 term
     in its own addend, so that terms which cancel within a component cancel
     exactly when the component is summed.
+
+    ``params`` is a `LinearParams`, or any object with its coefficient
+    fields in which each coefficient is an array over replicates; the
+    addends are then arrays over the same replicates.
     """
     t, b, g = params.theta, params.beta, params.gamma
     t_c, b_c, g_c = (_dot(v, cvec) for v in (params.theta_c, params.beta_c, params.gamma_c))
@@ -596,8 +645,21 @@ def expectation_w(
         raise ValueError(f"which must be one of W1..W8, got {which!r}")
     e_y, e_m2, e_m1 = _W_TRIPLES[key]
     level = {"a": float(a), "a*": float(a_star)}
-    price = _linear_pricer(params, _covariate_vector(params, c), level)
+    price = _linear_pricer(params, _covariate_vector(params.n_covariates, c), level)
     return math.fsum(price((e_y, (False, e_m1), (False, e_m2))))
+
+
+def _linear_levels(q: Query) -> dict[str, float]:
+    """The query's levels as the reals the seq2 linear pricer binds."""
+    _check_requires(_catalog(_SEQ2).requires, q)
+    symbols = {"a": q.a, "a*": q.a_star, "m1*": q.m1_star, "m2*": q.m2_star}
+    try:
+        return {symbol: float(v) for symbol, v in symbols.items()}
+    except (TypeError, ValueError):
+        got = ", ".join(f"{symbol}={v!r}" for symbol, v in symbols.items())
+        raise ValueError(
+            f"linear decomposition needs numeric exposure and fixed mediator levels, got {got}"
+        ) from None
 
 
 def linear_components(
@@ -615,16 +677,8 @@ def linear_components(
     everything to zero.
     """
     catalog = _catalog(_SEQ2)
-    _check_requires(catalog.requires, q)
-    symbols = {"a": q.a, "a*": q.a_star, "m1*": q.m1_star, "m2*": q.m2_star}
-    try:
-        level = {symbol: float(v) for symbol, v in symbols.items()}
-    except (TypeError, ValueError):
-        got = ", ".join(f"{symbol}={v!r}" for symbol, v in symbols.items())
-        raise ValueError(
-            f"linear decomposition needs numeric exposure and fixed mediator levels, got {got}"
-        ) from None
-    price = _linear_pricer(params, _covariate_vector(params, c), level)
+    level = _linear_levels(q)
+    price = _linear_pricer(params, _covariate_vector(params.n_covariates, c), level)
     return _assemble(catalog, [price(formula) for formula in catalog.formulas])
 
 

@@ -1,29 +1,48 @@
 """Percentile bootstrap intervals for decomposition estimators.
 
 Works with any estimator mapping a Dataset to a DecompositionResult; such a
-callable runs once per resample.  A `PluginEstimator` is priced in chunks
-instead: the data is encoded once, a chunk of resamples is tabulated with
-one offset `bincount`, and the compiled catalog is priced over the chunk.
-Each replicate draws its random numbers from a stream split off the master
-seed by replicate index, and the chunked path reproduces the per-resample
-values bit for bit, so the output depends only on (seed, replicates, data,
-estimator) and never on chunk size or worker count.
+callable runs once per resample.  The two named estimators are priced in
+chunks instead.  For a `PluginEstimator` the data is encoded once, a chunk
+of resamples is tabulated with one offset `bincount`, and the compiled
+catalog is priced over the chunk.  For a `LinearEstimator` each equation's
+design is factored once, and a chunk of resamples is fitted by small
+weighted Gram systems on that factor.  Each replicate draws its random
+numbers from a stream split off the master seed by replicate index, and
+each chunked replicate is computed on its own, so the output depends only
+on (seed, replicates, data, estimator) and never on chunk size or worker
+count.  The plug-in chunks reproduce the per-resample values bit for bit,
+the linear chunks to roundoff.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from scipy import linalg
 
 from .cfexpr import Scenario
 from .decomp import DecompositionResult, Query, _catalog, _totals, decompose
+from .estimate import (
+    _PIVOT_TOL,
+    _SEQ2,
+    CovariateProfile,
+    _covariate_vector,
+    _designs,
+    _linear_levels,
+    _linear_pricer,
+    _pivoted_qr,
+    _prepared_columns,
+    fit_linear_system,
+    linear_components,
+)
 from .scm import Dataset, _encode, _formula_rows, _price_tables, _tables, _tally, from_dataset
 
 __all__ = [
     "BootstrapConfig",
+    "LinearEstimator",
     "PluginEstimator",
     "TooManyFailedReplicates",
     "bootstrap",
@@ -90,13 +109,57 @@ class PluginEstimator:
     def __call__(self, data: Dataset) -> DecompositionResult:
         return decompose(from_dataset(data, self.scenario), self.q)
 
+    def _chunk_pricer(
+        self, data: Dataset, fallback: Callable[[np.ndarray], _Outcome]
+    ) -> "_PluginChunkPricer":
+        return _PluginChunkPricer(data, self, fallback)
+
+
+@dataclass(frozen=True)
+class LinearEstimator:
+    """The linear estimator ``linear_components(fit.params, q, profile)``
+    with ``fit = fit_linear_system(data, transforms=...)``, the second
+    mediator taken on the log scale when `log_m2` is set.
+
+    Called on a dataset it is exactly that.  `bootstrap` prices its
+    resamples in chunks from one factorization of the full data's designs,
+    to roundoff of the same values.
+    """
+
+    q: Query
+    profile: CovariateProfile | Sequence[float] | None = None
+    log_m2: bool = False
+
+    @property
+    def transforms(self) -> dict[str, str] | None:
+        return {"m2": "log"} if self.log_m2 else None
+
+    def __call__(self, data: Dataset) -> DecompositionResult:
+        fit = fit_linear_system(data, transforms=self.transforms)
+        return linear_components(fit.params, self.q, self.profile)
+
+    def _chunk_pricer(
+        self, data: Dataset, fallback: Callable[[np.ndarray], _Outcome]
+    ) -> "_LinearChunkPricer":
+        return _LinearChunkPricer(data, self, fallback)
+
 
 def _non_finite(rows: Iterable[tuple[str, float]]) -> FloatingPointError | None:
     bad = [f"{name}={value}" for name, value in rows if not math.isfinite(value)]
     return FloatingPointError(f"non-finite component(s) {', '.join(bad)}") if bad else None
 
 
-class _ChunkPricer:
+def _outcome(catalog, names: Sequence[str], addends: Sequence[Sequence[float]]) -> _Outcome:
+    """A chunk-priced replicate's rows, or its error, as `decompose` and
+    `bootstrap` would give them."""
+    try:
+        values, _, sum_gap = _totals(catalog, addends)
+    except _REPLICATE_ERRORS as err:  # fsum of inf - inf, as in `decompose`
+        return err
+    return _non_finite(zip(names, values)) or (values, sum_gap)
+
+
+class _PluginChunkPricer:
     """A `PluginEstimator`'s resamples priced a chunk at a time.
 
     The data is encoded once on the full data's level grid.  A chunk's
@@ -106,6 +169,8 @@ class _ChunkPricer:
     signed terms, as `decompose` computes it.  A resample with an empty cell
     on the full grid goes to `fallback` instead: on its own, its support may
     shrink or its estimate fail, and the fallback gives that value or error.
+    ``routes`` counts the replicates priced in the batch and those that fell
+    back.
     """
 
     def __init__(
@@ -121,6 +186,7 @@ class _ChunkPricer:
         levels, self._cell, self._y = _encode(data, estimator.scenario)
         self._shape = tuple(len(lv) for lv in levels)
         self._rows = _formula_rows(self._catalog.formulas, estimator.q.to_binding(), levels)
+        self.routes = {"batched": 0, "fallback": {"empty_cell": 0}}
 
     def __call__(self, draws: Sequence[np.ndarray]) -> list[_Outcome]:
         idx = np.stack(draws)
@@ -128,17 +194,174 @@ class _ChunkPricer:
         full = counts.reshape(len(idx), -1).all(axis=1)
         tables = _tables(self._scenario, counts[full], ysum[full])
         priced = iter(_price_tables(*tables, self._rows)[..., None].tolist())
+        self.routes["batched"] += int(full.sum())
+        self.routes["fallback"]["empty_cell"] += int((~full).sum())
+        return [
+            _outcome(self._catalog, self._names, next(priced)) if ok else self._fallback(draw)
+            for draw, ok in zip(draws, full.tolist())
+        ]
+
+
+# Added to the reciprocal condition number a replicate's Gram matrix must
+# exceed; see `_LinearChunkPricer`.
+_RCOND_SLACK = math.sqrt(np.finfo(float).eps)
+
+
+class _Equation(NamedTuple):
+    """One equation of the linear system, factored once on the full data as
+    ``x[:, piv] = q @ r``."""
+
+    qt: np.ndarray  # q transposed, one row per column of q
+    y: np.ndarray  # response, kept rows only
+    piv: np.ndarray
+    r_inv: np.ndarray
+    min_rcond: float  # the line a replicate's Gram matrix must clear
+
+
+class _Coefficients(NamedTuple):
+    """`LinearParams` fields as arrays over a chunk's replicates."""
+
+    theta: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    theta_c: np.ndarray
+    beta_c: np.ndarray
+    gamma_c: np.ndarray
+    sigma2_m1: np.ndarray
+
+
+class _LinearChunkPricer:
+    """A `LinearEstimator`'s resamples fitted and priced a chunk at a time.
+
+    A resample is a vector w of row multiplicities, so its least-squares fit
+    is the fit weighted by w on the full data's design.  The finiteness mask
+    and the transform act row by row and are applied once.  Each equation's
+    design is factored once, ``X[:, piv] = Q R``, and R inverted once.
+    With ``G = Qᵀ diag(w) Q`` a replicate's coefficients are
+    ``b[piv] = R⁻¹ G⁻¹ Qᵀ W y``, and ``sigma2_m1 = Σ w (y - X b)² /
+    (n_w - p)`` comes from the weighted residuals themselves.  The weights
+    average 1, so G stays near the identity and the conditioning of X is
+    carried by R alone, as in `fit_ols`.  G and ``Qᵀ W y`` are formed one
+    replicate at a time from ``Qᵀ diag(w)``, a p x n product, which holds
+    far less memory than Q's n x p(p+1)/2 column-pair products would and
+    costs about as much; the small systems are then solved for the whole
+    chunk with batched `solve` and `eigvalsh`, which factor each matrix on
+    its own.  So a replicate's value does not depend on the chunk it is
+    priced in.
+
+    A replicate goes to `fallback`, the estimator on the resample itself,
+    when it keeps no more rows than an equation has regressors ("rows"), or
+    when one of its G falls below the line derived below ("conditioning");
+    the fallback gives that value or error.  ``routes`` counts the batched
+    replicates and the fallbacks by reason, and records the smallest
+    reciprocal condition number of G over the replicates that reached the
+    check.
+
+    The line.  `fit_ols` rejects a design A when its pivoted QR has
+    ``min|r_kk| <= tau |r_11|``, tau = `_PIVOT_TOL`.  The diagonal of a
+    triangular matrix holds its eigenvalues, which lie between its smallest
+    and largest singular values, so a rejection means
+    ``sigma_min(A) <= tau sigma_max(A)``, i.e. ``kappa(A) >= 1/tau``.  A
+    replicate's design, rows repeated by multiplicity, has the singular
+    values of ``diag(sqrt w) X``, whose permuted columns are
+    ``diag(sqrt w) Q R``; hence ``kappa(A) <= kappa(diag(sqrt w) Q)
+    kappa(R) = sqrt(kappa(G)) kappa(R)``.  So a replicate `fit_ols` would
+    reject has ``rcond(G) = 1/kappa(G) <= (tau kappa(R))^2``.  The line
+    doubles tau, which covers the rounding in `fit_ols`'s own QR, and adds
+    `_RCOND_SLACK` = sqrt(eps), which covers the rounding in forming G and
+    its eigenvalues (at most about p n eps of its largest eigenvalue, below
+    sqrt(eps) for p n up to 6.7e7).  A replicate is kept only above the line
+    in every equation, so none that `fit_ols` would reject as
+    `RankDeficient` is kept.  The full data's pivot ratio rho =
+    ``min|r_kk| / |r_11|`` bounds kappa(R) from below by 1/rho and, with
+    column pivoting, from above by ``sqrt(p (4^p + 6p - 1)) / (3 rho)``;
+    that bound would serve too but grows as 2^p, so kappa(R) is taken from
+    R's singular values instead.
+    """
+
+    def __init__(
+        self,
+        data: Dataset,
+        estimator: LinearEstimator,
+        fallback: Callable[[np.ndarray], _Outcome],
+    ) -> None:
+        columns, self._kept, cov_names = _prepared_columns(data, estimator.transforms)
+        self._equations = []
+        for x, y, names in _designs(columns, cov_names):
+            q, r, piv, _ = _pivoted_qr(x, names)
+            sigma = np.linalg.svd(r, compute_uv=False)
+            self._equations.append(_Equation(
+                np.ascontiguousarray(q.T), y, piv, linalg.solve_triangular(r, np.eye(len(r))),
+                (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK,
+            ))
+        self._m1_design = x  # the M1 equation comes last; its residuals give sigma2_m1
+        self._max_p = max(len(eq.piv) for eq in self._equations)
+        self._catalog = _catalog(_SEQ2)
+        self._names = [spec.name for spec in self._catalog.specs]
+        self._level = _linear_levels(estimator.q)
+        self._cvec = _covariate_vector(len(cov_names), estimator.profile)
+        self._fallback = fallback
+        self.routes = {
+            "batched": 0,
+            "fallback": {"rows": 0, "conditioning": 0},
+            "min_gram_rcond": None,
+        }
+
+    def __call__(self, draws: Sequence[np.ndarray]) -> list[_Outcome]:
+        idx = np.stack(draws)
+        m, n = idx.shape
+        counts = np.bincount((idx + n * np.arange(m)[:, None]).ravel(), minlength=m * n)
+        counts = counts.reshape(m, n)[:, self._kept]
+        rows = counts.sum(axis=1)
+        reason = np.full(m, "", dtype=object)
+        reason[rows <= self._max_p] = "rows"
+        live = np.nonzero(rows > self._max_p)[0]
+
+        grams = [np.empty((len(live), len(eq.piv), len(eq.piv))) for eq in self._equations]
+        rhs = [np.empty((len(live), len(eq.piv), 1)) for eq in self._equations]
+        for j, r in enumerate(live):
+            w = counts[r].astype(float)
+            for eq, gram, qwy in zip(self._equations, grams, rhs):
+                qw = eq.qt * w
+                gram[j] = qw @ eq.qt.T
+                qwy[j, :, 0] = qw @ eq.y
+        for eq, gram in zip(self._equations, grams):
+            eig = np.linalg.eigvalsh(gram)
+            rcond = eig[:, 0] / eig[:, -1]
+            reason[live[~(rcond > eq.min_rcond)]] = "conditioning"
+            if rcond.size:
+                seen = self.routes["min_gram_rcond"]
+                self.routes["min_gram_rcond"] = min(float(rcond.min()), math.inf if seen is None else seen)
+
+        good = reason[live] == ""
+        coefs = []
+        for eq, gram, qwy in zip(self._equations, grams, rhs):
+            coef = np.empty((int(good.sum()), len(eq.piv)))
+            coef[:, eq.piv] = (eq.r_inv @ np.linalg.solve(gram[good], qwy[good]))[..., 0]
+            coefs.append(coef)
+        m1 = self._equations[-1]
+        rss = [counts[r].astype(float) @ np.square(m1.y - self._m1_design @ b)
+               for r, b in zip(live[good], coefs[-1])]
+        sigma2_m1 = np.array(rss) / (rows[live[good]] - len(m1.piv))
+
+        theta, beta, gamma = (c.T for c in coefs)
+        price = _linear_pricer(
+            _Coefficients(theta[:8], beta[:4], gamma[:2], theta[8:], beta[4:], gamma[2:], sigma2_m1),
+            self._cvec,
+            self._level,
+        )
+        addends = np.stack(
+            [np.stack(np.broadcast_arrays(*price(f))) for f in self._catalog.formulas]
+        )
+        priced = iter(addends.transpose(2, 0, 1).tolist())
         outcomes = []
-        for draw, ok in zip(draws, full.tolist()):
-            if not ok:
+        for draw, why in zip(draws, reason.tolist()):
+            if why:
+                self.routes["fallback"][why] += 1
                 outcomes.append(self._fallback(draw))
-                continue
-            try:
-                values, _, sum_gap = _totals(self._catalog, next(priced))
-            except _REPLICATE_ERRORS as err:  # fsum of inf - inf, as in `decompose`
-                outcomes.append(err)
-                continue
-            outcomes.append(_non_finite(zip(self._names, values)) or (values, sum_gap))
+            else:
+                self.routes["batched"] += 1
+                outcomes.append(_outcome(self._catalog, self._names, next(priced)))
         return outcomes
 
 
@@ -148,6 +371,7 @@ def bootstrap(
     cfg: BootstrapConfig | None = None,
     *,
     workers: int = 1,
+    point: DecompositionResult | None = None,
 ) -> DecompositionResult:
     """Attach percentile confidence intervals to `estimator`'s point estimate.
 
@@ -159,14 +383,19 @@ def bootstrap(
     by exception class, each with its first message, and give the worst
     ``sum_gap`` over the kept replicates as ``max_sum_gap``.
 
-    A `PluginEstimator` is priced a chunk of resamples at a time; any other
-    estimator runs once per resample, on `workers` threads.
+    A `PluginEstimator` or `LinearEstimator` is priced a chunk of resamples
+    at a time, and ``diagnostics["routes"]`` then counts the replicates
+    priced in the batch and those that fell back to the estimator, by
+    reason.  Any other estimator runs once per resample, on `workers`
+    threads.  `point` is ``estimator(data)`` when the caller already holds
+    it; it is then not computed again.
     """
     if cfg is None:
         cfg = BootstrapConfig()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    point = estimator(data)
+    if point is None:
+        point = estimator(data)
     names = [row.name for row in point.components]
 
     n = data.n
@@ -180,9 +409,11 @@ def bootstrap(
         bad = _non_finite((c.name, c.value) for c in result.components)
         return bad or ([result[name] for name in names], result.sum_gap)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    if isinstance(estimator, PluginEstimator):
-        price = _ChunkPricer(data, estimator, replicate)
+    chunk_pricer = getattr(estimator, "_chunk_pricer", None)
+    pricer = None if chunk_pricer is None else chunk_pricer(data, replicate)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and pricer is None else None
+    if pricer is not None:
+        price = pricer
     elif pool is None:
         price = lambda draws: [replicate(d) for d in draws]  # noqa: E731
     else:
@@ -219,6 +450,8 @@ def bootstrap(
         "failed_by_error": failed_by_error,
         "max_sum_gap": float(max(gap for _, gap in kept)),
     }
+    if pricer is not None:
+        diagnostics["routes"] = pricer.routes
     return DecompositionResult(
         components=tuple(with_ci),
         te=point.te,

@@ -317,6 +317,16 @@ class TestFitCommand:
         out = capsys.readouterr().out
         assert "outcome coefficients" in out
         assert "sigma2_m1" in out
+        assert "pivot_ratio: outcome=" in out
+
+    def test_pivot_ratio_per_equation(self, tmp_path):
+        data, roles = linear_csv(tmp_path)
+        report, _ = run(RunConfig(subcommand="fit", data=data, roles=roles))
+        ratios = report.as_dict()["diagnostics"]["pivot_ratio"]
+        assert list(ratios) == ["outcome", "m2", "m1"]
+        assert all(0.0 < r <= 1.0 for r in ratios.values())
+        # the fit document itself is unchanged: the ratio is a diagnostic
+        assert "pivot_ratio" not in report.body
 
 
 class TestDecomposeLinearCommand:
@@ -455,6 +465,34 @@ class TestBootstrapReportCommand:
         assert all(c.ci is not None for c in report.result.components)
         assert isinstance(report.provenance["query"]["m1*"], float)
         assert report.diagnostics["n_used"] == 500
+
+    def test_linear_records_the_profile_it_used(self, tmp_path):
+        # without --cov the fit's covariate enters at 0; the provenance says so
+        data, roles = linear_csv(tmp_path, n=300)
+        base = dict(
+            subcommand="bootstrap-report", data=data, roles=roles, method="linear",
+            a="1", aref="0", m1star="0", m2star="0", boot=20, seed=1,
+        )
+        report, code = run(RunConfig(**base))
+        assert code == 0
+        assert report.provenance["covariate_profile"] == {"age": 0.0}
+        with_cov, _ = run(RunConfig(**base, cov="age=0.0"))
+        assert with_cov.provenance["covariate_profile"] == {"age": 0.0}
+        assert with_cov.as_dict()["components"] == report.as_dict()["components"]
+
+    def test_linear_reports_routes_and_conditioning(self, tmp_path, capsys):
+        data, roles = linear_csv(tmp_path, n=300)
+        assert main(
+            ["bootstrap-report", "--data", data, "--roles", roles, "--method", "linear",
+             "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+             "--boot", "30", "--seed", "2", "--format", "json"]
+        ) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        routes = diagnostics["replicates"]["routes"]
+        assert routes["batched"] == 30
+        assert routes["fallback"] == {"rows": 0, "conditioning": 0}
+        assert 0.0 < routes["min_gram_rcond"] <= 1.0
+        assert list(diagnostics["pivot_ratio"]) == ["outcome", "m2", "m1"]
 
     def test_worker_count_invariance(self, tmp_path, dm1):
         model = write(tmp_path / "m.json", "")

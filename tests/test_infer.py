@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 from natfx import infer
 from natfx.cfexpr import Scenario
 from natfx.decomp import ComponentValue, DecompositionResult, Query, decompose
-from natfx.estimate import plugin_seq2
-from natfx.infer import BootstrapConfig, PluginEstimator, TooManyFailedReplicates, bootstrap
+from natfx.estimate import fit_linear_system, plugin_seq2
+from natfx.infer import (
+    BootstrapConfig,
+    LinearEstimator,
+    PluginEstimator,
+    TooManyFailedReplicates,
+    bootstrap,
+)
 from natfx.scm import Dataset, from_dataset, simulate
 
 SEQ2 = Scenario.chain(2)
@@ -216,12 +222,20 @@ SCENARIOS = {"single": Scenario.single(), "nonseq2": Scenario.nonseq(2), "seq2":
 
 
 def fingerprint(run):
-    """Bootstrap output as exact hex strings, or the error it raised."""
+    """Bootstrap output as exact hex strings, or the error it raised.
+
+    The chunked paths' route counts, which the per-resample closure does
+    not report, are checked against the replicate count and left out.
+    """
     try:
         out = run()
     except (ValueError, TooManyFailedReplicates) as err:
         return type(err).__name__, str(err)
     diagnostics = dict(out.diagnostics, max_sum_gap=out.diagnostics["max_sum_gap"].hex())
+    routes = diagnostics.pop("routes", None)
+    if routes is not None:
+        routed = routes["batched"] + sum(routes["fallback"].values())
+        assert routed == diagnostics["kept"] + diagnostics["failed"]
     rows = tuple(
         (c.name, c.value.hex(), c.ci[0].hex(), c.ci[1].hex()) for c in out.components
     )
@@ -314,6 +328,8 @@ class TestChunkedPlugin:
         # fallbacks are kept, and some replicates never fall back
         fallbacks = len(calls) // 3 - 1
         assert diagnostics["failed"] < fallbacks < 300
+        routes = bootstrap(data, PluginEstimator(Scenario.single(), q), cfg).diagnostics["routes"]
+        assert routes == {"batched": 300 - fallbacks, "fallback": {"empty_cell": fallbacks}}
 
     def test_max_sum_gap_is_the_worst_kept_replicate(self):
         rng = np.random.default_rng(3)
@@ -335,6 +351,175 @@ class TestChunkedPlugin:
         # seen[0] is the full-data estimate; failed resamples record nothing
         assert len(seen) == 1 + closure["kept"]
         assert chunked["max_sum_gap"] == closure["max_sum_gap"] == max(seen[1:]) > 0.0
+
+
+# Agreement of the chunked linear bootstrap with the per-resample closure.
+# Both sides solve the same least-squares problems, so they differ by
+# roundoff amplified by the designs' conditioning; `gaussian_chain` draws M1
+# with means up to 10, where the outcome design's M1 columns lean on the
+# intercept.  Over 2,500 examples of `gaussian_chain_runs` the worst
+# differences were 1.2e-11 for CI ends and 4.1e-16 for max_sum_gap, of the
+# result's scale (the largest |value| or |CI end| over its rows); 3.8e-12
+# for coefficients, of the equation's largest; and 3.9e-15 for sigma2_m1,
+# relative.  Computing sigma2_m1 from the expanded quadratic form instead
+# of the residuals moved it by up to 5.6e-13.
+LINEAR_TOL = 1e-9
+SIGMA2_TOL = 1e-13
+
+
+def gaussian_chain(rng, n, k, log_m2, non_finite):
+    """Chain data from the Gaussian-linear model with `k` covariates and a
+    few non-finite entries in M1, M2 or Y."""
+    c = {f"c{i}": rng.normal(size=n) for i in range(k)}
+    a = (rng.random(n) < rng.uniform(0.3, 0.7)).astype(float)
+    m1 = (rng.uniform(-10, 10) + rng.normal() * a + 0.3 * sum(c.values(), np.zeros(n))
+          + rng.normal(size=n) * rng.uniform(0.3, 2))
+    lm2 = (rng.normal() + rng.normal() * a + 0.25 * m1 + 0.1 * a * m1
+           + rng.normal(size=n) * rng.uniform(0.3, 1))
+    y = (1 + 0.5 * a + 0.4 * m1 + 0.6 * lm2 + 0.2 * a * m1 + 0.1 * m1 * lm2
+         + 0.05 * a * m1 * lm2 + rng.normal(size=n))
+    m2 = np.exp(lm2) if log_m2 else lm2
+    for value in non_finite:
+        col = (m1, m2, y)[rng.integers(3)]
+        col[rng.integers(n)] = value
+    return Dataset(exposure=a, m1=m1, m2=m2, outcome=y, covariates=c)
+
+
+@st.composite
+def gaussian_chain_runs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, 2))
+    log_m2 = draw(st.booleans())
+    non_finite = draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=2))
+    data = gaussian_chain(rng, draw(st.integers(60, 250)), k, log_m2, non_finite)
+    q = Query(a=1.0, a_star=0.0, m1_star=float(rng.normal()), m2_star=float(rng.normal()))
+    estimator = LinearEstimator(q, tuple(rng.normal(size=k)), log_m2)
+    cfg = BootstrapConfig(replicates=draw(st.integers(2, 40)), seed=draw(st.integers(0, 2**31)))
+    return data, estimator, cfg
+
+
+def split_linear(out):
+    """A bootstrap result as (exact diagnostics, rows, max_sum_gap), with
+    the chunked path's route counts set aside."""
+    diagnostics = dict(out.diagnostics)
+    diagnostics.pop("routes", None)
+    gap = diagnostics.pop("max_sum_gap")
+    rows = [(c.name, c.value, *c.ci) for c in out.components]
+    return diagnostics, rows, gap
+
+
+def assert_linear_agree(chunked, plain):
+    """Same point estimate and replicate accounting; CI ends and the worst
+    sum_gap within LINEAR_TOL of the result's scale, the largest |value| or
+    |CI end| over its rows."""
+    got, want = split_linear(chunked), split_linear(plain)
+    assert got[0] == want[0]
+    assert chunked.te == plain.te and chunked.sum_gap == plain.sum_gap
+    scale = max(abs(x) for _, *ends in want[1] for x in ends)
+    for (name, value, lo, hi), (_, want_value, want_lo, want_hi) in zip(got[1], want[1]):
+        assert value == want_value, name
+        assert abs(lo - want_lo) <= LINEAR_TOL * scale, name
+        assert abs(hi - want_hi) <= LINEAR_TOL * scale, name
+    assert abs(got[2] - want[2]) <= LINEAR_TOL * scale
+
+
+def batched_fits(data, estimator, draws):
+    """Each draw's coefficients (one array per equation, covariates last)
+    and sigma2_m1 as the chunked path computes them, or None where it falls
+    back."""
+    seen = []
+    real = infer._linear_pricer
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infer, "_linear_pricer", lambda coefs, *rest: seen.append(coefs) or real(coefs, *rest))
+        outcomes = estimator._chunk_pricer(data, lambda draw: None)(draws)
+    (coefs,) = seen
+    fits, j = [], 0
+    for outcome in outcomes:
+        if outcome is None:
+            fits.append(None)
+            continue
+        per_equation = [np.concatenate([getattr(coefs, f)[:, j], getattr(coefs, f + "_c")[:, j]])
+                        for f in ("theta", "beta", "gamma")]
+        fits.append((per_equation, coefs.sigma2_m1[j]))
+        j += 1
+    return fits
+
+
+class TestChunkedLinear:
+    """The chunked linear path against the per-resample closure it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gaussian_chain_runs())
+    def test_matches_plain_closure(self, run):
+        data, estimator, cfg = run
+        try:
+            plain = bootstrap(data, lambda d: estimator(d), cfg)
+        except (ValueError, TooManyFailedReplicates) as err:
+            with pytest.raises(type(err)) as raised:
+                bootstrap(data, estimator, cfg)
+            assert str(raised.value) == str(err)
+            return
+        assert_linear_agree(bootstrap(data, estimator, cfg), plain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gaussian_chain_runs())
+    def test_replicate_fits_match_fit_linear_system(self, run):
+        data, estimator, _ = run
+        rng = np.random.default_rng(data.n)
+        draws = [rng.integers(0, data.n, size=data.n) for _ in range(6)]
+        for draw, fit in zip(draws, batched_fits(data, estimator, draws)):
+            if fit is None:  # fell back: fit_linear_system itself prices it
+                continue
+            want = fit_linear_system(data.take(draw), transforms=estimator.transforms)
+            coefs, sigma2_m1 = fit
+            for got, table in zip(coefs, want.tables.values()):
+                expect = np.array(list(table.values()))
+                assert np.abs(got - expect).max() <= LINEAR_TOL * np.abs(expect).max()
+            assert abs(sigma2_m1 - want.params.sigma2_m1) <= SIGMA2_TOL * want.params.sigma2_m1
+
+    def test_degenerate_resamples_fall_back_to_the_same_errors(self):
+        # 14 rows, five of them exposed and two with the binary covariate
+        # at 1: resamples lose one of the four exposed rows the interaction
+        # terms need or make the covariate constant (RankDeficient), or keep
+        # no more complete rows than the nine outcome regressors once the two
+        # rows with a missing outcome are dropped
+        rng = np.random.default_rng(4)
+        data = gaussian_chain(rng, 14, 0, True, [])
+        data = Dataset(
+            exposure=np.array([1.0] * 5 + [0.0] * 9),
+            m1=data.m1, m2=data.m2,
+            outcome=np.where(np.arange(14) < 12, data.outcome, np.nan),
+            covariates={"c": np.array([0.0, 1.0] * 2 + [0.0] * 10)},
+        )
+        q = Query(a=1.0, a_star=0.0, m1_star=0.5, m2_star=0.2)
+        estimator = LinearEstimator(q, (1.0,), True)
+        cfg = BootstrapConfig(replicates=300, seed=2, max_fail=0.99)
+        chunked = bootstrap(data, estimator, cfg)
+        plain = bootstrap(data, lambda d: estimator(d), cfg)
+        assert_linear_agree(chunked, plain)
+        failed = chunked.diagnostics["failed_by_error"]
+        assert set(failed) == {"RankDeficient", "ValueError"}
+        routes = chunked.diagnostics["routes"]
+        assert routes["fallback"]["rows"] > 0 and routes["fallback"]["conditioning"] > 0
+        assert chunked.diagnostics["failed"] == sum(routes["fallback"].values())
+        assert routes["batched"] == chunked.diagnostics["kept"] > 0
+
+    def test_output_is_the_same_for_any_chunk_size(self):
+        rng = np.random.default_rng(11)
+        data = gaussian_chain(rng, 40, 1, True, [np.nan])
+        estimator = LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5,), True)
+        cfg = BootstrapConfig(replicates=60, seed=5, max_fail=0.5)
+        runs = []
+        for cap in (1, 7 * data.n, infer._CHUNK_ENTRIES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(infer, "_CHUNK_ENTRIES", cap)
+                out = bootstrap(data, estimator, cfg)
+            runs.append((
+                [(c.value.hex(), c.ci[0].hex(), c.ci[1].hex()) for c in out.components],
+                out.te.hex(), out.sum_gap.hex(), repr(out.diagnostics),
+            ))
+        assert runs[0] == runs[1] == runs[2]
+        assert out.diagnostics["routes"]["batched"] > 0
 
 
 class TestSimulatedCoverage:
