@@ -109,7 +109,6 @@ class RunConfig:
     level: float = 0.95
     seed: int | None = None
     max_fail: float = 0.01
-    workers: int = 1
     format: str = "table"
 
 
@@ -533,7 +532,7 @@ def _run_fit(config: RunConfig) -> tuple[Report, int]:
         "roles": dict(roles),
         "transforms": {"m2": "log"} if config.log_m2 else {},
     }
-    diagnostics = {"pivot_ratio": fit.pivot_ratio}
+    diagnostics = {"pivot_ratio": fit.pivot_ratio, "residual_dof": fit.residual_dof}
     return Report("fit", body, diagnostics=diagnostics, provenance=provenance), 0
 
 
@@ -664,6 +663,7 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
             "n_dropped": full.n_dropped,
             "tables": full.tables,
             "pivot_ratio": full.pivot_ratio,
+            "residual_dof": full.residual_dof,
         }
     else:
         scenario = Scenario.from_id(config.scenario) if config.scenario else (
@@ -674,7 +674,7 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
         point = None
         diagnostics = {"n_used": data.n, "n_dropped": data.n_dropped}
 
-    result = bootstrap(data, estimator, cfg, workers=config.workers, point=point)
+    result = bootstrap(data, estimator, cfg, point=point)
     diagnostics["replicates"] = result.diagnostics
     ledger = AssumptionLedger.for_scenario(scenario, config.ack_assumptions)
     provenance = {
@@ -688,7 +688,6 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
         "replicates": cfg.replicates,
         "level": cfg.level,
         "max_fail": cfg.max_fail,
-        "workers": config.workers,
     }
     if config.method == "linear":
         provenance["covariate_profile"] = _profile_echo(profile)
@@ -802,7 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--seed", type=int, help="master seed (NATFX_SEED, then 0)")
     p.add_argument("--max-fail", type=float, default=0.01, dest="max_fail")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--ack-assumptions", action="store_true", dest="ack_assumptions")
     p.add_argument("--format", choices=("json", "table"), default="table")
 

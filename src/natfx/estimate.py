@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .cfexpr import Scenario, ScenarioKind
 from .decomp import (
@@ -48,7 +47,9 @@ _PIVOT_TOL = 1e-10
 
 
 class RankDeficient(ValueError):
-    """The design matrix has a column explained by the columns before it."""
+    """The design matrix has a column explained by the columns pivoted before
+    it.  Of exactly dependent columns, the one named is the one pivoting
+    reaches last; rounding orders those of equal norm."""
 
     def __init__(self, column: str, index: int, pivot: float = 0.0):
         self.column = column
@@ -301,24 +302,36 @@ class AssumptionLedger:
 
 
 def _pivoted_qr(
-    x: np.ndarray, names: Sequence[str]
+    r0: np.ndarray, names: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``x[:, pivots] = q @ r`` by column-pivoted QR, plus the pivot ratio
-    ``min|r_kk| / |r_11|``; raises :class:`RankDeficient` at the first pivot
-    at or below `_PIVOT_TOL` of the leading one."""
-    q, r, pivots = linalg.qr(x, mode="economic", pivoting=True)
+    """``r0[:, pivots] = q1 @ r`` by Businger-Golub column-pivoted Householder
+    QR of the small square triangle of ``X = Q0 R0``, so ``X[:, pivots] =
+    (Q0 q1) r`` with the pivots of a pivoted QR of X itself; plus the pivot
+    ratio ``min|r_kk| / |r_11|``.  Raises :class:`RankDeficient` at the
+    first pivot at or below `_PIVOT_TOL` of the leading one."""
+    p = r0.shape[1]
+    r, qt, pivots = np.array(r0, dtype=float), np.eye(p), np.arange(p)
+    for k in range(p):
+        # the remaining column of largest norm, the first on a tie
+        j = k + int(np.argmax(np.square(r[k:, k:]).sum(axis=0)))
+        r[:, [k, j]], pivots[[k, j]] = r[:, [j, k]], pivots[[j, k]]
+        v = r[k:, k].copy()
+        v[0] += math.copysign(math.hypot(*v), v[0])
+        if not v.any():
+            break  # every remaining column is zero
+        v /= math.hypot(*v)
+        r[k:, k:] -= np.outer(2.0 * v, v @ r[k:, k:])
+        qt[k:] -= np.outer(2.0 * v, v @ qt[k:])  # the same reflections give q1ᵀ
+    r = np.triu(r)
     diag = np.abs(np.diag(r))
     lead = float(diag[0]) if diag.size else 0.0
-    if x.shape[1] > 0 and lead == 0.0:
-        j = int(pivots[0])
-        raise RankDeficient(str(names[j]), j, 0.0)
     small = np.nonzero(diag <= _PIVOT_TOL * lead)[0]
     if small.size:
         k = int(small[0])
         j = int(pivots[k])
         raise RankDeficient(str(names[j]), j, float(diag[k]))
     ratio = float(diag[-1]) / lead if diag.size else 1.0
-    return q, r, pivots, ratio
+    return qt.T, r, pivots, ratio
 
 
 def fit_ols(
@@ -331,12 +344,14 @@ def fit_ols(
     """Least squares with a rank guard.
 
     Returns ``(coefficients, residual_variance)`` where the variance is
-    RSS/(n - p).  A pivoted QR factorization screens the design first: any
+    RSS/(n - p), or 0.0 when n == p.  ``[X | y]`` is factored once by
+    unpivoted QR, never forming Q, and its R0 pivoted by `_pivoted_qr`: any
     pivot below 1e-10 of the leading one raises :class:`RankDeficient`
-    naming the dependent column instead of returning a garbage solution.
-    With ``pivot_ratio=True`` a third value follows: the smallest pivot
-    over the leading one, ``min|r_kk| / |r_11|``, a cheap gauge of how
-    close the design came to that guard.
+    naming the dependent column instead of returning a garbage solution (of
+    exactly dependent columns, the one pivoting reaches last; rounding
+    orders those of equal norm).  With ``pivot_ratio=True`` a third value
+    follows: the smallest pivot over the leading one, ``min|r_kk| /
+    |r_11|``, a cheap gauge of how close the design came to that guard.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -353,15 +368,16 @@ def fit_ols(
         names = tuple(f"column {j}" for j in range(p))
     elif len(names) != p:
         raise ValueError(f"{len(names)} names for {p} columns")
+    xy = np.column_stack([x, y])
+    if not np.isfinite(xy).all():
+        raise ValueError("design and response must be finite")
 
-    q, r, pivots, ratio = _pivoted_qr(x, names)
-    permuted = linalg.solve_triangular(r, q.T @ y)
+    r0 = np.linalg.qr(xy, mode="r")
+    q1, r, pivots, ratio = _pivoted_qr(r0[:p, :p], names)
     coef = np.empty(p)
-    coef[pivots] = permuted
+    coef[pivots] = np.linalg.solve(r, q1.T @ r0[:p, p])
     resid = y - x @ coef
-    rss = float(resid @ resid)
-    dof = n - p
-    sigma2 = rss / dof if dof > 0 else 0.0
+    sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
     return (coef, sigma2, ratio) if pivot_ratio else (coef, sigma2)
 
 
@@ -374,6 +390,8 @@ class LinearFit:
     diagnostics only.  ``sample_means`` holds post-transform column means
     (used e.g. to resolve a fixed mediator level given as "mean"), and
     ``tables`` the per-equation coefficient tables for reporting.
+    ``pivot_ratio`` and ``residual_dof`` (rows less regressors) are
+    per-equation diagnostics kept out of the fit document.
     """
 
     params: LinearParams
@@ -385,6 +403,7 @@ class LinearFit:
     sample_means: dict[str, float]
     tables: dict[str, dict[str, float]]
     pivot_ratio: dict[str, float] = field(default_factory=dict)
+    residual_dof: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -556,6 +575,7 @@ def fit_linear_system(
         sample_means=sample_means,
         tables=tables,
         pivot_ratio={role: ratio for (role, _), (_, _, ratio) in zip(_EQUATIONS, fits)},
+        residual_dof={role: n_used - x.shape[1] for (role, _), (x, _, _) in zip(_EQUATIONS, designs)},
     )
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .cfexpr import Scenario
 from .decomp import DecompositionResult, Query, _catalog, _totals, decompose
@@ -236,7 +235,8 @@ class _LinearChunkPricer:
     A resample is a vector w of row multiplicities, so its least-squares fit
     is the fit weighted by w on the full data's design.  The finiteness mask
     and the transform act row by row and are applied once.  Each equation's
-    design is factored once, ``X[:, piv] = Q R``, and R inverted once.
+    design is factored once, ``X[:, piv] = Q R`` with ``Q = Q0 Q1`` from an
+    unpivoted QR ``X = Q0 R0`` and `_pivoted_qr` of R0, and R inverted once.
     With ``G = Qᵀ diag(w) Q`` a replicate's coefficients are
     ``b[piv] = R⁻¹ G⁻¹ Qᵀ W y``, and ``sigma2_m1 = Σ w (y - X b)² /
     (n_w - p)`` comes from the weighted residuals themselves.  The weights
@@ -288,10 +288,11 @@ class _LinearChunkPricer:
         columns, self._kept, cov_names = _prepared_columns(data, estimator.transforms)
         self._equations = []
         for x, y, names in _designs(columns, cov_names):
-            q, r, piv, _ = _pivoted_qr(x, names)
+            q0, r0 = np.linalg.qr(x)
+            q1, r, piv, _ = _pivoted_qr(r0, names)
             sigma = np.linalg.svd(r, compute_uv=False)
             self._equations.append(_Equation(
-                np.ascontiguousarray(q.T), y, piv, linalg.solve_triangular(r, np.eye(len(r))),
+                q1.T @ q0.T, y, piv, np.linalg.inv(r),
                 (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK,
             ))
         self._m1_design = x  # the M1 equation comes last; its residuals give sigma2_m1

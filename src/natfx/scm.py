@@ -489,16 +489,19 @@ def simulate(
 ) -> Dataset:
     """Draw `n` i.i.d. rows through the factorization A -> M1 (-> M2) -> Y.
 
-    The outcome is its cell mean plus Gaussian noise with standard deviation
-    `noise_sd`.  Identical ``(model, n, seed, exposure_assignment, noise_sd)``
-    give byte-identical output; the generator is stream-split so concurrent
-    callers with distinct seeds never share state.
+    The outcome is its cell mean plus Gaussian noise with finite,
+    non-negative standard deviation `noise_sd`.  Identical ``(model, n,
+    seed, exposure_assignment, noise_sd)`` give byte-identical output; the
+    generator is stream-split so concurrent callers with distinct seeds
+    never share state.
 
     `exposure_assignment` maps exposure levels to probabilities (uniform when
     omitted).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not (np.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     levels = model.exposure_levels
     if exposure_assignment is None:
         probs = np.full(len(levels), 1.0 / len(levels))

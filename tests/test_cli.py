@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from natfx.cfexpr import Scenario
 from natfx.cli import (
     Report,
     RunConfig,
@@ -15,8 +20,10 @@ from natfx.cli import (
     main,
     run,
 )
+from natfx.decomp import Query, decompose
 from natfx.estimate import LinearParams
-from natfx.scm import save_model
+from natfx.infer import BootstrapConfig, bootstrap
+from natfx.scm import from_dataset, save_model
 
 ROLES2 = {"exposure": "A", "m1": "M1", "m2": "M2", "outcome": "Y"}
 
@@ -268,6 +275,17 @@ class TestSimulateCommand:
         run(RunConfig(subcommand="simulate", model=model, n=30, seed=9, out=str(p2)))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("noise_sd", ["nan", "inf", "-0.5"])
+    def test_bad_noise_sd_exits_one(self, tmp_path, dm1, capsys, noise_sd):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--model", model, "--n", "5", "--seed", "1",
+                     "--noise-sd", noise_sd, "--out", str(out)])
+        assert code == 1
+        assert "noise_sd" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def linear_csv(tmp_path, n=800, seed=4, with_cov=True):
     """Gaussian chain data generated at known coefficients."""
@@ -327,6 +345,21 @@ class TestFitCommand:
         assert all(0.0 < r <= 1.0 for r in ratios.values())
         # the fit document itself is unchanged: the ratio is a diagnostic
         assert "pivot_ratio" not in report.body
+
+    def test_as_many_rows_as_regressors_reports_zero_dof(self, tmp_path):
+        # 8 rows fit the 8 outcome regressors exactly: sigma2_y is 0 by
+        # construction, and the diagnostics say why
+        rng = np.random.default_rng(21)
+        lines = ["A,M1,M2,Y"] + [
+            f"{a},{m1!r},{m2!r},{y!r}"
+            for a, m1, m2, y in zip([0, 1] * 4, *rng.normal(size=(3, 8)).tolist())
+        ]
+        data = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        report, code = run(RunConfig(subcommand="fit", data=data, roles=write_roles(tmp_path)))
+        assert code == 0
+        assert report.diagnostics["residual_dof"] == {"outcome": 0, "m2": 4, "m1": 6}
+        assert report.body["sigma2_y"] == 0.0
+        assert "residual_dof" not in report.body
 
 
 class TestDecomposeLinearCommand:
@@ -493,20 +526,28 @@ class TestBootstrapReportCommand:
         assert routes["fallback"] == {"rows": 0, "conditioning": 0}
         assert 0.0 < routes["min_gram_rcond"] <= 1.0
         assert list(diagnostics["pivot_ratio"]) == ["outcome", "m2", "m1"]
+        # 300 rows, one covariate: 9, 5 and 3 regressors
+        assert diagnostics["residual_dof"] == {"outcome": 291, "m2": 295, "m1": 297}
 
     def test_worker_count_invariance(self, tmp_path, dm1):
+        # the command prices its replicates in chunks on one thread; the
+        # per-resample estimator on a 4-thread pool gives the same report
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         sim = tmp_path / "sim.csv"
         run(RunConfig(subcommand="simulate", model=model, n=800, seed=6, out=str(sim)))
-        roles = write_roles(tmp_path)
-        base = dict(
-            subcommand="bootstrap-report", data=str(sim), roles=roles,
+        report, _ = run(RunConfig(
+            subcommand="bootstrap-report", data=str(sim), roles=write_roles(tmp_path),
             a="1", aref="0", m1star="0", m2star="0", boot=80, seed=9,
+        ))
+        q = Query(a=1, a_star=0, m1_star=0, m2_star=0)
+        pooled = bootstrap(
+            load_dataset(str(sim), ROLES2),
+            lambda d: decompose(from_dataset(d, Scenario.chain(2)), q),
+            BootstrapConfig(replicates=80, seed=9),
+            workers=4,
         )
-        r1, _ = run(RunConfig(**base, workers=1))
-        r4, _ = run(RunConfig(**base, workers=4))
-        d1, d4 = r1.as_dict(), r4.as_dict()
+        d1, d4 = report.as_dict(), Report("bootstrap-report", {}, result=pooled).as_dict()
         assert d1["components"] == d4["components"]
         assert d1["te"] == d4["te"]
 
@@ -541,16 +582,19 @@ class TestArgumentSurface:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["check", "--scenario", "seq2", "Y(a, M1(a))", "--bogus"]) == 1
+        # retired: both methods price replicates in chunks, so a thread count did nothing
+        assert main(["bootstrap-report", "--data", "d.csv", "--roles", "r.json",
+                     "--a", "1", "--aref", "0", "--workers", "3"]) == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_config_from_args_maps_fields(self):
         config = config_from_args(
             ["bootstrap-report", "--data", "d.csv", "--roles", "r.json",
              "--a", "1", "--aref", "0", "--boot", "77", "--max-fail", "0.2",
-             "--workers", "3", "--method", "linear", "--log-m2"]
+             "--method", "linear", "--log-m2"]
         )
         assert config.boot == 77
         assert config.max_fail == 0.2
-        assert config.workers == 3
         assert config.method == "linear"
         assert config.log_m2 is True
 
@@ -560,3 +604,58 @@ class TestArgumentSurface:
              "--aref", "0", "--m1star", "0", "--m2star", "0"]
         )
         assert code == 1
+
+
+# Runs natfx commands with every import of scipy failing, and prints their
+# exit codes as a JSON list.
+_NO_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from natfx.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+print(json.dumps(codes))
+"""
+
+
+class TestWithoutScipy:
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path, dm1):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        sim = str(tmp_path / "sim.csv")
+        lin, lin_roles = linear_csv(tmp_path, n=200)
+        params = write(tmp_path / "params.json", json.dumps(LinearParams(
+            theta=(2, 1, -0.5, 0.8, 0.6, -0.4, 0.3, 0.2), beta=(1, -0.5, 0.4, 0.2),
+            gamma=(0.5, 1), sigma2_m1=1,
+        ).to_dict()))
+        query = ["--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0"]
+        commands = [
+            ["check", "--scenario", "seq2", "Y(a, M1(a*), M2(a, M1(a*)))"],
+            ["eval", "--model", model, "Y(a, M1(a*), M2(a*, M1(a*)))", "--a", "1", "--aref", "0"],
+            ["simulate", "--model", model, "--n", "300", "--seed", "1", "--out", sim],
+            ["decompose", "--model", model, *query],
+            ["fit", "--data", lin, "--roles", lin_roles],
+            ["decompose-linear", "--params", params, *query],
+            ["bootstrap-report", "--data", sim, "--roles", write_roles(tmp_path),
+             "--boot", "20", *query],
+            ["bootstrap-report", "--data", lin, "--roles", lin_roles, "--method", "linear",
+             "--boot", "20", *query],
+        ]
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(commands), done.stderr

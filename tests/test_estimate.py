@@ -338,6 +338,16 @@ class TestFitOls:
         with pytest.raises(ValueError, match="names"):
             fit_ols(x, np.ones(5), names=("only one",))
 
+    def test_non_finite_input_raises(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(10, 2)), rng.normal(size=10)
+        bad_x, bad_y = x.copy(), y.copy()
+        bad_x[3, 1] = np.inf
+        bad_y[3] = np.nan
+        for design, response in ((bad_x, y), (x, bad_y)):
+            with pytest.raises(ValueError, match="must be finite"):
+                fit_ols(design, response)
+
     def test_three_equation_simulation_within_3_se(self):
         rng = np.random.default_rng(314)
         n = 10_000

@@ -276,6 +276,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match=">= 1"):
             simulate(dm1, 0, seed=0)
 
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_bad_noise_sd_raises(self, ds1, noise_sd):
+        # a non-finite or negative spread would write non-finite or meaningless outcomes
+        with pytest.raises(ValueError, match=f"noise_sd must be finite and >= 0, got {noise_sd}"):
+            simulate(ds1, 10, seed=0, noise_sd=noise_sd)
+
     def test_single_mediator_shape(self, ds1):
         data = simulate(ds1, 100, seed=1)
         assert data.m2 is None
