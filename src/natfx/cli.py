@@ -156,7 +156,7 @@ class Report:
         if self.raw is not None:
             return self.raw
         if fmt == "json":
-            return json.dumps(self.as_dict(), indent=2)
+            return json.dumps(self.as_dict(), indent=2, allow_nan=False)
         return self._render_table()
 
     def _render_table(self) -> str:
@@ -177,7 +177,7 @@ class Report:
             lines.extend(_diagnostic_lines(doc["diagnostics"]))
         if "provenance" in doc:
             lines.append("")
-            lines.append("provenance: " + json.dumps(doc["provenance"]))
+            lines.append("provenance: " + json.dumps(doc["provenance"], allow_nan=False))
         return "\n".join(lines)
 
 
@@ -185,7 +185,7 @@ def _kv_lines(doc: Mapping[str, Any]) -> list[str]:
     lines = []
     for key, value in doc.items():
         if isinstance(value, (Mapping, list)):
-            lines.append(f"{key}: {json.dumps(value)}")
+            lines.append(f"{key}: {json.dumps(value, allow_nan=False)}")
         else:
             lines.append(f"{key}: {value}")
     return lines
@@ -524,8 +524,7 @@ def _run_decompose(config: RunConfig) -> tuple[Report, int]:
 def _run_fit(config: RunConfig) -> tuple[Report, int]:
     roles = load_roles(config.roles)
     data = load_dataset(config.data, roles)
-    transforms = {"m2": "log"} if config.log_m2 else None
-    fit = fit_linear_system(data, transforms=transforms)
+    fit = fit_linear_system(data, log_m2=config.log_m2)
     body = fit.to_dict()
     provenance = {
         "data": config.data,
@@ -545,10 +544,9 @@ def _load_params_document(path: str) -> tuple[LinearParams, dict]:
     return LinearParams.from_dict(doc), {}
 
 
-def _resolve_star(raw: str | None, role: str, fitdoc: Mapping[str, Any]) -> Any:
+def _resolve_star(raw: str | None, role: str, means: Mapping[str, float] | None) -> Any:
     if raw != "mean":
         return _parse_level(raw)
-    means = fitdoc.get("sample_means")
     if not means or role not in means:
         raise ValueError(
             f"--{role}star mean needs a fit document that records sample "
@@ -581,6 +579,21 @@ def _align_profile(
     return CovariateProfile(values=tuple(profile.values()), names=tuple(profile))
 
 
+def _linear_query(
+    config: RunConfig, means: Mapping[str, float] | None, names: Sequence[str] | None, k: int
+) -> tuple[Query, CovariateProfile | None]:
+    """The query and covariate profile of a linear decomposition from a fit
+    with sample `means` and `k` covariates named `names`."""
+    q = Query(
+        a=_parse_level(config.a),
+        a_star=_parse_level(config.aref),
+        m1_star=_resolve_star(config.m1star, "m1", means),
+        m2_star=_resolve_star(config.m2star, "m2", means),
+    )
+    profile = _align_profile(_parse_profile(config.cov) if config.cov else None, names, k)
+    return q, profile
+
+
 def _profile_echo(profile: CovariateProfile | None) -> dict | list:
     """The profile the components were evaluated at, for provenance."""
     if profile is None:
@@ -592,17 +605,8 @@ def _profile_echo(profile: CovariateProfile | None) -> dict | list:
 
 def _run_decompose_linear(config: RunConfig) -> tuple[Report, int]:
     params, fitdoc = _load_params_document(config.params)
-    q = Query(
-        a=_parse_level(config.a),
-        a_star=_parse_level(config.aref),
-        m1_star=_resolve_star(config.m1star, "m1", fitdoc),
-        m2_star=_resolve_star(config.m2star, "m2", fitdoc),
-    )
-    names = fitdoc.get("covariates")
-    profile = _align_profile(
-        _parse_profile(config.cov) if config.cov else None,
-        names,
-        params.n_covariates,
+    q, profile = _linear_query(
+        config, fitdoc.get("sample_means"), fitdoc.get("covariates"), params.n_covariates
     )
     result = linear_components(params, q, profile)
     ledger = AssumptionLedger.for_scenario(Scenario.chain(2), config.ack_assumptions)
@@ -639,17 +643,9 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
     diagnostics: dict[str, Any] = {}
 
     if config.method == "linear":
-        full = fit_linear_system(data, transforms={"m2": "log"} if config.log_m2 else None)
-        q = Query(
-            a=_parse_level(config.a),
-            a_star=_parse_level(config.aref),
-            m1_star=_resolve_star(config.m1star, "m1", full.to_dict()),
-            m2_star=_resolve_star(config.m2star, "m2", full.to_dict()),
-        )
-        profile = _align_profile(
-            _parse_profile(config.cov) if config.cov else None,
-            full.covariate_names,
-            full.params.n_covariates,
+        full = fit_linear_system(data, log_m2=config.log_m2)
+        q, profile = _linear_query(
+            config, full.sample_means, full.covariate_names, full.params.n_covariates
         )
         estimator = LinearEstimator(q, profile, config.log_m2)
         # the estimator on the full data, from the fit already made
@@ -824,6 +820,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         report, code = run(config)
+        text = report.render(config.format)
     except (NotIdentifiable, EvaluationOfProblematicSpec) as err:
         print(f"natfx: {err}", file=sys.stderr)
         return 2
@@ -833,7 +830,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as err:
         print(f"natfx: error: {err}", file=sys.stderr)
         return 1
-    text = report.render(config.format)
     if text:
         print(text)
     return code

@@ -41,14 +41,12 @@ __all__ = [
     "EvaluationOfProblematicSpec",
     "MissingFixedLevel",
     "Query",
-    "additive_interaction",
     "components_for",
     "components_nonseq2",
     "components_seq2",
     "components_single",
     "decompose",
     "evaluate_decomposition",
-    "evaluate_spec",
     "mediated_contrasts",
     "total_effect",
 ]
@@ -238,144 +236,66 @@ def _single_specs() -> tuple[ComponentSpec, ...]:
     return tuple(specs)
 
 
-def _nonseq2_specs(extended: bool) -> tuple[ComponentSpec, ...]:
-    m1a, m1r = _nat(_A), _nat(_R)
-    m2a, m2r = _nat(_A), _nat(_R)
-    w1 = _y2(_A, m1a, m2a)
-    w2 = _y2(_A, m1a, m2r)
-    w3 = _y2(_A, m1r, m2a)
-    w4 = _y2(_R, m1a, m2a)
-    w5 = _y2(_R, m1r, m2a)
-    w6 = _y2(_R, m1a, m2r)
-    w7 = _y2(_A, m1r, m2r)
-    w8 = _y2(_R, m1r, m2r)
-    specs = [
-        ComponentSpec("CDE", ((+1, _y2(_A, _M1S, _M2S)), (-1, _y2(_R, _M1S, _M2S)))),
-        ComponentSpec(
-            "INT_ref-AM1",
-            (
-                (+1, _y2(_A, m1r, _M2S)),
-                (-1, _y2(_A, _M1S, _M2S)),
-                (-1, _y2(_R, m1r, _M2S)),
-                (+1, _y2(_R, _M1S, _M2S)),
+# Exposure triple (e_Y, e_M2, e_M1) of each two-mediator world W1..W8: W1
+# is all treated, W8 all reference, the rest mix levels across the slots.
+_WORLDS = (
+    (_A, _A, _A),
+    (_A, _R, _A),
+    (_A, _A, _R),
+    (_R, _A, _A),
+    (_R, _A, _R),
+    (_R, _R, _A),
+    (_A, _R, _R),
+    (_R, _R, _R),
+)
+
+
+def _worlds(scenario: Scenario) -> list[CfExpr]:
+    """W1..W8, with M2 flat beside M1 or nested on it as the scenario says."""
+    world = _w_flat if scenario.kind is ScenarioKind.NONSEQ else _w_seq
+    return [world(*triple) for triple in _WORLDS]
+
+
+def _two_mediator_specs(scenario: Scenario, extended: bool) -> tuple[ComponentSpec, ...]:
+    """The nonseq2 or seq2 catalog: only the reference interactions differ."""
+    w1, w2, w3, w4, w5, w6, w7, w8 = _worlds(scenario)
+    # Y's exposure, then M1 fixed (s) or natural at a* (r), then M2 fixed
+    a_ss, r_ss = _y2(_A, _M1S, _M2S), _y2(_R, _M1S, _M2S)
+    a_rs, r_rs = _y2(_A, _nat(_R), _M2S), _y2(_R, _nat(_R), _M2S)
+    if scenario.kind is ScenarioKind.NONSEQ:
+        a_sr, r_sr = _y2(_A, _M1S, _nat(_R)), _y2(_R, _M1S, _nat(_R))
+        reference = [
+            ComponentSpec("INT_ref-AM1", ((+1, a_rs), (-1, a_ss), (-1, r_rs), (+1, r_ss))),
+            ComponentSpec("INT_ref-AM2", ((+1, a_sr), (-1, a_ss), (-1, r_sr), (+1, r_ss))),
+            ComponentSpec(
+                "INT_ref-AM1M2",
+                (
+                    (+1, w7),
+                    (-1, a_rs),
+                    (-1, a_sr),
+                    (-1, w8),
+                    (+1, r_sr),
+                    (+1, r_rs),
+                    (+1, a_ss),
+                    (-1, r_ss),
+                ),
             ),
-        ),
-        ComponentSpec(
-            "INT_ref-AM2",
-            (
-                (+1, _y2(_A, _M1S, m2r)),
-                (-1, _y2(_A, _M1S, _M2S)),
-                (-1, _y2(_R, _M1S, m2r)),
-                (+1, _y2(_R, _M1S, _M2S)),
-            ),
-        ),
-        ComponentSpec(
-            "INT_ref-AM1M2",
-            (
-                (+1, _y2(_A, m1r, m2r)),
-                (-1, _y2(_A, m1r, _M2S)),
-                (-1, _y2(_A, _M1S, m2r)),
-                (-1, _y2(_R, m1r, m2r)),
-                (+1, _y2(_R, _M1S, m2r)),
-                (+1, _y2(_R, m1r, _M2S)),
-                (+1, _y2(_A, _M1S, _M2S)),
-                (-1, _y2(_R, _M1S, _M2S)),
-            ),
-        ),
-        ComponentSpec(
-            "NatINT_AM1",
-            ((+1, w2), (-1, w6), (-1, _y2(_A, m1r, m2r)), (+1, w8)),
-        ),
-        ComponentSpec(
-            "NatINT_AM2",
-            ((+1, w3), (-1, w7), (-1, w5), (+1, w8)),
-        ),
-        ComponentSpec(
-            "NatINT_AM1M2",
-            (
-                (+1, w1),
-                (-1, w2),
-                (-1, w3),
-                (-1, w4),
-                (+1, w5),
-                (+1, w6),
-                (+1, w7),
-                (-1, w8),
-            ),
-        ),
-        ComponentSpec(
-            "NatINT_M1M2",
-            ((+1, w4), (-1, w6), (-1, w5), (+1, w8)),
-        ),
-        ComponentSpec("PDE", ((+1, w7), (-1, w8)), in_sum=False),
-        ComponentSpec("PIE_M1", ((+1, w6), (-1, w8))),
-        ComponentSpec("PIE_M2", ((+1, w5), (-1, w8))),
-        ComponentSpec("TE", ((+1, w1), (-1, w8)), in_sum=False),
-    ]
-    if extended:
-        specs += [
-            ComponentSpec("TDE", ((+1, w1), (-1, w4)), in_sum=False),
-            ComponentSpec("SIE_M1", ((+1, w4), (-1, w5)), in_sum=False),
         ]
-    return tuple(specs)
-
-
-def _seq2_specs(extended: bool) -> tuple[ComponentSpec, ...]:
-    w1 = _w_seq(_A, _A, _A)
-    w2 = _w_seq(_A, _R, _A)
-    w3 = _w_seq(_A, _A, _R)
-    w4 = _w_seq(_R, _A, _A)
-    w5 = _w_seq(_R, _A, _R)
-    w6 = _w_seq(_R, _R, _A)
-    w7 = _w_seq(_A, _R, _R)
-    w8 = _w_seq(_R, _R, _R)
-    m1r = _nat(_R)
-    m2rr = _chain(_R, m1r)
+    else:
+        reference = [
+            ComponentSpec("INT_ref-AM1", ((+1, a_rs), (-1, r_rs), (-1, a_ss), (+1, r_ss))),
+            ComponentSpec("INT_ref-AM2+AM1M2", ((+1, w7), (-1, a_rs), (-1, w8), (+1, r_rs))),
+        ]
     specs = [
-        ComponentSpec("CDE", ((+1, _y2(_A, _M1S, _M2S)), (-1, _y2(_R, _M1S, _M2S)))),
-        ComponentSpec(
-            "INT_ref-AM1",
-            (
-                (+1, _y2(_A, m1r, _M2S)),
-                (-1, _y2(_R, m1r, _M2S)),
-                (-1, _y2(_A, _M1S, _M2S)),
-                (+1, _y2(_R, _M1S, _M2S)),
-            ),
-        ),
-        ComponentSpec(
-            "INT_ref-AM2+AM1M2",
-            (
-                (+1, _y2(_A, m1r, m2rr)),
-                (-1, _y2(_A, m1r, _M2S)),
-                (-1, _y2(_R, m1r, m2rr)),
-                (+1, _y2(_R, m1r, _M2S)),
-            ),
-        ),
-        ComponentSpec(
-            "NatINT_AM1",
-            ((+1, w2), (-1, w6), (-1, w7), (+1, w8)),
-        ),
-        ComponentSpec(
-            "NatINT_AM2",
-            ((+1, w3), (-1, w7), (-1, w5), (+1, w8)),
-        ),
+        ComponentSpec("CDE", ((+1, a_ss), (-1, r_ss))),
+        *reference,
+        ComponentSpec("NatINT_AM1", ((+1, w2), (-1, w6), (-1, w7), (+1, w8))),
+        ComponentSpec("NatINT_AM2", ((+1, w3), (-1, w7), (-1, w5), (+1, w8))),
         ComponentSpec(
             "NatINT_AM1M2",
-            (
-                (+1, w1),
-                (-1, w2),
-                (-1, w3),
-                (-1, w4),
-                (+1, w5),
-                (+1, w6),
-                (+1, w7),
-                (-1, w8),
-            ),
+            ((+1, w1), (-1, w2), (-1, w3), (-1, w4), (+1, w5), (+1, w6), (+1, w7), (-1, w8)),
         ),
-        ComponentSpec(
-            "NatINT_M1M2",
-            ((+1, w4), (-1, w6), (-1, w5), (+1, w8)),
-        ),
+        ComponentSpec("NatINT_M1M2", ((+1, w4), (-1, w6), (-1, w5), (+1, w8))),
         ComponentSpec("PDE", ((+1, w7), (-1, w8)), in_sum=False),
         ComponentSpec("PIE_M1", ((+1, w6), (-1, w8))),
         ComponentSpec("PIE_M2", ((+1, w5), (-1, w8))),
@@ -429,18 +349,12 @@ def components_for(
 
 def total_effect(scenario: Scenario) -> ComponentSpec:
     if scenario.kind is ScenarioKind.SINGLE:
-        return ComponentSpec(
-            "TE", ((+1, _y1(_A, _nat(_A))), (-1, _y1(_R, _nat(_R)))), in_sum=False
-        )
-    if scenario.k != 2:
+        treated, reference = _y1(_A, _nat(_A)), _y1(_R, _nat(_R))
+    elif scenario.k == 2:
+        treated, *_, reference = _worlds(scenario)
+    else:
         raise ValueError(f"no TE contrast for scenario {scenario.id}")
-    if scenario.kind is ScenarioKind.NONSEQ:
-        return ComponentSpec(
-            "TE", ((+1, _w_flat(_A, _A, _A)), (-1, _w_flat(_R, _R, _R))), in_sum=False
-        )
-    return ComponentSpec(
-        "TE", ((+1, _w_seq(_A, _A, _A)), (-1, _w_seq(_R, _R, _R))), in_sum=False
-    )
+    return ComponentSpec("TE", ((+1, treated), (-1, reference)), in_sum=False)
 
 
 def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
@@ -521,21 +435,6 @@ def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
     return specs
 
 
-def additive_interaction(cell_means) -> float:
-    """p11 - p01 - p10 + p00 from a 2x2 table of outcome means.
-
-    Accepts a nested mapping ``{a: {m: mean}}`` over levels {0, 1} or any
-    2x2 array-like indexed [a][m].
-    """
-    def cell(a: int, m: int) -> float:
-        try:
-            return float(cell_means[a][m])
-        except (KeyError, IndexError, TypeError) as err:
-            raise ValueError(f"cell (A={a}, M={m}) is missing") from err
-
-    return cell(1, 1) - cell(0, 1) - cell(1, 0) + cell(0, 0)
-
-
 # ---------------------------------------------------------------------------
 # compiled catalogs
 
@@ -578,12 +477,11 @@ def _compile(specs: Sequence[ComponentSpec], scenario: Scenario) -> _Catalog:
 def _build_catalogs() -> dict[tuple[str, bool], _Catalog]:
     single = _compile(_single_specs(), Scenario.single())
     catalogs = {("single", False): single, ("single", True): single}
-    for scenario, build in (
-        (Scenario.nonseq(2), _nonseq2_specs),
-        (Scenario.chain(2), _seq2_specs),
-    ):
+    for scenario in (Scenario.nonseq(2), Scenario.chain(2)):
         for extended in (False, True):
-            catalogs[scenario.id, extended] = _compile(build(extended), scenario)
+            catalogs[scenario.id, extended] = _compile(
+                _two_mediator_specs(scenario, extended), scenario
+            )
     return catalogs
 
 
@@ -638,11 +536,6 @@ def _evaluate(model: DiscreteScm, catalog: _Catalog, q: Query) -> DecompositionR
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def evaluate_spec(model: DiscreteScm, spec: ComponentSpec, q: Query) -> float:
-    """Signed sum of the spec's formula expectations under the query."""
-    return evaluate_decomposition(model, (spec,), q).components[0].value
 
 
 def evaluate_decomposition(

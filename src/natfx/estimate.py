@@ -19,6 +19,7 @@ import numpy as np
 
 from .cfexpr import Scenario, ScenarioKind
 from .decomp import (
+    _WORLDS,
     DecompositionResult,
     Query,
     _assemble,
@@ -26,7 +27,7 @@ from .decomp import (
     _check_requires,
     _evaluate,
 )
-from .scm import Dataset, DiscreteScm
+from .scm import Dataset, DiscreteScm, _rows_text
 
 __all__ = [
     "Assumption",
@@ -67,11 +68,9 @@ class LogDomainError(ValueError):
     def __init__(self, column: str, rows: Sequence[int]):
         self.column = column
         self.rows = tuple(int(r) for r in rows)
-        shown = ", ".join(str(r) for r in self.rows[:10])
-        more = f" (+{len(self.rows) - 10} more)" if len(self.rows) > 10 else ""
         super().__init__(
             f"log transform of column {column!r} undefined: non-positive "
-            f"values at rows {shown}{more}"
+            f"values at rows {_rows_text(self.rows)}"
         )
 
 
@@ -338,20 +337,18 @@ def fit_ols(
     design: np.ndarray,
     response: np.ndarray,
     names: Sequence[str] | None = None,
-    *,
-    pivot_ratio: bool = False,
-) -> tuple[np.ndarray, float] | tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Least squares with a rank guard.
 
-    Returns ``(coefficients, residual_variance)`` where the variance is
-    RSS/(n - p), or 0.0 when n == p.  ``[X | y]`` is factored once by
-    unpivoted QR, never forming Q, and its R0 pivoted by `_pivoted_qr`: any
-    pivot below 1e-10 of the leading one raises :class:`RankDeficient`
-    naming the dependent column instead of returning a garbage solution (of
-    exactly dependent columns, the one pivoting reaches last; rounding
-    orders those of equal norm).  With ``pivot_ratio=True`` a third value
-    follows: the smallest pivot over the leading one, ``min|r_kk| /
-    |r_11|``, a cheap gauge of how close the design came to that guard.
+    Returns ``(coefficients, residual_variance, pivot_ratio)``.  The
+    variance is RSS/(n - p), or 0.0 when n == p.  ``[X | y]`` is factored
+    once by unpivoted QR, never forming Q, and its R0 pivoted by
+    `_pivoted_qr`: any pivot below 1e-10 of the leading one raises
+    :class:`RankDeficient` naming the dependent column instead of returning
+    a garbage solution (of exactly dependent columns, the one pivoting
+    reaches last; rounding orders those of equal norm).  The pivot ratio is
+    the smallest pivot over the leading one, ``min|r_kk| / |r_11|``, a cheap
+    gauge of how close the design came to that guard.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -378,7 +375,7 @@ def fit_ols(
     coef[pivots] = np.linalg.solve(r, q1.T @ r0[:p, p])
     resid = y - x @ coef
     sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
-    return (coef, sigma2, ratio) if pivot_ratio else (coef, sigma2)
+    return coef, sigma2, ratio
 
 
 @dataclass(frozen=True)
@@ -387,7 +384,7 @@ class LinearFit:
 
     ``params`` is what the closed forms consume.  ``sigma2_y`` and
     ``sigma2_m2`` appear in no component formula and are carried as fit
-    diagnostics only.  ``sample_means`` holds post-transform column means
+    diagnostics only.  ``sample_means`` holds column means on the fitted scale
     (used e.g. to resolve a fixed mediator level given as "mean"), and
     ``tables`` the per-equation coefficient tables for reporting.
     ``pivot_ratio`` and ``residual_dof`` (rows less regressors) are
@@ -417,22 +414,6 @@ class LinearFit:
             "tables": {k: dict(v) for k, v in self.tables.items()},
         }
 
-    @staticmethod
-    def from_dict(doc: Mapping[str, Any]) -> "LinearFit":
-        return LinearFit(
-            params=LinearParams.from_dict(doc["params"]),
-            sigma2_y=float(doc.get("sigma2_y", 0.0)),
-            sigma2_m2=float(doc.get("sigma2_m2", 0.0)),
-            n_used=int(doc.get("n_used", 0)),
-            n_dropped=int(doc.get("n_dropped", 0)),
-            covariate_names=tuple(doc.get("covariates", ())),
-            sample_means={k: float(v) for k, v in doc.get("sample_means", {}).items()},
-            tables={
-                k: {n: float(v) for n, v in t.items()}
-                for k, t in doc.get("tables", {}).items()
-            },
-        )
-
 
 def _numeric_column(values: np.ndarray, role: str) -> np.ndarray:
     try:
@@ -442,15 +423,14 @@ def _numeric_column(values: np.ndarray, role: str) -> np.ndarray:
 
 
 def _prepared_columns(
-    data: Dataset,
-    transforms: Mapping[str, Callable[[np.ndarray], np.ndarray] | str] | None,
+    data: Dataset, log_m2: bool
 ) -> tuple[dict[str, np.ndarray], np.ndarray, tuple[str, ...]]:
     """The fit's columns by role: rows with a non-finite value in any used
-    column dropped, then `transforms` applied.
+    column dropped, then M2 taken on the log scale if `log_m2` is set.
 
     Returns the columns, the kept row indices into `data`, and the
-    covariate names.  The mask and a "log" transform act row by row, so
-    with those the columns of a resample are the resampled rows of these.
+    covariate names.  The mask and the log act row by row, so the columns
+    of a resample are the resampled rows of these.
     """
     if data.m2 is None:
         raise ValueError("two-mediator dataset required: the m2 role is missing")
@@ -474,29 +454,11 @@ def _prepared_columns(
         raise ValueError("no complete rows left after dropping missing values")
     columns = {name: col[kept] for name, col in columns.items()}
 
-    for role, fn in (transforms or {}).items():
-        if role not in columns:
-            known = ", ".join(["exposure", "m1", "m2", "outcome", *cov_names])
-            raise ValueError(f"unknown transform target {role!r}; expected one of {known}")
-        col = columns[role]
-        if fn == "log":
-            bad = np.nonzero(col <= 0.0)[0]
-            if bad.size:
-                raise LogDomainError(role, kept[bad])
-            columns[role] = np.log(col)
-        elif callable(fn):
-            out = np.asarray(fn(col), dtype=float)
-            if out.shape != col.shape:
-                raise ValueError(f"transform for {role!r} changed the column length")
-            bad = np.nonzero(~np.isfinite(out))[0]
-            if bad.size:
-                raise ValueError(
-                    f"transform for {role!r} produced non-finite values at rows "
-                    f"{', '.join(str(int(r)) for r in kept[bad][:10])}"
-                )
-            columns[role] = out
-        else:
-            raise ValueError(f"transform for {role!r} must be callable or 'log'")
+    if log_m2:
+        bad = np.nonzero(columns["m2"] <= 0.0)[0]
+        if bad.size:
+            raise LogDomainError("m2", kept[bad])
+        columns["m2"] = np.log(columns["m2"])
     return columns, kept, cov_names
 
 
@@ -530,25 +492,20 @@ def _designs(
     ]
 
 
-def fit_linear_system(
-    data: Dataset,
-    *,
-    transforms: Mapping[str, Callable[[np.ndarray], np.ndarray] | str] | None = None,
-) -> LinearFit:
+def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
     """Fit the three-equation chain model by least squares.
 
     Regressor sets are fixed: Y on (A, M1, M2, A·M1, A·M2, M1·M2, A·M1·M2,
     C), M2 on (A, M1, A·M1, C), M1 on (A, C), each with an intercept.
-    Column roles are carried by the Dataset.  ``transforms`` maps a role
-    ("exposure", "m1", "m2", "outcome", or a covariate name) to a callable
-    applied before fitting, or to the string "log", which also checks its
-    domain and reports offending row numbers.  Rows with non-finite values
+    Column roles are carried by the Dataset.  With `log_m2` the second
+    mediator enters on the log scale; a non-positive value raises
+    :class:`LogDomainError` naming its rows.  Rows with non-finite values
     in any used column are dropped and counted.
     """
-    columns, kept, cov_names = _prepared_columns(data, transforms)
+    columns, kept, cov_names = _prepared_columns(data, log_m2)
     n_used = int(kept.size)
     designs = _designs(columns, cov_names)
-    fits = [fit_ols(x, y, names, pivot_ratio=True) for x, y, names in designs]
+    fits = [fit_ols(x, y, names) for x, y, names in designs]
     (theta, sigma2_y, _), (beta, sigma2_m2, _), (gamma, sigma2_m1, _) = fits
 
     params = LinearParams(
@@ -583,20 +540,6 @@ def fit_linear_system(
 # linear pricing
 
 _SEQ2 = Scenario.chain(2)
-
-# Exposure triple (e_Y, e_M2, e_M1) behind each world: which slots take the
-# treated level and which the reference.
-_W_TRIPLES: dict[str, tuple[str, str, str]] = {
-    "W1": ("a", "a", "a"),
-    "W2": ("a", "a*", "a"),
-    "W3": ("a", "a", "a*"),
-    "W4": ("a*", "a", "a"),
-    "W5": ("a*", "a", "a*"),
-    "W6": ("a*", "a*", "a"),
-    "W7": ("a", "a*", "a*"),
-    "W8": ("a*", "a*", "a*"),
-}
-
 
 def _linear_pricer(
     params: LinearParams, cvec: tuple[float, ...], level: Mapping[str, float]
@@ -660,10 +603,11 @@ def expectation_w(
     world; W8 is W1 with a replaced by a* throughout; the rest mix levels
     across the outcome, M2, and M1 exposure slots.
     """
+    worlds = {f"W{i}": triple for i, triple in enumerate(_WORLDS, 1)}
     key = f"W{which}" if isinstance(which, int) else str(which).upper()
-    if key not in _W_TRIPLES:
+    if key not in worlds:
         raise ValueError(f"which must be one of W1..W8, got {which!r}")
-    e_y, e_m2, e_m1 = _W_TRIPLES[key]
+    e_y, e_m2, e_m1 = (e.symbol for e in worlds[key])
     level = {"a": float(a), "a*": float(a_star)}
     price = _linear_pricer(params, _covariate_vector(params.n_covariates, c), level)
     return math.fsum(price((e_y, (False, e_m1), (False, e_m2))))

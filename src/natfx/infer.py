@@ -117,8 +117,7 @@ class PluginEstimator:
 @dataclass(frozen=True)
 class LinearEstimator:
     """The linear estimator ``linear_components(fit.params, q, profile)``
-    with ``fit = fit_linear_system(data, transforms=...)``, the second
-    mediator taken on the log scale when `log_m2` is set.
+    with ``fit = fit_linear_system(data, log_m2=log_m2)``.
 
     Called on a dataset it is exactly that.  `bootstrap` prices its
     resamples in chunks from one factorization of the full data's designs,
@@ -129,12 +128,8 @@ class LinearEstimator:
     profile: CovariateProfile | Sequence[float] | None = None
     log_m2: bool = False
 
-    @property
-    def transforms(self) -> dict[str, str] | None:
-        return {"m2": "log"} if self.log_m2 else None
-
     def __call__(self, data: Dataset) -> DecompositionResult:
-        fit = fit_linear_system(data, transforms=self.transforms)
+        fit = fit_linear_system(data, log_m2=self.log_m2)
         return linear_components(fit.params, self.q, self.profile)
 
     def _chunk_pricer(
@@ -234,7 +229,7 @@ class _LinearChunkPricer:
 
     A resample is a vector w of row multiplicities, so its least-squares fit
     is the fit weighted by w on the full data's design.  The finiteness mask
-    and the transform act row by row and are applied once.  Each equation's
+    and the log of M2 act row by row and are applied once.  Each equation's
     design is factored once, ``X[:, piv] = Q R`` with ``Q = Q0 Q1`` from an
     unpivoted QR ``X = Q0 R0`` and `_pivoted_qr` of R0, and R inverted once.
     With ``G = Qᵀ diag(w) Q`` a replicate's coefficients are
@@ -285,7 +280,7 @@ class _LinearChunkPricer:
         estimator: LinearEstimator,
         fallback: Callable[[np.ndarray], _Outcome],
     ) -> None:
-        columns, self._kept, cov_names = _prepared_columns(data, estimator.transforms)
+        columns, self._kept, cov_names = _prepared_columns(data, estimator.log_m2)
         self._equations = []
         for x, y, names in _designs(columns, cov_names):
             q0, r0 = np.linalg.qr(x)
@@ -376,7 +371,8 @@ def bootstrap(
 ) -> DecompositionResult:
     """Attach percentile confidence intervals to `estimator`'s point estimate.
 
-    Rows are the resampling unit.  A failure on the full data propagates;
+    Rows are the resampling unit.  A failure on the full data propagates,
+    and a non-finite component of the point estimate raises `ValueError`;
     failures on resamples are dropped until they exceed `cfg.max_fail` as a
     fraction of `cfg.replicates`.  A resample whose estimate has a
     non-finite component fails too, as a `FloatingPointError`.  The result's
@@ -397,6 +393,9 @@ def bootstrap(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if point is None:
         point = estimator(data)
+    bad = _non_finite((c.name, c.value) for c in point.components)
+    if bad is not None:
+        raise ValueError(f"point estimate: {bad}")
     names = [row.name for row in point.components]
 
     n = data.n

@@ -12,6 +12,7 @@ structures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -96,17 +97,31 @@ def _as_prob_row(row: Mapping[Any, float], levels: tuple, what: str) -> list[flo
         if level not in row:
             raise ValueError(f"{what} is missing an entry for level {level!r}")
         p = float(row[level])
-        if p < 0:
-            raise ValueError(f"{what} has a negative probability at {level!r}")
+        if not p >= 0.0:  # NaN fails too
+            raise ValueError(f"{what} has a negative or NaN probability {p!r} at {level!r}")
         out.append(p)
     extras = [k for k in row if k not in levels]
     if extras:
         raise ValueError(f"{what} has entries outside the support: {extras!r}")
     total = sum(out)
-    if abs(total - 1.0) > _ROW_SUM_TOL:
+    if not abs(total - 1.0) <= _ROW_SUM_TOL:
         raise ValueError(f"{what} sums to {total!r}, not 1")
     if total != 1.0:
         out = [p / total for p in out]
+    return out
+
+
+def _rows_text(rows: Sequence[int]) -> str:
+    """Row numbers as an error lists them: the first ten, then how many more."""
+    shown = ", ".join(str(int(r)) for r in rows[:10])
+    return shown + (f" (+{len(rows) - 10} more)" if len(rows) > 10 else "")
+
+
+def _cell_means(row: Mapping, levels: tuple, what: str) -> list[float]:
+    out = [float(_row(row, level, what)) for level in levels]
+    for level, y in zip(levels, out):
+        if not math.isfinite(y):
+            raise ValueError(f"{what}[{level!r}] is {y!r}; cell means must be finite")
     return out
 
 
@@ -195,8 +210,7 @@ class DiscreteScm:
                             "non-sequential model requires Pr(M2 | A) "
                             f"independent of M1; pm2[{a!r}] varies by {d:g}"
                         )
-        cells = lambda row, levels, what: [float(_row(row, v, what)) for v in levels]
-        y = _dense(ymean, (exposure, m1, m2)[: scenario.k + 1], "ymean", cells)
+        y = _dense(ymean, (exposure, m1, m2)[: scenario.k + 1], "ymean", _cell_means)
         levels = (tuple(exposure), tuple(m1), None if m2 is None else tuple(m2))
         self._set(scenario, levels, p1, p2, y, treatment, reference)
 
@@ -510,10 +524,12 @@ def simulate(
         for raw, p in exposure_assignment.items():
             level = _resolve_level(raw, levels, "exposure assignment")
             probs[levels.index(level)] = float(p)
-        if (probs < 0).any():
-            raise InvalidDistribution("exposure probabilities must be non-negative")
+        if not (probs >= 0.0).all():  # NaN fails too
+            raise InvalidDistribution(
+                f"exposure probabilities must be numbers >= 0, got {probs.tolist()}"
+            )
         total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InvalidDistribution(f"exposure probabilities sum to {total!r}, not 1")
         probs = probs / total
 
@@ -586,7 +602,8 @@ def _encode(
 ) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Levels per role, each row's cell code on the level grid, and float y.
 
-    The code is the row-major position of the row's (a, m1(, m2)) cell.
+    The code is the row-major position of the row's (a, m1(, m2)) cell.  A
+    non-finite outcome raises, naming its rows.
     """
     if scenario.k > 2:
         raise ValueError("plug-in models support at most two mediators")
@@ -602,7 +619,11 @@ def _encode(
         l2, c2 = _codes(*_check_categorical("m2", data.m2), m2_levels, "m2")
         levels.append(l2)
         cell = cell * len(l2) + c2
-    return tuple(levels), cell, np.asarray(data.outcome, dtype=float)
+    y = np.asarray(data.outcome, dtype=float)
+    bad = np.nonzero(~np.isfinite(y))[0]
+    if bad.size:
+        raise ValueError(f"column 'outcome' holds non-finite values at rows {_rows_text(bad)}")
+    return tuple(levels), cell, y
 
 
 def _tally(cells: np.ndarray, y: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import natfx.cli
 from natfx.cfexpr import Scenario
 from natfx.cli import (
     Report,
@@ -23,7 +24,7 @@ from natfx.cli import (
 from natfx.decomp import Query, decompose
 from natfx.estimate import LinearParams
 from natfx.infer import BootstrapConfig, bootstrap
-from natfx.scm import from_dataset, save_model
+from natfx.scm import from_dataset, model_to_json, save_model
 
 ROLES2 = {"exposure": "A", "m1": "M1", "m2": "M2", "outcome": "Y"}
 
@@ -550,6 +551,70 @@ class TestBootstrapReportCommand:
         d1, d4 = report.as_dict(), Report("bootstrap-report", {}, result=pooled).as_dict()
         assert d1["components"] == d4["components"]
         assert d1["te"] == d4["te"]
+
+
+def model_file(tmp_path, model, edit):
+    """`model` saved as JSON after `edit` changed its document in place."""
+    doc = model_to_json(model)
+    edit(doc)
+    return write(tmp_path / "m.json", json.dumps(doc))
+
+
+class TestNonFiniteInput:
+    """A NaN or infinity in a model file or a data file exits 1 with an
+    error that names it, never with a NaN estimate."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0"],
+            ["eval", "Y(a*, M1(a*), M2(a*, M1(a*)))", "--a", "1", "--aref", "0"],
+            ["simulate", "--n", "10"],
+        ],
+    )
+    def test_nan_probability(self, tmp_path, dm1, capsys, argv):
+        model = model_file(tmp_path, dm1, lambda doc: doc["pm1"]["0"].update({"0": float("nan")}))
+        assert main([*argv, "--model", model]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "pm1['0'] has a negative or NaN probability nan at '0'" in out.err
+
+    @pytest.mark.parametrize("subcommand", ["eval", "decompose"])
+    def test_infinite_cell_mean(self, tmp_path, dm1, capsys, subcommand):
+        def edit(doc):
+            doc["ymean"]["1"]["0"]["1"] = float("inf")
+
+        model = model_file(tmp_path, dm1, edit)
+        argv = ["--model", model, "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0"]
+        if subcommand == "eval":
+            argv.insert(0, "Y(a, M1(a), M2(a, M1(a)))")
+        assert main([subcommand, *argv]) == 1
+        assert "ymean['1']['0']['1'] is inf; cell means must be finite" in capsys.readouterr().err
+
+    def test_nan_outcome_in_plugin_data(self, tmp_path, dm1, capsys):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        sim = tmp_path / "sim.csv"
+        run(RunConfig(subcommand="simulate", model=model, n=400, seed=2, out=str(sim)))
+        lines = sim.read_text().splitlines()
+        lines[8] = lines[8].rsplit(",", 1)[0] + ",nan"
+        sim.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["bootstrap-report", "--data", str(sim), "--roles", write_roles(tmp_path),
+             "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+             "--boot", "50", "--max-fail", "0.9", "--format", "json"]
+        )
+        assert code == 1
+        assert "column 'outcome' holds non-finite values at rows 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_finite_report_value_is_an_error(self, monkeypatch, capsys, fmt):
+        stray = Report("check", {"value": 1.0}, provenance={"value": float("nan")})
+        monkeypatch.setattr(natfx.cli, "run", lambda config: (stray, 0))
+        assert main(["check", "--scenario", "seq2", "Y(a, M1(a))", "--format", fmt]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("natfx: error: Out of range float values are not JSON compliant")
 
 
 class TestRounding:

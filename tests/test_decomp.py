@@ -12,14 +12,13 @@ from natfx.decomp import (
     EvaluationOfProblematicSpec,
     MissingFixedLevel,
     Query,
-    additive_interaction,
+    _catalog,
     components_for,
     components_nonseq2,
     components_seq2,
     components_single,
     decompose,
     evaluate_decomposition,
-    evaluate_spec,
     mediated_contrasts,
     total_effect,
 )
@@ -264,7 +263,7 @@ class TestMediatedContrasts:
         (spec,) = mediated_contrasts(Query(a=1, a_star=0), SINGLE)
         assert spec.name == "INT_med"
         assert not spec.problematic
-        got = evaluate_spec(ds1, spec, Query(a=1, a_star=0))
+        got = evaluate_decomposition(ds1, (spec,), Query(a=1, a_star=0))[spec.name]
         assert got == pytest.approx(oracles.DS1_COMPONENTS["INT_med"], abs=1e-12)
 
     def test_nonseq2_int_med_am1_is_evaluable(self):
@@ -272,7 +271,7 @@ class TestMediatedContrasts:
         model = DiscreteScm.nonseq2(oracles.DM1_PM1, marginal, oracles.DM1_YMEAN)
         (spec,) = mediated_contrasts(Q, NONSEQ2)
         assert spec.name == "INT_med-AM1"
-        got = evaluate_spec(model, spec, Q)
+        got = evaluate_decomposition(model, (spec,), Q)[spec.name]
         want = sum(
             sign
             * oracles.seq2_mean(
@@ -310,12 +309,12 @@ class TestMediatedContrasts:
     def test_evaluation_of_problematic_spec_raises(self, dm1):
         specs = {s.name: s for s in mediated_contrasts(Q, SEQ2)}
         with pytest.raises(EvaluationOfProblematicSpec, match="INT_med-AM2"):
-            evaluate_spec(dm1, specs["INT_med-AM2"], Q)
+            evaluate_decomposition(dm1, (specs["INT_med-AM2"],), Q)
 
     def test_seq2_int_med_am1_equals_nonseq_shape(self, dm1):
         # pinning M2 at m2* severs the chain: the contrast only sees pm1
         specs = {s.name: s for s in mediated_contrasts(Q, SEQ2)}
-        got = evaluate_spec(dm1, specs["INT_med-AM1"], Q)
+        got = evaluate_decomposition(dm1, (specs["INT_med-AM1"],), Q)["INT_med-AM1"]
         want = sum(
             sign
             * oracles.seq2_mean(
@@ -331,28 +330,6 @@ class TestMediatedContrasts:
         assert got == pytest.approx(want, abs=1e-12)
 
 
-class TestAdditiveInteraction:
-    def test_worked_example(self):
-        assert additive_interaction([[1, 2], [2, 5]]) == pytest.approx(2.0)
-
-    def test_constant_table_is_zero(self):
-        assert additive_interaction([[3, 3], [3, 3]]) == pytest.approx(0.0)
-
-    def test_recovers_linear_interaction_coefficient(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            t0, t1, t2, t3 = rng.normal(size=4)
-            table = {
-                a: {m: t0 + t1 * a + t2 * m + t3 * a * m for m in (0, 1)}
-                for a in (0, 1)
-            }
-            assert additive_interaction(table) == pytest.approx(t3, abs=1e-12)
-
-    def test_missing_cell_raises(self):
-        with pytest.raises(ValueError, match="missing"):
-            additive_interaction({0: {0: 1.0, 1: 2.0}, 1: {0: 2.0}})
-
-
 class TestDispatch:
     def test_components_for_routes_by_scenario(self):
         assert [s.name for s in components_for(SINGLE, Q)][0] == "CDE"
@@ -364,6 +341,22 @@ class TestDispatch:
             spec = total_effect(scenario)
             assert spec.name == "TE"
             assert len(spec.terms) == 2
+
+    @pytest.mark.parametrize(
+        "scenario, extended, formulas, terms",
+        [
+            (SINGLE, False, 6, 26),
+            (SINGLE, True, 6, 26),
+            (NONSEQ2, False, 14, 46),
+            (NONSEQ2, True, 14, 50),
+            (SEQ2, False, 12, 38),
+            (SEQ2, True, 12, 42),
+        ],
+    )
+    def test_compiled_catalog_sizes(self, scenario, extended, formulas, terms):
+        catalog = _catalog(scenario, extended)
+        assert len(catalog.formulas) == formulas
+        assert sum(len(row) for row in catalog.rows) == terms
 
 
 @st.composite

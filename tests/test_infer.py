@@ -129,6 +129,11 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="nope"):
             bootstrap(toy_dataset(), broken, BootstrapConfig(replicates=5))
 
+    def test_non_finite_point_estimate_raises(self):
+        nan = constant_result(float("nan"))
+        with pytest.raises(ValueError, match="point estimate: non-finite component"):
+            bootstrap(toy_dataset(), lambda d: nan, BootstrapConfig(replicates=5))
+
     def test_failure_policy_threshold(self):
         data = toy_dataset()
         calls = {"n": 0}
@@ -470,7 +475,7 @@ class TestChunkedLinear:
         for draw, fit in zip(draws, batched_fits(data, estimator, draws)):
             if fit is None:  # fell back: fit_linear_system itself prices it
                 continue
-            want = fit_linear_system(data.take(draw), transforms=estimator.transforms)
+            want = fit_linear_system(data.take(draw), log_m2=estimator.log_m2)
             coefs, sigma2_m1 = fit
             for got, table in zip(coefs, want.tables.values()):
                 expect = np.array(list(table.values()))

@@ -74,7 +74,7 @@ def test_pivots_verdict_and_coefficients_match_scipy(design):
             fit_ols(x, y, names)
         return
 
-    coef, _ = fit_ols(x, y, names)
+    coef, _, _ = fit_ols(x, y, names)
     r0 = np.linalg.qr(np.column_stack([x, y]), mode="r")[:p, :p]
     assert _pivoted_qr(r0, names)[2].tolist() == piv.tolist()
 

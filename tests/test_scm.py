@@ -200,6 +200,18 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="negative"):
             DiscreteScm(Scenario.single(), pm1=pm1, ymean=oracles.DS1_YMEAN)
 
+    def test_nan_probability_raises(self):
+        pm1 = {0: {0: float("nan"), 1: 0.5}, 1: {0: 0.3, 1: 0.7}}
+        with pytest.raises(ValueError, match=r"pm1\[0\] has a negative or NaN probability nan"):
+            DiscreteScm(Scenario.single(), pm1=pm1, ymean=oracles.DS1_YMEAN)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_cell_mean_names_the_cell(self, bad):
+        ymean = {0: {0: 1.0, 1: 2.0}, 1: {0: bad, 1: 3.0}}
+        match = r"ymean\[1\]\[0\] is (inf|nan); cell means must be finite"
+        with pytest.raises(ValueError, match=match):
+            DiscreteScm(Scenario.single(), pm1=oracles.DS1_PM1, ymean=ymean)
+
     def test_missing_ymean_cell_raises(self):
         ymean = {0: {0: 1.0}, 1: {0: 2.0, 1: 3.0}}
         with pytest.raises(ValueError, match="missing"):
@@ -271,6 +283,8 @@ class TestSimulate:
             simulate(dm1, 10, seed=0, exposure_assignment={0: 0.4, 1: 0.4})
         with pytest.raises(InvalidDistribution):
             simulate(dm1, 10, seed=0, exposure_assignment={0: -0.2, 1: 1.2})
+        with pytest.raises(InvalidDistribution, match="nan"):
+            simulate(dm1, 10, seed=0, exposure_assignment={0: float("nan"), 1: 1.0})
 
     def test_n_must_be_positive(self, dm1):
         with pytest.raises(ValueError, match=">= 1"):
@@ -299,6 +313,14 @@ class TestFromDataset:
                         dm1.ymean[a][m1][m2], abs=1e-9
                     )
                 assert fitted.pm1[a][m1] == pytest.approx(dm1.pm1[a][m1], abs=0.02)
+
+    def test_non_finite_outcome_names_its_rows(self):
+        outcome = np.ones(40)
+        outcome[[3, 17]] = (np.nan, np.inf)
+        data = Dataset(exposure=np.tile([0, 1], 20), m1=np.repeat([0, 1], 20), outcome=outcome)
+        match = "column 'outcome' holds non-finite values at rows 3, 17$"
+        with pytest.raises(ValueError, match=match):
+            from_dataset(data, Scenario.single())
 
     def test_empty_exposure_cell_with_declared_support(self):
         data = Dataset(
