@@ -470,16 +470,12 @@ def _run_simulate(config: RunConfig) -> tuple[Report, int]:
     model = load_model(config.model)
     seed = _resolve_seed(config.seed)
     data = simulate_model(model, config.n, seed, noise_sd=config.noise_sd)
-    columns = ["A", "M1"] + (["M2"] if data.m2 is not None else []) + ["Y"]
+    levels = [data.exposure, data.m1] + ([data.m2] if data.m2 is not None else [])
+    columns = ["A", "M1", "M2"][: len(levels)] + ["Y"]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for i in range(data.n):
-        row = [data.exposure[i], data.m1[i]]
-        if data.m2 is not None:
-            row.append(data.m2[i])
-        row.append(repr(float(data.outcome[i])))
-        writer.writerow(row)
+    writer.writerows(zip(*(c.tolist() for c in levels), map(repr, data.outcome.tolist())))
     text = buffer.getvalue()
     if config.out is None:
         return Report("simulate", {}, raw=text.rstrip("\n")), 0
@@ -539,7 +535,7 @@ def _load_params_document(path: str) -> tuple[LinearParams, dict]:
     """Accept either a bare parameter object or a full fit document."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "params" in doc:
+    if isinstance(doc, dict) and "params" in doc:
         return LinearParams.from_dict(doc["params"]), doc
     return LinearParams.from_dict(doc), {}
 

@@ -505,15 +505,22 @@ def _totals(
 
     A row is the `math.fsum` of its terms' signed addends, so addends that
     cancel between the terms of a row cancel exactly, and a row that is
-    zero in exact arithmetic comes out as 0.0.
+    zero in exact arithmetic comes out as 0.0.  A sum beyond the float
+    range raises `ValueError` naming its row.
     """
 
-    def total(terms: tuple[tuple[int, int], ...]) -> float:
-        return math.fsum([sign * x for sign, j in terms for x in addends[j]])
+    def fsum(xs: Iterable[float], what: str) -> float:
+        try:
+            return math.fsum(xs)
+        except OverflowError:
+            raise ValueError(f"{what} overflows the float range") from None
 
-    values = [total(terms) for terms in catalog.rows]
-    te = total(catalog.te)
-    in_sum = math.fsum(v for v, spec in zip(values, catalog.specs) if spec.in_sum)
+    def total(terms: tuple[tuple[int, int], ...], name: str) -> float:
+        return fsum([sign * x for sign, j in terms for x in addends[j]], name)
+
+    values = [total(terms, spec.name) for spec, terms in zip(catalog.specs, catalog.rows)]
+    te = total(catalog.te, "TE")
+    in_sum = fsum((v for v, spec in zip(values, catalog.specs) if spec.in_sum), "the in-sum rows' total")
     return values, te, abs(in_sum - te)
 
 

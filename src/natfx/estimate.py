@@ -78,6 +78,16 @@ class LogDomainError(ValueError):
 # parameter containers
 
 
+def _floats(name: str, raw: Any) -> tuple[float, ...]:
+    """A list of numbers as floats; anything else (digit strings too) raises `ValueError`."""
+    if not isinstance(raw, (str, Mapping)):
+        try:
+            return tuple(float(v) for v in raw)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
+
+
 @dataclass(frozen=True)
 class LinearParams:
     """Coefficients of the three-equation Gaussian chain model.
@@ -99,23 +109,23 @@ class LinearParams:
     sigma2_m1: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, want in (("theta", 8), ("beta", 4), ("gamma", 2)):
-            raw = getattr(self, name)
-            vals = tuple(float(v) for v in raw)
-            if len(vals) != want:
-                raise ValueError(f"{name} needs {want} coefficients, got {len(vals)}")
+        for _, name, regressors in _EQUATIONS:
+            vals = _floats(name, getattr(self, name))
+            if len(vals) != len(regressors):
+                raise ValueError(f"{name} needs {len(regressors)} coefficients, got {len(vals)}")
             object.__setattr__(self, name, vals)
-        lengths = set()
         for name in ("theta_c", "beta_c", "gamma_c"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            object.__setattr__(self, name, vals)
-            lengths.add(len(vals))
+            object.__setattr__(self, name, _floats(name, getattr(self, name)))
+        lengths = {len(self.theta_c), len(self.beta_c), len(self.gamma_c)}
         if len(lengths) > 1:
             raise ValueError(
                 "covariate coefficient vectors must share one length, got "
                 f"{sorted(lengths)}"
             )
-        object.__setattr__(self, "sigma2_m1", float(self.sigma2_m1))
+        try:
+            object.__setattr__(self, "sigma2_m1", float(self.sigma2_m1))
+        except (TypeError, ValueError):
+            raise ValueError(f"sigma2_m1 must be a number, got {self.sigma2_m1!r}") from None
         if not self.sigma2_m1 >= 0.0:
             raise ValueError(f"sigma2_m1 must be >= 0, got {self.sigma2_m1}")
         for name in ("theta", "beta", "gamma", "theta_c", "beta_c", "gamma_c"):
@@ -140,15 +150,17 @@ class LinearParams:
         }
 
     @staticmethod
-    def from_dict(doc: Mapping[str, Any]) -> "LinearParams":
+    def from_dict(doc: Any) -> "LinearParams":
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"parameter document must be a JSON object, got {type(doc).__name__}")
         try:
             return LinearParams(
-                theta=tuple(doc["theta"]),
-                beta=tuple(doc["beta"]),
-                gamma=tuple(doc["gamma"]),
-                theta_c=tuple(doc.get("theta_c", ())),
-                beta_c=tuple(doc.get("beta_c", ())),
-                gamma_c=tuple(doc.get("gamma_c", ())),
+                theta=doc["theta"],
+                beta=doc["beta"],
+                gamma=doc["gamma"],
+                theta_c=doc.get("theta_c", ()),
+                beta_c=doc.get("beta_c", ()),
+                gamma_c=doc.get("gamma_c", ()),
                 sigma2_m1=doc.get("sigma2_m1", 0.0),
             )
         except KeyError as err:
@@ -462,13 +474,22 @@ def _prepared_columns(
     return columns, kept, cov_names
 
 
-# The three equations in fitting order: (response role, regressor names
-# before the covariates).
+# The three equations in fitting order: (response role, `LinearParams`
+# field, regressor names before the covariates).
 _EQUATIONS = (
-    ("outcome", ("intercept", "A", "M1", "M2", "A:M1", "A:M2", "M1:M2", "A:M1:M2")),
-    ("m2", ("intercept", "A", "M1", "A:M1")),
-    ("m1", ("intercept", "A")),
+    ("outcome", "theta", ("intercept", "A", "M1", "M2", "A:M1", "A:M2", "M1:M2", "A:M1:M2")),
+    ("m2", "beta", ("intercept", "A", "M1", "A:M1")),
+    ("m1", "gamma", ("intercept", "A")),
 )
+
+
+def _split_coefficients(coefs: Sequence[Any]) -> dict[str, Any]:
+    """Each `_EQUATIONS` equation's coefficients, covariates last along the
+    first axis, as the `LinearParams` fields ``theta`` .. ``gamma_c``."""
+    fields = {}
+    for (_, name, regressors), coef in zip(_EQUATIONS, coefs):
+        fields[name], fields[f"{name}_c"] = coef[: len(regressors)], coef[len(regressors):]
+    return fields
 
 
 def _designs(
@@ -488,7 +509,7 @@ def _designs(
     )
     return [
         (x, columns[role], names + cov_names)
-        for x, (role, names) in zip(designs, _EQUATIONS)
+        for x, (role, _, names) in zip(designs, _EQUATIONS)
     ]
 
 
@@ -506,21 +527,13 @@ def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
     n_used = int(kept.size)
     designs = _designs(columns, cov_names)
     fits = [fit_ols(x, y, names) for x, y, names in designs]
-    (theta, sigma2_y, _), (beta, sigma2_m2, _), (gamma, sigma2_m1, _) = fits
+    (_, sigma2_y, _), (_, sigma2_m2, _), (_, sigma2_m1, _) = fits
 
-    params = LinearParams(
-        theta=tuple(theta[:8]),
-        theta_c=tuple(theta[8:]),
-        beta=tuple(beta[:4]),
-        beta_c=tuple(beta[4:]),
-        gamma=tuple(gamma[:2]),
-        gamma_c=tuple(gamma[2:]),
-        sigma2_m1=sigma2_m1,
-    )
+    params = LinearParams(**_split_coefficients([coef for coef, _, _ in fits]), sigma2_m1=sigma2_m1)
     sample_means = {name: float(np.mean(col)) for name, col in columns.items()}
     tables = {
         role: dict(zip(names, (float(v) for v in coef)))
-        for (role, _), (_, _, names), (coef, _, _) in zip(_EQUATIONS, designs, fits)
+        for (role, _, _), (_, _, names), (coef, _, _) in zip(_EQUATIONS, designs, fits)
     }
     return LinearFit(
         params=params,
@@ -531,8 +544,8 @@ def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
         covariate_names=cov_names,
         sample_means=sample_means,
         tables=tables,
-        pivot_ratio={role: ratio for (role, _), (_, _, ratio) in zip(_EQUATIONS, fits)},
-        residual_dof={role: n_used - x.shape[1] for (role, _), (x, _, _) in zip(_EQUATIONS, designs)},
+        pivot_ratio={role: ratio for (role, _, _), (_, _, ratio) in zip(_EQUATIONS, fits)},
+        residual_dof={role: n_used - x.shape[1] for (role, _, _), (x, _, _) in zip(_EQUATIONS, designs)},
     )
 
 

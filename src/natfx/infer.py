@@ -2,22 +2,26 @@
 
 Works with any estimator mapping a Dataset to a DecompositionResult; such a
 callable runs once per resample.  The two named estimators are priced in
-chunks instead.  For a `PluginEstimator` the data is encoded once, a chunk
-of resamples is tabulated with one offset `bincount`, and the compiled
-catalog is priced over the chunk.  For a `LinearEstimator` each equation's
-design is factored once, and a chunk of resamples is fitted by small
-weighted Gram systems on that factor.  Each replicate draws its random
-numbers from a stream split off the master seed by replicate index, and
-each chunked replicate is computed on its own, so the output depends only
-on (seed, replicates, data, estimator) and never on chunk size or worker
-count.  The plug-in chunks reproduce the per-resample values bit for bit,
-the linear chunks to roundoff.
+chunks instead, by a pricer that only prepares and prices: for a
+`PluginEstimator` the data is encoded once, a chunk of resamples is
+tabulated with one offset `bincount`, and the compiled catalog is priced
+over the chunk; for a `LinearEstimator` each equation's design is factored
+once, and a chunk of resamples is fitted by small weighted Gram systems on
+that factor.  A pricer names the draws it cannot price, and `bootstrap`
+alone sends those to the estimator, sums the priced addends into rows and
+counts the routes.  Each replicate draws its random numbers from a stream
+split off the master seed by replicate index, and each chunked replicate is
+computed on its own, so the output depends only on (seed, replicates, data,
+estimator) and never on chunk size or worker count.  The plug-in chunks
+reproduce the per-resample values bit for bit, the linear chunks to
+roundoff.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +38,7 @@ from .estimate import (
     _linear_pricer,
     _pivoted_qr,
     _prepared_columns,
+    _split_coefficients,
     fit_linear_system,
     linear_components,
 )
@@ -108,11 +113,6 @@ class PluginEstimator:
     def __call__(self, data: Dataset) -> DecompositionResult:
         return decompose(from_dataset(data, self.scenario), self.q)
 
-    def _chunk_pricer(
-        self, data: Dataset, fallback: Callable[[np.ndarray], _Outcome]
-    ) -> "_PluginChunkPricer":
-        return _PluginChunkPricer(data, self, fallback)
-
 
 @dataclass(frozen=True)
 class LinearEstimator:
@@ -132,25 +132,17 @@ class LinearEstimator:
         fit = fit_linear_system(data, log_m2=self.log_m2)
         return linear_components(fit.params, self.q, self.profile)
 
-    def _chunk_pricer(
-        self, data: Dataset, fallback: Callable[[np.ndarray], _Outcome]
-    ) -> "_LinearChunkPricer":
-        return _LinearChunkPricer(data, self, fallback)
-
 
 def _non_finite(rows: Iterable[tuple[str, float]]) -> FloatingPointError | None:
     bad = [f"{name}={value}" for name, value in rows if not math.isfinite(value)]
     return FloatingPointError(f"non-finite component(s) {', '.join(bad)}") if bad else None
 
 
-def _outcome(catalog, names: Sequence[str], addends: Sequence[Sequence[float]]) -> _Outcome:
-    """A chunk-priced replicate's rows, or its error, as `decompose` and
-    `bootstrap` would give them."""
-    try:
-        values, _, sum_gap = _totals(catalog, addends)
-    except _REPLICATE_ERRORS as err:  # fsum of inf - inf, as in `decompose`
-        return err
-    return _non_finite(zip(names, values)) or (values, sum_gap)
+# A chunk pricer is built from (data, estimator) and called on a chunk's
+# stacked draws, an m x n index matrix.  It returns one reason per draw, ""
+# for a draw it priced and otherwise one of its `reasons`, together with the
+# formula addends of the priced draws, in draw order, for `bootstrap` to sum
+# into the rows of its `catalog`.  `extras` holds its own route diagnostics.
 
 
 class _PluginChunkPricer:
@@ -159,41 +151,27 @@ class _PluginChunkPricer:
     The data is encoded once on the full data's level grid.  A chunk's
     resamples are tabulated together (`scm._tally`), turned into tables
     together (`scm._tables`), and the catalog's formulas are priced over all
-    of them in one contraction; each row is then the `math.fsum` of its
-    signed terms, as `decompose` computes it.  A resample with an empty cell
-    on the full grid goes to `fallback` instead: on its own, its support may
-    shrink or its estimate fail, and the fallback gives that value or error.
-    ``routes`` counts the replicates priced in the batch and those that fell
-    back.
+    of them in one contraction.  A resample with an empty cell on the full
+    grid is not priced ("empty_cell"): on its own, its support may shrink or
+    its estimate fail.
     """
 
-    def __init__(
-        self,
-        data: Dataset,
-        estimator: PluginEstimator,
-        fallback: Callable[[np.ndarray], _Outcome],
-    ) -> None:
+    reasons = ("empty_cell",)
+
+    def __init__(self, data: Dataset, estimator: PluginEstimator) -> None:
         self._scenario = estimator.scenario
-        self._catalog = _catalog(estimator.scenario)
-        self._names = [spec.name for spec in self._catalog.specs]
-        self._fallback = fallback
+        self.catalog = _catalog(estimator.scenario)
         levels, self._cell, self._y = _encode(data, estimator.scenario)
         self._shape = tuple(len(lv) for lv in levels)
-        self._rows = _formula_rows(self._catalog.formulas, estimator.q.to_binding(), levels)
-        self.routes = {"batched": 0, "fallback": {"empty_cell": 0}}
+        self._rows = _formula_rows(self.catalog.formulas, estimator.q.to_binding(), levels)
+        self.extras: dict = {}
 
-    def __call__(self, draws: Sequence[np.ndarray]) -> list[_Outcome]:
-        idx = np.stack(draws)
+    def __call__(self, idx: np.ndarray) -> tuple[list[str], list]:
         counts, ysum = _tally(self._cell[idx], self._y[idx], self._shape)
         full = counts.reshape(len(idx), -1).all(axis=1)
         tables = _tables(self._scenario, counts[full], ysum[full])
-        priced = iter(_price_tables(*tables, self._rows)[..., None].tolist())
-        self.routes["batched"] += int(full.sum())
-        self.routes["fallback"]["empty_cell"] += int((~full).sum())
-        return [
-            _outcome(self._catalog, self._names, next(priced)) if ok else self._fallback(draw)
-            for draw, ok in zip(draws, full.tolist())
-        ]
+        reasons = ["" if ok else "empty_cell" for ok in full.tolist()]
+        return reasons, _price_tables(*tables, self._rows)[..., None].tolist()
 
 
 # Added to the reciprocal condition number a replicate's Gram matrix must
@@ -210,18 +188,6 @@ class _Equation(NamedTuple):
     piv: np.ndarray
     r_inv: np.ndarray
     min_rcond: float  # the line a replicate's Gram matrix must clear
-
-
-class _Coefficients(NamedTuple):
-    """`LinearParams` fields as arrays over a chunk's replicates."""
-
-    theta: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    theta_c: np.ndarray
-    beta_c: np.ndarray
-    gamma_c: np.ndarray
-    sigma2_m1: np.ndarray
 
 
 class _LinearChunkPricer:
@@ -244,13 +210,11 @@ class _LinearChunkPricer:
     its own.  So a replicate's value does not depend on the chunk it is
     priced in.
 
-    A replicate goes to `fallback`, the estimator on the resample itself,
-    when it keeps no more rows than an equation has regressors ("rows"), or
-    when one of its G falls below the line derived below ("conditioning");
-    the fallback gives that value or error.  ``routes`` counts the batched
-    replicates and the fallbacks by reason, and records the smallest
-    reciprocal condition number of G over the replicates that reached the
-    check.
+    A replicate is not priced when it keeps no more rows than an equation
+    has regressors ("rows"), or when one of its G falls below the line
+    derived below ("conditioning").  ``extras["min_gram_rcond"]`` records
+    the smallest reciprocal condition number of G over the replicates that
+    reached the check.
 
     The line.  `fit_ols` rejects a design A when its pivoted QR has
     ``min|r_kk| <= tau |r_11|``, tau = `_PIVOT_TOL`.  The diagonal of a
@@ -274,12 +238,9 @@ class _LinearChunkPricer:
     R's singular values instead.
     """
 
-    def __init__(
-        self,
-        data: Dataset,
-        estimator: LinearEstimator,
-        fallback: Callable[[np.ndarray], _Outcome],
-    ) -> None:
+    reasons = ("rows", "conditioning")
+
+    def __init__(self, data: Dataset, estimator: LinearEstimator) -> None:
         columns, self._kept, cov_names = _prepared_columns(data, estimator.log_m2)
         self._equations = []
         for x, y, names in _designs(columns, cov_names):
@@ -292,19 +253,12 @@ class _LinearChunkPricer:
             ))
         self._m1_design = x  # the M1 equation comes last; its residuals give sigma2_m1
         self._max_p = max(len(eq.piv) for eq in self._equations)
-        self._catalog = _catalog(_SEQ2)
-        self._names = [spec.name for spec in self._catalog.specs]
+        self.catalog = _catalog(_SEQ2)
         self._level = _linear_levels(estimator.q)
         self._cvec = _covariate_vector(len(cov_names), estimator.profile)
-        self._fallback = fallback
-        self.routes = {
-            "batched": 0,
-            "fallback": {"rows": 0, "conditioning": 0},
-            "min_gram_rcond": None,
-        }
+        self.extras = {"min_gram_rcond": None}
 
-    def __call__(self, draws: Sequence[np.ndarray]) -> list[_Outcome]:
-        idx = np.stack(draws)
+    def __call__(self, idx: np.ndarray) -> tuple[list[str], list]:
         m, n = idx.shape
         counts = np.bincount((idx + n * np.arange(m)[:, None]).ravel(), minlength=m * n)
         counts = counts.reshape(m, n)[:, self._kept]
@@ -326,8 +280,8 @@ class _LinearChunkPricer:
             rcond = eig[:, 0] / eig[:, -1]
             reason[live[~(rcond > eq.min_rcond)]] = "conditioning"
             if rcond.size:
-                seen = self.routes["min_gram_rcond"]
-                self.routes["min_gram_rcond"] = min(float(rcond.min()), math.inf if seen is None else seen)
+                seen = self.extras["min_gram_rcond"]
+                self.extras["min_gram_rcond"] = min(float(rcond.min()), math.inf if seen is None else seen)
 
         good = reason[live] == ""
         coefs = []
@@ -340,25 +294,16 @@ class _LinearChunkPricer:
                for r, b in zip(live[good], coefs[-1])]
         sigma2_m1 = np.array(rss) / (rows[live[good]] - len(m1.piv))
 
-        theta, beta, gamma = (c.T for c in coefs)
-        price = _linear_pricer(
-            _Coefficients(theta[:8], beta[:4], gamma[:2], theta[8:], beta[4:], gamma[2:], sigma2_m1),
-            self._cvec,
-            self._level,
-        )
+        params = SimpleNamespace(**_split_coefficients([c.T for c in coefs]), sigma2_m1=sigma2_m1)
+        price = _linear_pricer(params, self._cvec, self._level)
         addends = np.stack(
-            [np.stack(np.broadcast_arrays(*price(f))) for f in self._catalog.formulas]
+            [np.stack(np.broadcast_arrays(*price(f))) for f in self.catalog.formulas]
         )
-        priced = iter(addends.transpose(2, 0, 1).tolist())
-        outcomes = []
-        for draw, why in zip(draws, reason.tolist()):
-            if why:
-                self.routes["fallback"][why] += 1
-                outcomes.append(self._fallback(draw))
-            else:
-                self.routes["batched"] += 1
-                outcomes.append(_outcome(self._catalog, self._names, next(priced)))
-        return outcomes
+        return reason.tolist(), addends.transpose(2, 0, 1).tolist()
+
+
+# The estimators `bootstrap` prices in chunks, each with its pricer.
+_CHUNK_PRICERS = {PluginEstimator: _PluginChunkPricer, LinearEstimator: _LinearChunkPricer}
 
 
 def bootstrap(
@@ -381,11 +326,12 @@ def bootstrap(
     ``sum_gap`` over the kept replicates as ``max_sum_gap``.
 
     A `PluginEstimator` or `LinearEstimator` is priced a chunk of resamples
-    at a time, and ``diagnostics["routes"]`` then counts the replicates
-    priced in the batch and those that fell back to the estimator, by
-    reason.  Any other estimator runs once per resample, on `workers`
-    threads.  `point` is ``estimator(data)`` when the caller already holds
-    it; it is then not computed again.
+    at a time; a resample its pricer turns down runs through the estimator
+    itself, in draw order, and ``diagnostics["routes"]`` counts the
+    replicates priced in the batch and those that fell back, by reason.
+    Any other estimator runs once per resample, on `workers` threads.
+    `point` is ``estimator(data)`` when the caller already holds it; it is
+    then not computed again.
     """
     if cfg is None:
         cfg = BootstrapConfig()
@@ -400,6 +346,8 @@ def bootstrap(
 
     n = data.n
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
+    pricer_type = _CHUNK_PRICERS.get(type(estimator))
+    pricer = None if pricer_type is None else pricer_type(data, estimator)
 
     def replicate(indices: np.ndarray) -> _Outcome:
         try:
@@ -409,22 +357,29 @@ def bootstrap(
         bad = _non_finite((c.name, c.value) for c in result.components)
         return bad or ([result[name] for name in names], result.sum_gap)
 
-    chunk_pricer = getattr(estimator, "_chunk_pricer", None)
-    pricer = None if chunk_pricer is None else chunk_pricer(data, replicate)
+    def priced(addends: list) -> _Outcome:
+        try:
+            values, _, sum_gap = _totals(pricer.catalog, addends)
+        except _REPLICATE_ERRORS as err:  # inf - inf, or beyond the float range
+            return err
+        return _non_finite(zip(names, values)) or (values, sum_gap)
+
+    tally = dict.fromkeys(("", *(pricer.reasons if pricer else ())), 0)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and pricer is None else None
-    if pricer is not None:
-        price = pricer
-    elif pool is None:
-        price = lambda draws: [replicate(d) for d in draws]  # noqa: E731
-    else:
-        price = lambda draws: list(pool.map(replicate, draws))  # noqa: E731
     size = max(1, _CHUNK_ENTRIES // n)
     outcomes: list[_Outcome] = []
     try:
         for start in range(0, cfg.replicates, size):
-            chunk = range(start, min(start + size, cfg.replicates))
-            outcomes += price([np.random.default_rng(streams[i]).integers(0, n, size=n)
-                               for i in chunk])
+            idx = np.stack([np.random.default_rng(streams[i]).integers(0, n, size=n)
+                            for i in range(start, min(start + size, cfg.replicates))])
+            if pricer is None:
+                outcomes += (map if pool is None else pool.map)(replicate, idx)
+                continue
+            reasons, addends = pricer(idx)
+            batched = iter(addends)
+            for draw, why in zip(idx, reasons):
+                tally[why] += 1
+                outcomes.append(replicate(draw) if why else priced(next(batched)))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -451,7 +406,7 @@ def bootstrap(
         "max_sum_gap": float(max(gap for _, gap in kept)),
     }
     if pricer is not None:
-        diagnostics["routes"] = pricer.routes
+        diagnostics["routes"] = {"batched": tally.pop(""), "fallback": tally, **pricer.extras}
     return DecompositionResult(
         components=tuple(with_ci),
         te=point.te,

@@ -33,7 +33,6 @@ __all__ = [
     "Dataset",
     "DiscreteScm",
     "EmptyCell",
-    "InvalidDistribution",
     "NonCategoricalColumn",
     "NotIdentifiable",
     "UnboundLevel",
@@ -81,10 +80,6 @@ class EmptyCell(ValueError):
         )
         more = "" if len(self.cells) <= 8 else f" and {len(self.cells) - 8} more"
         super().__init__(f"empty cells: {shown}{more}")
-
-
-class InvalidDistribution(ValueError):
-    """Exposure assignment probabilities are negative or do not sum to one."""
 
 
 class NonCategoricalColumn(ValueError):
@@ -498,40 +493,22 @@ def simulate(
     model: DiscreteScm,
     n: int,
     seed: int,
-    exposure_assignment: Mapping[Any, float] | None = None,
     noise_sd: float = 1.0,
 ) -> Dataset:
     """Draw `n` i.i.d. rows through the factorization A -> M1 (-> M2) -> Y.
 
-    The outcome is its cell mean plus Gaussian noise with finite,
-    non-negative standard deviation `noise_sd`.  Identical ``(model, n,
-    seed, exposure_assignment, noise_sd)`` give byte-identical output; the
-    generator is stream-split so concurrent callers with distinct seeds
-    never share state.
-
-    `exposure_assignment` maps exposure levels to probabilities (uniform when
-    omitted).
+    The exposure is uniform over the model's levels, and the outcome is its
+    cell mean plus Gaussian noise with finite, non-negative standard
+    deviation `noise_sd`.  Identical ``(model, n, seed, noise_sd)`` give
+    byte-identical output; the generator is stream-split so concurrent
+    callers with distinct seeds never share state.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (np.isfinite(noise_sd) and noise_sd >= 0.0):
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     levels = model.exposure_levels
-    if exposure_assignment is None:
-        probs = np.full(len(levels), 1.0 / len(levels))
-    else:
-        probs = np.zeros(len(levels))
-        for raw, p in exposure_assignment.items():
-            level = _resolve_level(raw, levels, "exposure assignment")
-            probs[levels.index(level)] = float(p)
-        if not (probs >= 0.0).all():  # NaN fails too
-            raise InvalidDistribution(
-                f"exposure probabilities must be numbers >= 0, got {probs.tolist()}"
-            )
-        total = probs.sum()
-        if not abs(total - 1.0) <= 1e-9:
-            raise InvalidDistribution(f"exposure probabilities sum to {total!r}, not 1")
-        probs = probs / total
+    probs = np.full(len(levels), 1.0 / len(levels))
 
     rng = np.random.default_rng(seed)
     a_idx = _sample_rows(rng, np.tile(probs, (1, 1)), np.zeros(n, dtype=int))
@@ -738,18 +715,31 @@ def model_to_json(model: DiscreteScm) -> dict:
     return doc
 
 
-def _str_keys(table: Mapping) -> dict:
-    """A nested JSON table with string keys and float leaves."""
-    return {
-        str(k): _str_keys(v) if isinstance(v, Mapping) else float(v)
-        for k, v in table.items()
-    }
+def _json_object(value: Any, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
-def model_from_json(doc: Mapping[str, Any]) -> DiscreteScm:
+def _str_keys(table: Any, what: str) -> dict:
+    """The nested JSON table `what` with string keys and float leaves."""
+    out = {}
+    for k, v in _json_object(table, what).items():
+        key = f"{what}[{str(k)!r}]"
+        if isinstance(v, Mapping):
+            out[str(k)] = _str_keys(v, key)
+            continue
+        try:
+            out[str(k)] = float(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} is {v!r}, not a number") from None
+    return out
+
+
+def model_from_json(doc: Any) -> DiscreteScm:
     """Inverse of `model_to_json`; levels are strings throughout."""
-    scenario = Scenario.from_id(doc["scenario"])
-    levels = doc.get("levels", {})
+    scenario = Scenario.from_id(_json_object(doc, "model document")["scenario"])
+    levels = _json_object(doc.get("levels", {}), "levels")
     kwargs: dict[str, Any] = {
         "treatment": levels.get("treatment"),
         "reference": levels.get("reference"),
@@ -758,10 +748,10 @@ def model_from_json(doc: Mapping[str, Any]) -> DiscreteScm:
     for role in roles:
         if role in levels:
             kwargs[f"{role}_levels"] = tuple(str(v) for v in levels[role])
-    pm1, ymean = _str_keys(doc["pm1"]), _str_keys(doc["ymean"])
+    pm1, ymean = _str_keys(doc["pm1"], "pm1"), _str_keys(doc["ymean"], "ymean")
     if scenario.k == 1:
         return DiscreteScm(scenario, pm1=pm1, ymean=ymean, **kwargs)
-    pm2 = _str_keys(doc["pm2"])
+    pm2 = _str_keys(doc["pm2"], "pm2")
     if isinstance(next(iter(next(iter(pm2.values())).values())), Mapping):
         return DiscreteScm(scenario, pm1=pm1, pm2=pm2, ymean=ymean, **kwargs)
     if scenario.kind is not ScenarioKind.NONSEQ:

@@ -24,7 +24,8 @@ from natfx.cli import (
 from natfx.decomp import Query, decompose
 from natfx.estimate import LinearParams
 from natfx.infer import BootstrapConfig, bootstrap
-from natfx.scm import from_dataset, model_to_json, save_model
+from natfx.scm import DiscreteScm, from_dataset, model_to_json, save_model
+from natfx.scm import simulate as simulate_model
 
 ROLES2 = {"exposure": "A", "m1": "M1", "m2": "M2", "outcome": "Y"}
 
@@ -275,6 +276,24 @@ class TestSimulateCommand:
         run(RunConfig(subcommand="simulate", model=model, n=30, seed=9, out=str(p1)))
         run(RunConfig(subcommand="simulate", model=model, n=30, seed=9, out=str(p2)))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_levels_with_commas_and_quotes_round_trip(self, tmp_path):
+        levels = ("a,1", 'b"0')
+        model = DiscreteScm(
+            Scenario.single(),
+            pm1={a: {'m "lo"': 0.25, "m,hi": 0.75} for a in levels},
+            ymean={a: {'m "lo"': 1.0 + i, "m,hi": -2.0 * i} for i, a in enumerate(levels)},
+        )
+        path = write(tmp_path / "m.json", "")
+        save_model(model, path)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--model", path, "--n", "40", "--seed", "2", "--out", str(out)]) == 0
+        data = load_dataset(str(out), {"exposure": "A", "m1": "M1", "outcome": "Y"})
+        want = simulate_model(model, 40, 2)
+        assert data.exposure.tolist() == want.exposure.tolist()
+        assert data.m1.tolist() == want.m1.tolist()
+        assert data.outcome.tolist() == want.outcome.tolist()
+        assert set(data.exposure.tolist()) == set(levels)
 
     @pytest.mark.parametrize("noise_sd", ["nan", "inf", "-0.5"])
     def test_bad_noise_sd_exits_one(self, tmp_path, dm1, capsys, noise_sd):
@@ -615,6 +634,63 @@ class TestNonFiniteInput:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("natfx: error: Out of range float values are not JSON compliant")
+
+
+class TestMalformedDocuments:
+    """A JSON document of the wrong shape, or a model whose components sum
+    beyond the float range, exits 1 with an error that names the key or the
+    row, never with a traceback."""
+
+    QUERY = ["--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0"]
+
+    def assert_error(self, argv, capsys, message):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"natfx: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["decompose", *QUERY], ["simulate", "--n", "5"]])
+    def test_model_file_that_is_a_list(self, tmp_path, capsys, argv):
+        model = write(tmp_path / "m.json", "[1, 2]")
+        self.assert_error([*argv, "--model", model], capsys,
+                          "model document must be a JSON object, got list")
+
+    @pytest.mark.parametrize("argv", [["decompose", *QUERY], ["eval", "Y(a, M1(a), M2(a, M1(a)))"]])
+    def test_pm1_that_is_a_list(self, tmp_path, dm1, capsys, argv):
+        model = model_file(tmp_path, dm1, lambda doc: doc.update(pm1=[0.5, 0.5]))
+        self.assert_error([*argv, "--model", model], capsys, "pm1 must be a JSON object, got list")
+
+    def test_null_cell_mean(self, tmp_path, dm1, capsys):
+        model = model_file(tmp_path, dm1, lambda doc: doc["ymean"]["1"]["0"].update({"1": None}))
+        self.assert_error(["decompose", *self.QUERY, "--model", model], capsys,
+                          "ymean['1']['0']['1'] is None, not a number")
+
+    def test_params_file_that_is_a_list(self, tmp_path, capsys):
+        params = write(tmp_path / "p.json", "[1, 2]")
+        self.assert_error(["decompose-linear", "--params", params, *self.QUERY], capsys,
+                          "parameter document must be a JSON object, got list")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"theta": 5}, "parameter document is missing key 'beta'"),
+        ({"theta": 5, "beta": [0] * 4, "gamma": [0] * 2}, "theta must be a list of numbers, got 5"),
+        ({"theta": [0] * 8, "beta": [0, 0, 0, None], "gamma": [0] * 2},
+         "beta must be a list of numbers, got [0, 0, 0, None]"),
+        ({"theta": "01234567", "beta": "0123", "gamma": "01"},
+         "theta must be a list of numbers, got '01234567'"),
+    ])
+    def test_params_coefficients_that_are_not_a_list(self, tmp_path, capsys, doc, message):
+        params = write(tmp_path / "p.json", json.dumps(doc))
+        self.assert_error(["decompose-linear", "--params", params, *self.QUERY], capsys, message)
+
+    def test_components_that_overflow(self, tmp_path, dm1, capsys):
+        def edit(doc):
+            for a, sign in (("1", 1.0), ("0", -1.0)):
+                for row in doc["ymean"][a].values():
+                    row.update({m2: sign * 1.7e308 for m2 in row})
+
+        model = model_file(tmp_path, dm1, edit)
+        self.assert_error(["decompose", *self.QUERY, "--model", model], capsys,
+                          "CDE overflows the float range")
 
 
 class TestRounding:

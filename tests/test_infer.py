@@ -17,7 +17,7 @@ from natfx.infer import (
     TooManyFailedReplicates,
     bootstrap,
 )
-from natfx.scm import Dataset, from_dataset, simulate
+from natfx.scm import Dataset, DiscreteScm, from_dataset, simulate
 
 SEQ2 = Scenario.chain(2)
 Q = Query(a=1, a_star=0, m1_star=0, m2_star=0)
@@ -188,6 +188,25 @@ class TestBootstrap:
             "max_sum_gap": 0.0,
         }
         assert all(np.isfinite(row.ci).all() for row in out.components)
+
+    def test_overflowing_replicates_are_dropped_and_counted(self):
+        data = toy_dataset()
+        levels = {0: 0.5, 1: 0.5}
+
+        def blows_up(d):
+            # resamples with more exposed rows than the data price cell means
+            # of +-1.7e308, whose differences overflow the float range
+            big = 1.7e308 if d.exposure.sum() > data.exposure.sum() else 1.0
+            model = DiscreteScm(Scenario.single(), pm1={0: levels, 1: levels},
+                                ymean={1: {0: big, 1: big}, 0: {0: -big, 1: -big}})
+            return decompose(model, Query(a=1, a_star=0, m1_star=0))
+
+        out = bootstrap(data, blows_up, BootstrapConfig(replicates=100, seed=1, max_fail=0.9))
+        failed = out.diagnostics["failed"]
+        assert 0 < failed < 100 and out.diagnostics["kept"] == 100 - failed
+        assert out.diagnostics["failed_by_error"] == {
+            "ValueError": {"count": failed, "first": "CDE overflows the float range"}
+        }
 
     def test_rare_level_failures_dropped_within_policy(self):
         rng = np.random.default_rng(17)
@@ -436,11 +455,11 @@ def batched_fits(data, estimator, draws):
     real = infer._linear_pricer
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(infer, "_linear_pricer", lambda coefs, *rest: seen.append(coefs) or real(coefs, *rest))
-        outcomes = estimator._chunk_pricer(data, lambda draw: None)(draws)
+        reasons, _ = infer._LinearChunkPricer(data, estimator)(np.stack(draws))
     (coefs,) = seen
     fits, j = [], 0
-    for outcome in outcomes:
-        if outcome is None:
+    for why in reasons:
+        if why:
             fits.append(None)
             continue
         per_equation = [np.concatenate([getattr(coefs, f)[:, j], getattr(coefs, f + "_c")[:, j]])

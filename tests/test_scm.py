@@ -18,7 +18,6 @@ from natfx.scm import (
     Dataset,
     DiscreteScm,
     EmptyCell,
-    InvalidDistribution,
     NonCategoricalColumn,
     NotIdentifiable,
     UnboundLevel,
@@ -273,18 +272,6 @@ class TestSimulate:
         for i in range(data.n):
             a, m1, m2 = data.exposure[i], data.m1[i], data.m2[i]
             assert data.outcome[i] == dm1.ymean[a][m1][m2]
-
-    def test_exposure_assignment(self, dm1):
-        data = simulate(dm1, 1000, seed=5, exposure_assignment={1: 1.0, 0: 0.0})
-        assert (data.exposure == 1).all()
-
-    def test_invalid_assignment_raises(self, dm1):
-        with pytest.raises(InvalidDistribution):
-            simulate(dm1, 10, seed=0, exposure_assignment={0: 0.4, 1: 0.4})
-        with pytest.raises(InvalidDistribution):
-            simulate(dm1, 10, seed=0, exposure_assignment={0: -0.2, 1: 1.2})
-        with pytest.raises(InvalidDistribution, match="nan"):
-            simulate(dm1, 10, seed=0, exposure_assignment={0: float("nan"), 1: 1.0})
 
     def test_n_must_be_positive(self, dm1):
         with pytest.raises(ValueError, match=">= 1"):
