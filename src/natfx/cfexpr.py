@@ -24,9 +24,9 @@ slot while activated counterfactually inside another mediator's history.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Union
 
 __all__ = [
     "ArityError",
@@ -214,15 +214,11 @@ class IdentifiabilityVerdict:
 # formatting
 
 
-def _format_exposure(exp: ExposureLevel) -> str:
-    return exp.symbol
-
-
 def _format_spec(spec: MediatorSpec, index: int) -> str:
     if isinstance(spec, Fixed):
         return spec.label
     inner = ", ".join(
-        [_format_exposure(spec.exposure)]
+        [spec.exposure.symbol]
         + [_format_spec(p, j) for j, p in enumerate(spec.parents, start=1)]
     )
     return f"M{index}({inner})"
@@ -231,7 +227,7 @@ def _format_spec(spec: MediatorSpec, index: int) -> str:
 def format_cf(expr: CfExpr) -> str:
     """Render `expr` canonically; ``parse_cf(format_cf(e))`` returns an equal AST."""
     inner = ", ".join(
-        [_format_exposure(expr.exposure)]
+        [expr.exposure.symbol]
         + [_format_spec(s, i) for i, s in enumerate(expr.mediators, start=1)]
     )
     return f"Y({inner})"
@@ -376,27 +372,13 @@ def parse_cf(text: str, scenario: Scenario) -> CfExpr:
 
 
 def validate_cf(expr: CfExpr, scenario: Scenario) -> None:
-    """Check a hand-built AST against `scenario`; raise like `parse_cf` on mismatch."""
+    """Check a hand-built AST by parsing its rendering against `scenario`.
 
-    def check(spec: MediatorSpec, slot: int) -> None:
-        if isinstance(spec, Fixed):
-            return
-        expected = slot - 1 if scenario.kind is ScenarioKind.CHAIN else 0
-        if len(spec.parents) != expected:
-            raise ArityError(
-                f"M{slot} takes {expected} parent spec(s) in scenario "
-                f"{scenario.id}, found {len(spec.parents)}"
-            )
-        for j, parent in enumerate(spec.parents, start=1):
-            check(parent, j)
-
-    if len(expr.mediators) != scenario.k:
-        raise ArityError(
-            f"expected {scenario.k} mediator spec(s) for scenario {scenario.id}, "
-            f"found {len(expr.mediators)}"
-        )
-    for i, spec in enumerate(expr.mediators, start=1):
-        check(spec, i)
+    Raises what ``parse_cf(format_cf(expr), scenario)`` raises: the message
+    names a position in that text, and a counterfactual mediator beyond slot
+    ``scenario.k`` is an `UnknownMediatorError`.
+    """
+    parse_cf(format_cf(expr), scenario)
 
 
 # ---------------------------------------------------------------------------

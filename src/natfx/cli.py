@@ -399,15 +399,15 @@ def load_dataset(path: str, roles: Mapping[str, Any]) -> Dataset:
 
 
 def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get("NATFX_SEED")
-    if raw is None:
-        return 0
+    source = "NATFX_SEED" if explicit is None else "--seed"
+    raw = os.environ.get("NATFX_SEED", "0") if explicit is None else explicit
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValueError(f"NATFX_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _query_from(config: RunConfig) -> Query:

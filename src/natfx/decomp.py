@@ -18,7 +18,7 @@ engine prices the formulas and the rows are exact sums of the priced terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from .cfexpr import (
@@ -169,16 +169,6 @@ def _y2(ey, m1, m2) -> CfExpr:
     return CfExpr(ey, (m1, m2))
 
 
-def _w_seq(ey, e2, e1) -> CfExpr:
-    """One-path natural world: the M1 formula repeats inside M2's history."""
-    m1 = _nat(e1)
-    return _y2(ey, m1, _chain(e2, m1))
-
-
-def _w_flat(ey, e2, e1) -> CfExpr:
-    return _y2(ey, _nat(e1), _nat(e2))
-
-
 def _requires(specs: Sequence[ComponentSpec]) -> frozenset[str]:
     return frozenset(label for spec in specs for label in spec.requires)
 
@@ -196,45 +186,14 @@ def _check_requires(needed: Iterable[str], q: Query) -> None:
 # catalogs
 
 
-def _single_specs() -> tuple[ComponentSpec, ...]:
-    ma = _nat(_A)
-    mr = _nat(_R)
-    int_med = (
-        (+1, _y1(_A, ma)),
-        (-1, _y1(_R, ma)),
-        (-1, _y1(_A, mr)),
-        (+1, _y1(_R, mr)),
-    )
-    specs = [
-        ComponentSpec("CDE", ((+1, _y1(_A, _M1S)), (-1, _y1(_R, _M1S)))),
-        ComponentSpec(
-            "INT_ref",
-            (
-                (+1, _y1(_A, mr)),
-                (-1, _y1(_R, mr)),
-                (-1, _y1(_A, _M1S)),
-                (+1, _y1(_R, _M1S)),
-            ),
-        ),
-        ComponentSpec("INT_med", int_med),
-        ComponentSpec("PIE", ((+1, _y1(_R, ma)), (-1, _y1(_R, mr)))),
-        ComponentSpec("NatINT_AM", int_med, in_sum=False),
-        ComponentSpec(
-            "NDE_pure", ((+1, _y1(_A, mr)), (-1, _y1(_R, mr))), in_sum=False
-        ),
-        ComponentSpec(
-            "NDE_total", ((+1, _y1(_A, ma)), (-1, _y1(_R, ma))), in_sum=False
-        ),
-        ComponentSpec(
-            "NIE_pure", ((+1, _y1(_R, ma)), (-1, _y1(_R, mr))), in_sum=False
-        ),
-        ComponentSpec(
-            "NIE_total", ((+1, _y1(_A, ma)), (-1, _y1(_A, mr))), in_sum=False
-        ),
-        ComponentSpec("TE", ((+1, _y1(_A, ma)), (-1, _y1(_R, mr))), in_sum=False),
-    ]
-    return tuple(specs)
-
+# Exposure pair (e_Y, e_M1) of each single-mediator world Y(e_Y, M1(e_M1)):
+# all treated first, all reference last.
+_SINGLE_WORLDS = (
+    (_A, _A),
+    (_A, _R),
+    (_R, _A),
+    (_R, _R),
+)
 
 # Exposure triple (e_Y, e_M2, e_M1) of each two-mediator world W1..W8: W1
 # is all treated, W8 all reference, the rest mix levels across the slots.
@@ -251,9 +210,32 @@ _WORLDS = (
 
 
 def _worlds(scenario: Scenario) -> list[CfExpr]:
-    """W1..W8, with M2 flat beside M1 or nested on it as the scenario says."""
-    world = _w_flat if scenario.kind is ScenarioKind.NONSEQ else _w_seq
-    return [world(*triple) for triple in _WORLDS]
+    """The worlds of `scenario`: the four Y(e, M1(e')), or W1..W8 with M2 flat or nested."""
+    if scenario.kind is ScenarioKind.SINGLE:
+        return [_y1(ey, _nat(e1)) for ey, e1 in _SINGLE_WORLDS]
+    if scenario.kind is ScenarioKind.NONSEQ:
+        return [_y2(ey, _nat(e1), _nat(e2)) for ey, e2, e1 in _WORLDS]
+    # one path: the M1 formula repeats inside M2's history
+    return [_y2(ey, _nat(e1), _chain(e2, _nat(e1))) for ey, e2, e1 in _WORLDS]
+
+
+def _single_specs() -> tuple[ComponentSpec, ...]:
+    """The four-way split and its flavor rows over the worlds and the m1* pair."""
+    w1, w2, w3, w4 = _worlds(Scenario.single())
+    a_s, r_s = _y1(_A, _M1S), _y1(_R, _M1S)
+    int_med = ((+1, w1), (-1, w3), (-1, w2), (+1, w4))
+    return (
+        ComponentSpec("CDE", ((+1, a_s), (-1, r_s))),
+        ComponentSpec("INT_ref", ((+1, w2), (-1, w4), (-1, a_s), (+1, r_s))),
+        ComponentSpec("INT_med", int_med),
+        ComponentSpec("PIE", ((+1, w3), (-1, w4))),
+        ComponentSpec("NatINT_AM", int_med, in_sum=False),
+        ComponentSpec("NDE_pure", ((+1, w2), (-1, w4)), in_sum=False),
+        ComponentSpec("NDE_total", ((+1, w1), (-1, w3)), in_sum=False),
+        ComponentSpec("NIE_pure", ((+1, w3), (-1, w4)), in_sum=False),
+        ComponentSpec("NIE_total", ((+1, w1), (-1, w2)), in_sum=False),
+        ComponentSpec("TE", ((+1, w1), (-1, w4)), in_sum=False),
+    )
 
 
 def _two_mediator_specs(scenario: Scenario, extended: bool) -> tuple[ComponentSpec, ...]:
@@ -267,19 +249,8 @@ def _two_mediator_specs(scenario: Scenario, extended: bool) -> tuple[ComponentSp
         reference = [
             ComponentSpec("INT_ref-AM1", ((+1, a_rs), (-1, a_ss), (-1, r_rs), (+1, r_ss))),
             ComponentSpec("INT_ref-AM2", ((+1, a_sr), (-1, a_ss), (-1, r_sr), (+1, r_ss))),
-            ComponentSpec(
-                "INT_ref-AM1M2",
-                (
-                    (+1, w7),
-                    (-1, a_rs),
-                    (-1, a_sr),
-                    (-1, w8),
-                    (+1, r_sr),
-                    (+1, r_rs),
-                    (+1, a_ss),
-                    (-1, r_ss),
-                ),
-            ),
+            ComponentSpec("INT_ref-AM1M2", ((+1, w7), (-1, a_rs), (-1, a_sr), (-1, w8),
+                                            (+1, r_sr), (+1, r_rs), (+1, a_ss), (-1, r_ss))),
         ]
     else:
         reference = [
@@ -348,12 +319,9 @@ def components_for(
 
 
 def total_effect(scenario: Scenario) -> ComponentSpec:
-    if scenario.kind is ScenarioKind.SINGLE:
-        treated, reference = _y1(_A, _nat(_A)), _y1(_R, _nat(_R))
-    elif scenario.k == 2:
-        treated, *_, reference = _worlds(scenario)
-    else:
+    if scenario.k > 2:
         raise ValueError(f"no TE contrast for scenario {scenario.id}")
+    treated, *_, reference = _worlds(scenario)
     return ComponentSpec("TE", ((+1, treated), (-1, reference)), in_sum=False)
 
 
@@ -368,19 +336,8 @@ def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
     attempt to evaluate them raises.
     """
     if scenario.kind is ScenarioKind.SINGLE:
-        ma, mr = _nat(_A), _nat(_R)
-        return [
-            ComponentSpec(
-                "INT_med",
-                (
-                    (+1, _y1(_A, ma)),
-                    (-1, _y1(_R, ma)),
-                    (-1, _y1(_A, mr)),
-                    (+1, _y1(_R, mr)),
-                ),
-                in_sum=False,
-            )
-        ]
+        int_med = next(spec for spec in _catalog(scenario).specs if spec.name == "INT_med")
+        return [replace(int_med, in_sum=False)]
     if scenario.k != 2:
         raise ValueError(f"no mediated contrasts for scenario {scenario.id}")
     m1a, m1r = _nat(_A), _nat(_R)
@@ -398,6 +355,7 @@ def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
         specs = [int_med_am1]
         _check_requires(_requires(specs), q)
         return specs
+    w1, _, _, w4, _, _, w7, w8 = _worlds(scenario)
     m2aa = _chain(_A, m1a)
     m2rr = _chain(_R, m1r)
     int_med_am2 = ComponentSpec(
@@ -414,14 +372,14 @@ def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
     int_med_am1m2 = ComponentSpec(
         "INT_med-AM1M2",
         (
-            (+1, _w_seq(_A, _A, _A)),
-            (-1, _w_seq(_A, _R, _R)),
+            (+1, w1),
+            (-1, w7),
             (-1, _y2(_A, m1a, _M2S)),
             (+1, _y2(_A, m1r, _M2S)),
             (-1, _y2(_A, _M1S, m2aa)),
             (+1, _y2(_A, _M1S, m2rr)),
-            (-1, _w_seq(_R, _A, _A)),
-            (+1, _w_seq(_R, _R, _R)),
+            (-1, w4),
+            (+1, w8),
             (+1, _y2(_R, _M1S, m2aa)),
             (-1, _y2(_R, _M1S, m2rr)),
             (+1, _y2(_R, m1a, _M2S)),

@@ -19,15 +19,15 @@ import numpy as np
 
 from .cfexpr import Scenario, ScenarioKind
 from .decomp import (
-    _WORLDS,
     DecompositionResult,
     Query,
     _assemble,
     _catalog,
     _check_requires,
     _evaluate,
+    _worlds,
 )
-from .scm import Dataset, DiscreteScm, _rows_text
+from .scm import Dataset, DiscreteScm, _compile_formula, _rows_text
 
 __all__ = [
     "Assumption",
@@ -616,14 +616,13 @@ def expectation_w(
     world; W8 is W1 with a replaced by a* throughout; the rest mix levels
     across the outcome, M2, and M1 exposure slots.
     """
-    worlds = {f"W{i}": triple for i, triple in enumerate(_WORLDS, 1)}
+    worlds = {f"W{i}": world for i, world in enumerate(_worlds(_SEQ2), 1)}
     key = f"W{which}" if isinstance(which, int) else str(which).upper()
     if key not in worlds:
         raise ValueError(f"which must be one of W1..W8, got {which!r}")
-    e_y, e_m2, e_m1 = (e.symbol for e in worlds[key])
     level = {"a": float(a), "a*": float(a_star)}
     price = _linear_pricer(params, _covariate_vector(params.n_covariates, c), level)
-    return math.fsum(price((e_y, (False, e_m1), (False, e_m2))))
+    return math.fsum(price(_compile_formula(worlds[key], _SEQ2)))
 
 
 def _linear_levels(q: Query) -> dict[str, float]:

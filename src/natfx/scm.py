@@ -91,7 +91,7 @@ def _as_prob_row(row: Mapping[Any, float], levels: tuple, what: str) -> list[flo
     for level in levels:
         if level not in row:
             raise ValueError(f"{what} is missing an entry for level {level!r}")
-        p = float(row[level])
+        p = _float(row[level], f"{what}[{level!r}]")
         if not p >= 0.0:  # NaN fails too
             raise ValueError(f"{what} has a negative or NaN probability {p!r} at {level!r}")
         out.append(p)
@@ -113,7 +113,7 @@ def _rows_text(rows: Sequence[int]) -> str:
 
 
 def _cell_means(row: Mapping, levels: tuple, what: str) -> list[float]:
-    out = [float(_row(row, level, what)) for level in levels]
+    out = [_float(_row(row, level, what), f"{what}[{level!r}]") for level in levels]
     for level, y in zip(levels, out):
         if not math.isfinite(y):
             raise ValueError(f"{what}[{level!r}] is {y!r}; cell means must be finite")
@@ -126,8 +126,23 @@ def _row(table: Mapping, key: Any, what: str) -> Mapping:
     return table[key]
 
 
+def _first(table: Any, what: str) -> tuple[Any, str]:
+    """The first value of the non-empty JSON object `what`, and its name."""
+    for key, value in _json_object(table, what).items():
+        return value, f"{what}[{key!r}]"
+    raise ValueError(f"{what} must be a non-empty JSON object")
+
+
+def _float(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is {value!r}, not a number") from None
+
+
 def _dense(table: Mapping, axes: Sequence[tuple], what: str, read_row) -> np.ndarray:
     """Array of a nested mapping along level tuples; `read_row` reads the last axis."""
+    _json_object(table, what)
     if len(axes) == 1:
         return np.array(read_row(table, axes[0], what))
     return np.array(
@@ -186,7 +201,7 @@ class DiscreteScm:
         exposure = exposure_levels or tuple(pm1.keys())
         if not exposure:
             raise ValueError("model needs at least one exposure level")
-        m1 = m1_levels or tuple(next(iter(pm1.values())).keys())
+        m1 = m1_levels or tuple(_json_object(*_first(pm1, "pm1")))
         p1 = _dense(pm1, (exposure, m1), "pm1", _as_prob_row)
         if scenario.k == 1:
             if pm2 is not None or m2_levels is not None:
@@ -195,7 +210,7 @@ class DiscreteScm:
         else:
             if pm2 is None:
                 raise ValueError("two-mediator model requires a pm2 table")
-            m2 = m2_levels or tuple(next(iter(next(iter(pm2.values())).values())).keys())
+            m2 = m2_levels or tuple(_json_object(*_first(*_first(pm2, "pm2"))))
             p2 = _dense(pm2, (exposure, m1, m2), "pm2", _as_prob_row)
             if scenario.kind is ScenarioKind.NONSEQ:
                 drift = np.abs(p2 - p2[:, :1, :]).max(axis=(1, 2))
@@ -253,9 +268,10 @@ class DiscreteScm:
         **kwargs: Any,
     ) -> "DiscreteScm":
         """Build a non-sequential model from the marginal table Pr(M2 | A)."""
-        m1_levels = kwargs.get("m1_levels") or tuple(next(iter(pm1.values())).keys())
+        m1_levels = kwargs.get("m1_levels") or tuple(_json_object(*_first(pm1, "pm1")))
         expanded = {
-            a: {lvl: dict(row) for lvl in m1_levels} for a, row in pm2_marginal.items()
+            a: {lvl: dict(_json_object(row, f"pm2[{a!r}]")) for lvl in m1_levels}
+            for a, row in pm2_marginal.items()
         }
         return DiscreteScm(
             Scenario.nonseq(2), pm1=pm1, pm2=expanded, ymean=ymean, **kwargs
@@ -364,8 +380,8 @@ def _compile_formula(expr: CfExpr, scenario: Scenario) -> tuple:
     coincide, so M2's parent is always the M1 slot.  Engines price these
     slots; no validation is left for them to do.
 
-    Raises `NotIdentifiable` for a problematic formula and `ArityError` for
-    one that does not fit the scenario.
+    Raises `NotIdentifiable` for a problematic formula and, through
+    `validate_cf`, a `ParseError` for one that does not fit the scenario.
     """
     validate_cf(expr, scenario)
     verdict = check_identifiability(expr, scenario)
@@ -726,13 +742,7 @@ def _str_keys(table: Any, what: str) -> dict:
     out = {}
     for k, v in _json_object(table, what).items():
         key = f"{what}[{str(k)!r}]"
-        if isinstance(v, Mapping):
-            out[str(k)] = _str_keys(v, key)
-            continue
-        try:
-            out[str(k)] = float(v)
-        except (TypeError, ValueError):
-            raise ValueError(f"{key} is {v!r}, not a number") from None
+        out[str(k)] = _str_keys(v, key) if isinstance(v, Mapping) else _float(v, key)
     return out
 
 
@@ -747,12 +757,16 @@ def model_from_json(doc: Any) -> DiscreteScm:
     roles = ("exposure", "m1") if scenario.k == 1 else ("exposure", "m1", "m2")
     for role in roles:
         if role in levels:
-            kwargs[f"{role}_levels"] = tuple(str(v) for v in levels[role])
+            support = levels[role]
+            if not isinstance(support, list):
+                raise ValueError(f"levels[{role!r}] must be a JSON list, "
+                                 f"got {type(support).__name__}")
+            kwargs[f"{role}_levels"] = tuple(str(v) for v in support)
     pm1, ymean = _str_keys(doc["pm1"], "pm1"), _str_keys(doc["ymean"], "ymean")
     if scenario.k == 1:
         return DiscreteScm(scenario, pm1=pm1, ymean=ymean, **kwargs)
     pm2 = _str_keys(doc["pm2"], "pm2")
-    if isinstance(next(iter(next(iter(pm2.values())).values())), Mapping):
+    if isinstance(_first(*_first(pm2, "pm2"))[0], Mapping):
         return DiscreteScm(scenario, pm1=pm1, pm2=pm2, ymean=ymean, **kwargs)
     if scenario.kind is not ScenarioKind.NONSEQ:
         raise ValueError(

@@ -7,6 +7,30 @@ tautology.
 from __future__ import annotations
 
 # ---------------------------------------------------------------------------
+# arity oracle
+
+
+def arity_fits(mediators, k, chain):
+    """Whether hand-built mediator specs fit a scenario of `k` mediators,
+    chained or not, by walking the tree.
+
+    A spec without ``parents`` is a fixed level and fits any slot.  A
+    counterfactual spec in slot i carries i - 1 parent specs in a chain and
+    none elsewhere, and its j-th parent must fit slot j in turn.
+    """
+
+    def fits(spec, slot):
+        if not hasattr(spec, "parents"):
+            return True
+        expected = slot - 1 if chain else 0
+        return len(spec.parents) == expected and all(
+            fits(parent, j) for j, parent in enumerate(spec.parents, start=1)
+        )
+
+    return len(mediators) == k and all(fits(spec, i) for i, spec in enumerate(mediators, start=1))
+
+
+# ---------------------------------------------------------------------------
 # enumeration oracle
 
 

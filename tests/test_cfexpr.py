@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from natfx.cfexpr import (
     REFERENCE,
     TREATMENT,
@@ -121,6 +122,23 @@ def test_validate_cf_checks_hand_built_trees():
     validate_cf(bad, NONSEQ2)
 
 
+@pytest.mark.parametrize("mediators, scenario, error, message", [
+    # a counterfactual mediator beyond the scenario's last slot is unknown
+    ((Counterfactual(TREATMENT), Counterfactual(REFERENCE)), SINGLE, UnknownMediatorError,
+     "M2 does not exist in scenario single (at position 12)"),
+    ((Counterfactual(TREATMENT), Counterfactual(REFERENCE)), SEQ2, ArityError,
+     "M2 takes 1 parent spec(s) in scenario seq2, found 0 (at position 17)"),
+    ((Fixed("m1*"),), NONSEQ2, ArityError,
+     "expected 2 mediator spec(s) for scenario nonseq2, found 1 (at position 8)"),
+])
+def test_validate_cf_raises_what_the_parser_raises(mediators, scenario, error, message):
+    # the position points into format_cf(expr)
+    with pytest.raises(error) as exc:
+        validate_cf(CfExpr(TREATMENT, mediators), scenario)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # identifiability
 
@@ -230,6 +248,49 @@ def test_unifying_exposures_preserves_identifiability(case):
         return
     unified = CfExpr(TREATMENT, tuple(_unify_exposures(s) for s in expr.mediators))
     assert check_identifiability(unified, scenario).identifiable
+
+
+_TREE_EXPOSURES = st.sampled_from([TREATMENT, REFERENCE, ExposureLevel("a**")])
+_TREE_LABELS = st.sampled_from(["m1*", "m2*"])
+
+
+@st.composite
+def _hand_built_case(draw):
+    """A scenario and a hand-built tree of any shape: 0-3 mediators, each
+    fixed or counterfactual with 0-2 nested parents.  Each count is the
+    scenario's own count often enough that many trees fit."""
+    scenario = draw(st.sampled_from([SINGLE, NONSEQ2, SEQ2, Scenario.chain(3)]))
+    chain = scenario.kind is ScenarioKind.CHAIN
+
+    def spec(slot, depth):
+        if draw(st.booleans()):
+            return Fixed(draw(_TREE_LABELS))
+        shaped = slot - 1 if chain else 0
+        count = draw(st.sampled_from([shaped, shaped, 0, 1, 2])) if depth else 0
+        parents = tuple(spec(j, depth - 1) for j in range(1, count + 1))
+        return Counterfactual(draw(_TREE_EXPOSURES), parents)
+
+    count = draw(st.sampled_from([scenario.k, scenario.k, 0, 1, 2, 3]))
+    return scenario, CfExpr(draw(_TREE_EXPOSURES), tuple(spec(i, 2) for i in range(1, count + 1)))
+
+
+@given(_hand_built_case())
+@settings(max_examples=400, deadline=None)
+def test_validate_cf_rejects_exactly_what_the_arity_oracle_rejects(case):
+    scenario, expr = case
+    fits = oracles.arity_fits(expr.mediators, scenario.k, scenario.kind is ScenarioKind.CHAIN)
+    try:
+        parsed = parse_cf(format_cf(expr), scenario)
+    except ParseError as err:
+        parsed = err
+    if fits:
+        validate_cf(expr, scenario)
+        assert parsed == expr
+    else:
+        with pytest.raises(ParseError) as exc:
+            validate_cf(expr, scenario)
+        assert type(exc.value) is type(parsed)
+        assert str(exc.value) == str(parsed)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import natfx.cli
+import oracles
 from natfx.cfexpr import Scenario
 from natfx.cli import (
     Report,
@@ -636,6 +637,20 @@ class TestNonFiniteInput:
         assert out.err.startswith("natfx: error: Out of range float values are not JSON compliant")
 
 
+def setting(keys, value, drop_levels=False):
+    """A model-document edit that sets ``doc[keys[0]]...[keys[-1]] = value``."""
+
+    def edit(doc):
+        if drop_levels:
+            del doc["levels"]
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+
+    return edit
+
+
 class TestMalformedDocuments:
     """A JSON document of the wrong shape, or a model whose components sum
     beyond the float range, exits 1 with an error that names the key or the
@@ -682,6 +697,35 @@ class TestMalformedDocuments:
         params = write(tmp_path / "p.json", json.dumps(doc))
         self.assert_error(["decompose-linear", "--params", params, *self.QUERY], capsys, message)
 
+    @pytest.mark.parametrize("edit, message", [
+        (setting(["pm1"], {"0": 0.5, "1": 0.5}), "pm1['0'] must be a JSON object, got float"),
+        (setting(["pm1"], {"0": 0.5, "1": 0.5}, drop_levels=True),
+         "pm1['0'] must be a JSON object, got float"),
+        (setting(["pm2"], {"0": 0.5, "1": 0.5}), "pm2['0'] must be a JSON object, got float"),
+        (setting(["pm2"], {}), "pm2 must be a non-empty JSON object"),
+        (setting(["ymean", "0"], 3.0), "ymean['0'] must be a JSON object, got float"),
+        (setting(["levels", "exposure"], 5), "levels['exposure'] must be a JSON list, got int"),
+        (setting(["pm1", "0", "0"], {"0": 1.0}), "pm1['0']['0'] is {'0': 1.0}, not a number"),
+        (setting(["ymean", "0", "0", "0"], {"0": 1.0}),
+         "ymean['0']['0']['0'] is {'0': 1.0}, not a number"),
+        # a row outside the support is read, and rejected, all the same
+        (setting(["ymean", "9"], {"0": {"0": None}}), "ymean['9']['0']['0'] is None, not a number"),
+    ], ids=["flat-pm1", "flat-pm1-no-levels", "flat-pm2", "empty-pm2", "number-ymean-row",
+            "number-levels", "deep-pm1", "deep-ymean", "null-outside-support"])
+    def test_seq2_model_of_the_wrong_depth(self, tmp_path, dm1, capsys, edit, message):
+        model = model_file(tmp_path, dm1, edit)
+        self.assert_error(["decompose", *self.QUERY, "--model", model], capsys, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (setting(["pm2", "0"], {}), "pm2['0'] must be a non-empty JSON object"),
+        (setting(["pm2", "1"], 0.5), "pm2['1'] must be a JSON object, got float"),
+    ], ids=["empty-first-row", "number-row"])
+    def test_flat_nonseq2_pm2_of_the_wrong_depth(self, tmp_path, capsys, edit, message):
+        marginal = {0: {0: 0.9, 1: 0.1}, 1: {0: 0.7, 1: 0.3}}
+        nonseq = DiscreteScm.nonseq2(oracles.DM1_PM1, marginal, oracles.DM1_YMEAN)
+        model = model_file(tmp_path, nonseq, edit)
+        self.assert_error(["decompose", *self.QUERY, "--model", model], capsys, message)
+
     def test_components_that_overflow(self, tmp_path, dm1, capsys):
         def edit(doc):
             for a, sign in (("1", 1.0), ("0", -1.0)):
@@ -691,6 +735,39 @@ class TestMalformedDocuments:
         model = model_file(tmp_path, dm1, edit)
         self.assert_error(["decompose", *self.QUERY, "--model", model], capsys,
                           "CDE overflows the float range")
+
+
+class TestNegativeSeed:
+    """A negative seed exits 1 naming where it came from."""
+
+    def assert_seed_error(self, argv, capsys, message):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"natfx: error: {message}\n"
+
+    def test_simulate_flag(self, tmp_path, dm1, capsys):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        self.assert_seed_error(["simulate", "--model", model, "--n", "5", "--seed", "-1"], capsys,
+                               "--seed must be a non-negative integer, got -1")
+
+    def test_bootstrap_report_flag(self, tmp_path, dm1, capsys):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        sim = tmp_path / "sim.csv"
+        run(RunConfig(subcommand="simulate", model=model, n=200, seed=2, out=str(sim)))
+        argv = ["bootstrap-report", "--data", str(sim), "--roles", write_roles(tmp_path),
+                "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+                "--boot", "5", "--seed", "-4"]
+        self.assert_seed_error(argv, capsys, "--seed must be a non-negative integer, got -4")
+
+    def test_environment_variable(self, tmp_path, dm1, capsys, monkeypatch):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        monkeypatch.setenv("NATFX_SEED", "-2")
+        self.assert_seed_error(["simulate", "--model", model, "--n", "5"], capsys,
+                               "NATFX_SEED must be a non-negative integer, got -2")
 
 
 class TestRounding:

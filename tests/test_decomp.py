@@ -358,6 +358,18 @@ class TestDispatch:
         assert len(catalog.formulas) == formulas
         assert sum(len(row) for row in catalog.rows) == terms
 
+    @pytest.mark.parametrize("scenario", [SINGLE, NONSEQ2, SEQ2])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_te_row_is_the_total_effect(self, scenario, extended):
+        (te,) = [s for s in _catalog(scenario, extended).specs if s.name == "TE"]
+        assert te.terms == total_effect(scenario).terms
+
+    def test_single_int_med_contrast_is_the_catalog_row(self):
+        (contrast,) = mediated_contrasts(Q, SINGLE)
+        (row,) = [s for s in _catalog(SINGLE).specs if s.name == "INT_med"]
+        assert contrast.terms == row.terms
+        assert not contrast.in_sum and row.in_sum
+
 
 @st.composite
 def _model_and_query(draw):

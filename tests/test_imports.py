@@ -1,0 +1,50 @@
+"""No module of the package imports a name it never uses.
+
+No linter ships with the test dependencies, so this is the one pyflakes
+rule (F401) the package keeps, checked on the AST: a module-level import
+whose bound name never appears as a name in the module fails, unless its
+line carries ``# noqa: F401``.  A name used only inside a quoted
+annotation counts as unused.  ``__init__.py`` is left out, since its
+imports are the public re-exports.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "natfx"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if not any("# noqa: F401" in lines[i - 1] for i in {node.lineno, alias.lineno}):
+                    imported[name] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_an_unused_import_and_honours_noqa():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import Callable\n"
+        "import os  # noqa: F401\n"
+        "def f(x: Callable) -> None:\n"
+        "    return dataclass\n"
+    )
+    assert unused_imports(source) == ["line 1: field"]
