@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -332,16 +333,75 @@ def _type_column(cells: list[str], column: str, lines: list[int], numeric_only: 
     raise AssertionError("unreachable")
 
 
-def load_dataset(path: str, roles: Mapping[str, Any]) -> Dataset:
-    """Read a headered CSV under the role bindings.
+def _loadtxt(body: bytes, usecols: Sequence[int], dtypes: Sequence[Any]) -> np.ndarray | None:
+    """The `usecols` fields of comma-separated ASCII lines as one record
+    array, field ``f{i}`` of dtype ``dtypes[i]``, skipping empty lines; None
+    where numpy rejects the text or warns (numpy 1.x warns when it reads
+    ``1.0`` as an integer)."""
+    dtype = np.dtype([(f"f{i}", dt) for i, dt in enumerate(dtypes)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",", comments=None,
+                              usecols=usecols, ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
 
-    Quoting follows the csv module's defaults; an empty bound field marks
-    the row missing and listwise deletion drops it, counted in the result.
-    Outcome and covariate columns must be numeric; exposure and mediator
-    columns may stay categorical strings.
+
+def _loadtxt_columns(path: str, names: Sequence[str]) -> dict[str, np.ndarray] | None:
+    """The named columns of a headered CSV read by `np.loadtxt`, or None for
+    text this reader cannot vouch for, which `_csv_columns` reads instead.
+
+    It vouches only for ASCII text that holds no quote, carriage return or
+    NUL (which the csv module of Python 3.10 rejects), whose lines all fit
+    the csv field size limit, whose non-empty lines all have the header's
+    field count, and whose named columns each read whole at the type their
+    first row suggests: int64 where that cell reads as an integer, else
+    float.  The csv reader gives ints only when every cell is one, so a
+    column whose first cell is not stays float there too; an int64 read
+    fails on any other cell, an integer beyond int64 included.  On ASCII,
+    numpy rejects some spellings that `int` and `float` accept (``1_000``,
+    a blank field), never the reverse, so a failed read means None; beyond
+    ASCII its integer reader takes some letters for digits (U+196E reads as
+    6462).  On the text it accepts, the columns equal the csv reader's in
+    value and dtype, with no row dropped.
     """
-    cov_names = list(roles.get("covariates", []))
-    bound = {role: roles[role] for role in _ROLE_KEYS if roles.get(role)}
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii() or b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    widths = np.diff(ends, prepend=-1) - 1
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    rows = widths[1:] > 0
+    if not rows.any() or widths.max() > csv.field_size_limit():
+        return None
+    header = raw[: ends[0]].decode("ascii")
+    fields = header.split(",") if header else []
+    if not set(names) <= set(fields) or (commas[1:][rows] != len(fields) - 1).any():
+        return None
+    usecols = [fields.index(name) for name in names]
+    first = int(np.argmax(rows)) + 1
+    cells = raw[ends[first - 1] + 1 : ends[first]].decode("ascii").split(",")
+    body = raw[ends[0] + 1 :]
+    guess = [np.int64 if isinstance(_parse_level(cells[j].strip()), int) else float
+             for j in usecols]
+    table = _loadtxt(body, usecols, guess)
+    if table is None:
+        return None
+    columns = [table[field] for field in table.dtype.names]
+    if any(len(column) != np.count_nonzero(rows) for column in columns):
+        return None
+    return {name: np.ascontiguousarray(column) for name, column in zip(names, columns)}
+
+
+def _csv_columns(path: str, names: Sequence[str]) -> tuple[Any, int]:
+    """Read a headered CSV with the csv module: a ``column(name,
+    numeric_only)`` reader of the kept rows, and the count of rows dropped
+    for a blank field in one of `names`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -351,7 +411,7 @@ def load_dataset(path: str, roles: Mapping[str, Any]) -> Dataset:
         except csv.Error as err:
             raise ValueError(f"{path}: line 1: {err}") from None
         index: dict[str, int] = {}
-        for column in list(bound.values()) + cov_names:
+        for column in names:
             if column not in header:
                 raise ValueError(f"{path}: header has no column {column!r}")
             index[column] = header.index(column)
@@ -387,6 +447,27 @@ def load_dataset(path: str, roles: Mapping[str, Any]) -> Dataset:
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
 
+    return column, dropped
+
+
+def load_dataset(path: str, roles: Mapping[str, Any]) -> Dataset:
+    """Read a headered CSV under the role bindings.
+
+    Quoting follows the csv module's defaults; an empty bound field marks
+    the row missing and listwise deletion drops it, counted in the result.
+    Outcome and covariate columns must be numeric; exposure and mediator
+    columns may stay categorical strings.  Plain numeric text is read by
+    `np.loadtxt` (`_loadtxt_columns`); any other text, and every error, goes
+    through the csv module (`_csv_columns`), and both give the same dataset.
+    """
+    cov_names = list(roles.get("covariates", []))
+    bound = {role: roles[role] for role in _ROLE_KEYS if roles.get(role)}
+    names = list(bound.values()) + cov_names
+    fast = _loadtxt_columns(path, names)
+    if fast is None:
+        column, dropped = _csv_columns(path, names)
+    else:
+        column, dropped = (lambda name, numeric_only: fast[name]), 0
     covariates = {name: column(name, True) for name in cov_names}
     return Dataset(
         exposure=column(bound["exposure"], False),
@@ -446,16 +527,7 @@ def _run_check(config: RunConfig) -> tuple[Report, int]:
 def _run_eval(config: RunConfig) -> tuple[Report, int]:
     model = load_model(config.model)
     expr = parse_cf(config.formula, model.scenario)
-    binding = {
-        symbol: _parse_level(raw)
-        for symbol, raw in (
-            ("a", config.a),
-            ("a*", config.aref),
-            ("m1*", config.m1star),
-            ("m2*", config.m2star),
-        )
-        if raw is not None
-    }
+    binding = {k: v for k, v in _query_from(config).to_binding().items() if v is not None}
     value = eval_expectation(model, expr, binding)
     body = {
         "formula": format_cf(expr),
@@ -722,12 +794,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_query_flags(p: argparse.ArgumentParser, stars: bool = True) -> None:
-    p.add_argument("--a", required=True, help="treatment exposure level")
-    p.add_argument("--aref", required=True, help="reference exposure level")
-    if stars:
-        p.add_argument("--m1star", help="fixed M1 reference level (or 'mean')")
-        p.add_argument("--m2star", help="fixed M2 reference level (or 'mean')")
+def _add_query_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--a", required=required, help="treatment exposure level a")
+    p.add_argument("--aref", required=required, help="reference exposure level a*")
+    p.add_argument("--m1star", help="fixed M1 level m1* (or 'mean' on the linear path)")
+    p.add_argument("--m2star", help="fixed M2 level m2* (or 'mean' on the linear path)")
+
+
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="CSV path")
+    p.add_argument("--roles", required=True, help="roles JSON path")
+
+
+def _add_format(p: argparse.ArgumentParser, ledger: bool = False) -> None:
+    """`--format`; a command that prints an assumption ledger also takes
+    `--ack-assumptions` and prints a table by default."""
+    if ledger:
+        p.add_argument("--ack-assumptions", action="store_true", dest="ack_assumptions")
+    p.add_argument("--format", choices=("json", "table"), default="table" if ledger else "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,16 +821,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="identifiability verdict for a formula")
     p.add_argument("--scenario", required=True, help="single, nonseq2, or seq2")
     p.add_argument("formula", help="counterfactual formula, e.g. 'Y(a, M1(a*))'")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    _add_format(p)
 
     p = sub.add_parser("eval", help="expectation of a formula on a model file")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("formula")
-    p.add_argument("--a", help="level bound to the symbol a")
-    p.add_argument("--aref", help="level bound to the symbol a*")
-    p.add_argument("--m1star", help="level bound to m1-fixing symbols")
-    p.add_argument("--m2star", help="level bound to m2-fixing symbols")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    _add_query_flags(p, required=False)
+    _add_format(p)
 
     p = sub.add_parser("simulate", help="draw a CSV sample from a model file")
     p.add_argument("--model", required=True)
@@ -754,21 +835,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--noise-sd", type=float, default=1.0, dest="noise_sd")
     p.add_argument("--out", help="CSV destination (stdout when omitted)")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    _add_format(p)
 
     p = sub.add_parser("decompose", help="exact decomposition of a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--scenario", help="assert the model file's scenario")
     _add_query_flags(p)
     p.add_argument("--extended", action="store_true", help="append TDE and SIE_M1")
-    p.add_argument("--ack-assumptions", action="store_true", dest="ack_assumptions")
-    p.add_argument("--format", choices=("json", "table"), default="table")
+    _add_format(p, ledger=True)
 
     p = sub.add_parser("fit", help="three-equation least squares on a CSV")
-    p.add_argument("--data", required=True, help="CSV path")
-    p.add_argument("--roles", required=True, help="roles JSON path")
+    _add_data_flags(p)
     p.add_argument("--log-m2", action="store_true", dest="log_m2")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    _add_format(p)
 
     p = sub.add_parser(
         "decompose-linear", help="closed-form decomposition from fitted parameters"
@@ -776,14 +855,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="parameter or fit JSON path")
     _add_query_flags(p)
     p.add_argument("--cov", help="covariate profile, e.g. sex=1,age=48.3")
-    p.add_argument("--ack-assumptions", action="store_true", dest="ack_assumptions")
-    p.add_argument("--format", choices=("json", "table"), default="table")
+    _add_format(p, ledger=True)
 
     p = sub.add_parser(
         "bootstrap-report", help="decomposition with percentile bootstrap intervals"
     )
-    p.add_argument("--data", required=True)
-    p.add_argument("--roles", required=True)
+    _add_data_flags(p)
     p.add_argument("--method", choices=("plugin", "linear"), default="plugin")
     p.add_argument("--scenario", help="plug-in scenario (default from the roles)")
     _add_query_flags(p)
@@ -793,9 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--seed", type=int, help="master seed (NATFX_SEED, then 0)")
     p.add_argument("--max-fail", type=float, default=0.01, dest="max_fail")
-    p.add_argument("--ack-assumptions", action="store_true", dest="ack_assumptions")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-
+    _add_format(p, ledger=True)
     return parser
 
 

@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-10
+# rows of [X | y] factored per step of fit_ols: memory stays at one block
+# beside the running triangle, whatever the sample size
+_QR_BLOCK_ROWS = 8192
 
 
 class RankDeficient(ValueError):
@@ -354,13 +357,15 @@ def fit_ols(
 
     Returns ``(coefficients, residual_variance, pivot_ratio)``.  The
     variance is RSS/(n - p), or 0.0 when n == p.  ``[X | y]`` is factored
-    once by unpivoted QR, never forming Q, and its R0 pivoted by
-    `_pivoted_qr`: any pivot below 1e-10 of the leading one raises
-    :class:`RankDeficient` naming the dependent column instead of returning
-    a garbage solution (of exactly dependent columns, the one pivoting
-    reaches last; rounding orders those of equal norm).  The pivot ratio is
-    the smallest pivot over the leading one, ``min|r_kk| / |r_11|``, a cheap
-    gauge of how close the design came to that guard.
+    by unpivoted R-only QR, never forming Q, one block of `_QR_BLOCK_ROWS`
+    rows at a time stacked under the triangle of the rows before it, and
+    the final R0 pivoted by `_pivoted_qr`: any pivot below 1e-10 of the
+    leading one raises :class:`RankDeficient` naming the dependent column
+    instead of returning a garbage solution (of exactly dependent columns,
+    the one pivoting reaches last; rounding orders those of equal norm).
+    The pivot ratio is the smallest pivot over the leading one,
+    ``min|r_kk| / |r_11|``, a cheap gauge of how close the design came to
+    that guard.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -377,11 +382,12 @@ def fit_ols(
         names = tuple(f"column {j}" for j in range(p))
     elif len(names) != p:
         raise ValueError(f"{len(names)} names for {p} columns")
-    xy = np.column_stack([x, y])
-    if not np.isfinite(xy).all():
-        raise ValueError("design and response must be finite")
-
-    r0 = np.linalg.qr(xy, mode="r")
+    r0 = np.empty((0, p + 1))
+    for lo in range(0, n, _QR_BLOCK_ROWS):
+        block = np.column_stack([x[lo:lo + _QR_BLOCK_ROWS], y[lo:lo + _QR_BLOCK_ROWS]])
+        if not np.isfinite(block).all():
+            raise ValueError("design and response must be finite")
+        r0 = np.linalg.qr(np.concatenate([r0, block]) if lo else block, mode="r")
     q1, r, pivots, ratio = _pivoted_qr(r0[:p, :p], names)
     coef = np.empty(p)
     coef[pivots] = np.linalg.solve(r, q1.T @ r0[:p, p])

@@ -748,7 +748,10 @@ def _str_keys(table: Any, what: str) -> dict:
 
 def model_from_json(doc: Any) -> DiscreteScm:
     """Inverse of `model_to_json`; levels are strings throughout."""
-    scenario = Scenario.from_id(_json_object(doc, "model document")["scenario"])
+    scenario_id = _json_object(doc, "model document")["scenario"]
+    if not isinstance(scenario_id, str):
+        raise ValueError(f"scenario must be a JSON string, got {type(scenario_id).__name__}")
+    scenario = Scenario.from_id(scenario_id)
     levels = _json_object(doc.get("levels", {}), "levels")
     kwargs: dict[str, Any] = {
         "treatment": levels.get("treatment"),

@@ -100,6 +100,42 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="line 3"):
             load_dataset(path, ROLES2)
 
+    @pytest.mark.parametrize("row", ["0,1,0,1.0,", "0,1,0,1.0,7"], ids=["trailing-comma", "extra-field"])
+    def test_long_row_names_line(self, tmp_path, row):
+        path = write(tmp_path / "d.csv", f"A,M1,M2,Y\n1,0,1,2.0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: expected 4 fields, found 5$"):
+            load_dataset(path, ROLES2)
+
+    @pytest.mark.parametrize("cells, dtype", [
+        (["9223372036854775808", "9223372036854775809"], np.uint64),
+        (["9223372036854775808", "1"], np.float64),
+        (["-9223372036854775809", "1"], object),
+    ])
+    def test_integers_beyond_int64_keep_the_csv_readers_dtype(self, tmp_path, cells, dtype):
+        rows = [f"1,0,1,{cell}" for cell in cells]
+        path = write(tmp_path / "d.csv", "\n".join(["A,M1,M2,Y", *rows]) + "\n")
+        data = load_dataset(path, dict(ROLES2, outcome="M2", covariates=["Y"]))
+        assert data.covariates["Y"].dtype == dtype
+        assert data.covariates["Y"].tolist() == [int(cell) for cell in cells]
+
+    def test_one_quoted_cell_reads_as_plain_text(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = [f"{a},{m1},{m2},{y!r}" for a, m1, m2, y in zip(
+            rng.integers(0, 2, 5000), rng.integers(0, 3, 5000), rng.integers(0, 3, 5000),
+            rng.normal(size=5000).tolist())]
+        plain = write(tmp_path / "plain.csv", "\n".join(["A,M1,M2,Y", *rows]) + "\n")
+        quoted_row = rows[2500].split(",")
+        rows[2500] = ",".join([f'"{quoted_row[0]}"', *quoted_row[1:]])
+        quoted = write(tmp_path / "quoted.csv", "\n".join(["A,M1,M2,Y", *rows]) + "\n")
+        # the quote sends the copy through the csv module, the plain file not
+        assert natfx.cli._loadtxt_columns(plain, list(ROLES2.values())) is not None
+        assert natfx.cli._loadtxt_columns(quoted, list(ROLES2.values())) is None
+        want, got = load_dataset(quoted, ROLES2), load_dataset(plain, ROLES2)
+        assert got.n_dropped == want.n_dropped == 0
+        for role in ("exposure", "m1", "m2", "outcome"):
+            assert getattr(got, role).dtype == getattr(want, role).dtype
+            assert getattr(got, role).tobytes() == getattr(want, role).tobytes()
+
     def test_quoted_fields(self, tmp_path):
         path = write(
             tmp_path / "d.csv",
@@ -674,6 +710,11 @@ class TestMalformedDocuments:
     def test_pm1_that_is_a_list(self, tmp_path, dm1, capsys, argv):
         model = model_file(tmp_path, dm1, lambda doc: doc.update(pm1=[0.5, 0.5]))
         self.assert_error([*argv, "--model", model], capsys, "pm1 must be a JSON object, got list")
+
+    def test_scenario_that_is_a_number(self, tmp_path, dm1, capsys):
+        model = model_file(tmp_path, dm1, lambda doc: doc.update(scenario=5))
+        self.assert_error(["decompose", *self.QUERY, "--model", model], capsys,
+                          "scenario must be a JSON string, got int")
 
     def test_null_cell_mean(self, tmp_path, dm1, capsys):
         model = model_file(tmp_path, dm1, lambda doc: doc["ymean"]["1"]["0"].update({"1": None}))

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import natfx.estimate
 import oracles
 from natfx.cfexpr import REFERENCE, TREATMENT, CfExpr, Counterfactual, Fixed, Scenario
 from natfx.decomp import (
@@ -347,6 +348,24 @@ class TestFitOls:
         for design, response in ((bad_x, y), (x, bad_y)):
             with pytest.raises(ValueError, match="must be finite"):
                 fit_ols(design, response)
+
+    def test_row_blocks_match_one_factorization(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        n = 3 * natfx.estimate._QR_BLOCK_ROWS + 5
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.normal(size=n)
+        blocked = fit_ols(x, y)
+        bad = y.copy()
+        bad[-1] = np.nan  # in the last block
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_ols(x, bad)
+        with pytest.raises(RankDeficient) as err:
+            fit_ols(np.column_stack([x, 2.0 * x[:, 2]]), y, names=("1", "u", "v", "w", "v_again"))
+        assert err.value.column in {"v", "v_again"}
+        monkeypatch.setattr(natfx.estimate, "_QR_BLOCK_ROWS", n)
+        whole = fit_ols(x, y)
+        np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12)
+        assert blocked[1:] == pytest.approx(whole[1:], rel=1e-12)
 
     def test_three_equation_simulation_within_3_se(self):
         rng = np.random.default_rng(314)
