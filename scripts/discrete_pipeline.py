@@ -13,8 +13,8 @@ import argparse
 from natfx.cfexpr import Scenario
 from natfx.decomp import Query
 from natfx.estimate import plugin_seq2
-from natfx.infer import BootstrapConfig, bootstrap
-from natfx.scm import DiscreteScm, from_dataset, simulate
+from natfx.infer import BootstrapConfig, PluginEstimator, bootstrap
+from natfx.scm import DiscreteScm, simulate
 
 # a deliberately asymmetric model: exposure shifts both mediators and the
 # outcome responds to every product of its parents
@@ -44,11 +44,7 @@ def main() -> None:
 
     data = simulate(model, n=args.n, seed=args.seed)
     cfg = BootstrapConfig(replicates=args.boot, seed=args.seed)
-
-    def estimator(d):
-        return plugin_seq2(from_dataset(d, Scenario.chain(2)), q)
-
-    estimate = bootstrap(data, estimator, cfg)
+    estimate = bootstrap(data, PluginEstimator(Scenario.chain(2), q), cfg)
 
     print(f"n = {args.n}, seed = {args.seed}, replicates = {args.boot}\n")
     print(f"{'Component':<18} {'truth':>8} {'estimate':>9} {'95% C.I.':>20}")

@@ -142,14 +142,6 @@ class ExposureLevel:
         if _SYMBOL_RE.fullmatch(self.symbol) is None:
             raise ValueError(f"invalid exposure symbol {self.symbol!r}")
 
-    @property
-    def is_treatment(self) -> bool:
-        return self.symbol == "a"
-
-    @property
-    def is_reference(self) -> bool:
-        return self.symbol == "a*"
-
 
 TREATMENT = ExposureLevel("a")
 REFERENCE = ExposureLevel("a*")

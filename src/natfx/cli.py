@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -42,7 +41,7 @@ from .scm import simulate as simulate_model
 
 __all__ = [
     "Report",
-    "RunConfig",
+    "build_parser",
     "load_dataset",
     "load_roles",
     "main",
@@ -80,37 +79,7 @@ def _fmt4(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration and report containers
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully resolved from flags and defaults."""
-
-    subcommand: str
-    scenario: str | None = None
-    formula: str | None = None
-    model: str | None = None
-    params: str | None = None
-    data: str | None = None
-    roles: str | None = None
-    out: str | None = None
-    a: str | None = None
-    aref: str | None = None
-    m1star: str | None = None
-    m2star: str | None = None
-    cov: str | None = None
-    log_m2: bool = False
-    extended: bool = False
-    ack_assumptions: bool = False
-    method: str = "plugin"
-    n: int | None = None
-    noise_sd: float = 1.0
-    boot: int = 1000
-    level: float = 0.95
-    seed: int | None = None
-    max_fail: float = 0.01
-    format: str = "table"
+# report container
 
 
 @dataclass(frozen=True)
@@ -491,12 +460,12 @@ def _resolve_seed(explicit: int | None) -> int:
     return seed
 
 
-def _query_from(config: RunConfig) -> Query:
+def _query_from(args: argparse.Namespace) -> Query:
     return Query(
-        a=_parse_level(config.a),
-        a_star=_parse_level(config.aref),
-        m1_star=_parse_level(config.m1star),
-        m2_star=_parse_level(config.m2star),
+        a=_parse_level(args.a),
+        a_star=_parse_level(args.aref),
+        m1_star=_parse_level(args.m1star),
+        m2_star=_parse_level(args.m2star),
     )
 
 
@@ -508,9 +477,9 @@ def _query_echo(q: Query) -> dict:
 # subcommands
 
 
-def _run_check(config: RunConfig) -> tuple[Report, int]:
-    scenario = Scenario.from_id(config.scenario)
-    expr = parse_cf(config.formula, scenario)
+def _run_check(args: argparse.Namespace) -> tuple[Report, int]:
+    scenario = Scenario.from_id(args.scenario)
+    expr = parse_cf(args.formula, scenario)
     verdict = check_identifiability(expr, scenario)
     body = {
         "formula": format_cf(expr),
@@ -524,10 +493,10 @@ def _run_check(config: RunConfig) -> tuple[Report, int]:
     return Report("check", body), 0 if verdict.identifiable else 2
 
 
-def _run_eval(config: RunConfig) -> tuple[Report, int]:
-    model = load_model(config.model)
-    expr = parse_cf(config.formula, model.scenario)
-    binding = {k: v for k, v in _query_from(config).to_binding().items() if v is not None}
+def _run_eval(args: argparse.Namespace) -> tuple[Report, int]:
+    model = load_model(args.model)
+    expr = parse_cf(args.formula, model.scenario)
+    binding = {k: v for k, v in _query_from(args).to_binding().items() if v is not None}
     value = eval_expectation(model, expr, binding)
     body = {
         "formula": format_cf(expr),
@@ -538,10 +507,10 @@ def _run_eval(config: RunConfig) -> tuple[Report, int]:
     return Report("eval", body), 0
 
 
-def _run_simulate(config: RunConfig) -> tuple[Report, int]:
-    model = load_model(config.model)
-    seed = _resolve_seed(config.seed)
-    data = simulate_model(model, config.n, seed, noise_sd=config.noise_sd)
+def _run_simulate(args: argparse.Namespace) -> tuple[Report, int]:
+    model = load_model(args.model)
+    seed = _resolve_seed(args.seed)
+    data = simulate_model(model, args.n, seed, noise_sd=args.noise_sd)
     levels = [data.exposure, data.m1] + ([data.m2] if data.m2 is not None else [])
     columns = ["A", "M1", "M2"][: len(levels)] + ["Y"]
     buffer = io.StringIO()
@@ -549,35 +518,35 @@ def _run_simulate(config: RunConfig) -> tuple[Report, int]:
     writer.writerow(columns)
     writer.writerows(zip(*(c.tolist() for c in levels), map(repr, data.outcome.tolist())))
     text = buffer.getvalue()
-    if config.out is None:
+    if args.out is None:
         return Report("simulate", {}, raw=text.rstrip("\n")), 0
-    with open(config.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     body = {
         "rows": data.n,
         "columns": columns,
         "seed": seed,
-        "noise_sd": config.noise_sd,
-        "out": config.out,
+        "noise_sd": args.noise_sd,
+        "out": args.out,
     }
     return Report("simulate", body), 0
 
 
-def _run_decompose(config: RunConfig) -> tuple[Report, int]:
-    model = load_model(config.model)
-    if config.scenario is not None and config.scenario != model.scenario.id:
+def _run_decompose(args: argparse.Namespace) -> tuple[Report, int]:
+    model = load_model(args.model)
+    if args.scenario is not None and args.scenario != model.scenario.id:
         raise ValueError(
-            f"--scenario {config.scenario} does not match the model file's "
+            f"--scenario {args.scenario} does not match the model file's "
             f"scenario {model.scenario.id}"
         )
-    q = _query_from(config)
-    result = decompose(model, q, extended=config.extended)
-    ledger = AssumptionLedger.for_scenario(model.scenario, config.ack_assumptions)
+    q = _query_from(args)
+    result = decompose(model, q, extended=args.extended)
+    ledger = AssumptionLedger.for_scenario(model.scenario, args.ack_assumptions)
     provenance = {
-        "model": config.model,
+        "model": args.model,
         "scenario": model.scenario.id,
         "query": _query_echo(q),
-        "extended": config.extended,
+        "extended": args.extended,
     }
     report = Report(
         "decompose",
@@ -589,15 +558,15 @@ def _run_decompose(config: RunConfig) -> tuple[Report, int]:
     return report, 0
 
 
-def _run_fit(config: RunConfig) -> tuple[Report, int]:
-    roles = load_roles(config.roles)
-    data = load_dataset(config.data, roles)
-    fit = fit_linear_system(data, log_m2=config.log_m2)
+def _run_fit(args: argparse.Namespace) -> tuple[Report, int]:
+    roles = load_roles(args.roles)
+    data = load_dataset(args.data, roles)
+    fit = fit_linear_system(data, log_m2=args.log_m2)
     body = fit.to_dict()
     provenance = {
-        "data": config.data,
+        "data": args.data,
         "roles": dict(roles),
-        "transforms": {"m2": "log"} if config.log_m2 else {},
+        "transforms": {"m2": "log"} if args.log_m2 else {},
     }
     diagnostics = {"pivot_ratio": fit.pivot_ratio, "residual_dof": fit.residual_dof}
     return Report("fit", body, diagnostics=diagnostics, provenance=provenance), 0
@@ -648,17 +617,17 @@ def _align_profile(
 
 
 def _linear_query(
-    config: RunConfig, means: Mapping[str, float] | None, names: Sequence[str] | None, k: int
+    args: argparse.Namespace, means: Mapping[str, float] | None, names: Sequence[str] | None, k: int
 ) -> tuple[Query, CovariateProfile | None]:
     """The query and covariate profile of a linear decomposition from a fit
     with sample `means` and `k` covariates named `names`."""
     q = Query(
-        a=_parse_level(config.a),
-        a_star=_parse_level(config.aref),
-        m1_star=_resolve_star(config.m1star, "m1", means),
-        m2_star=_resolve_star(config.m2star, "m2", means),
+        a=_parse_level(args.a),
+        a_star=_parse_level(args.aref),
+        m1_star=_resolve_star(args.m1star, "m1", means),
+        m2_star=_resolve_star(args.m2star, "m2", means),
     )
-    profile = _align_profile(_parse_profile(config.cov) if config.cov else None, names, k)
+    profile = _align_profile(_parse_profile(args.cov) if args.cov else None, names, k)
     return q, profile
 
 
@@ -671,19 +640,19 @@ def _profile_echo(profile: CovariateProfile | None) -> dict | list:
     return list(profile.values)
 
 
-def _run_decompose_linear(config: RunConfig) -> tuple[Report, int]:
-    params, fitdoc = _load_params_document(config.params)
+def _run_decompose_linear(args: argparse.Namespace) -> tuple[Report, int]:
+    params, fitdoc = _load_params_document(args.params)
     q, profile = _linear_query(
-        config, fitdoc.get("sample_means"), fitdoc.get("covariates"), params.n_covariates
+        args, fitdoc.get("sample_means"), fitdoc.get("covariates"), params.n_covariates
     )
     result = linear_components(params, q, profile)
-    ledger = AssumptionLedger.for_scenario(Scenario.chain(2), config.ack_assumptions)
+    ledger = AssumptionLedger.for_scenario(Scenario.chain(2), args.ack_assumptions)
     diagnostics: dict[str, Any] = {"sigma2_m1": params.sigma2_m1}
     for key in ("sigma2_y", "sigma2_m2", "n_used", "n_dropped"):
         if key in fitdoc:
             diagnostics[key] = fitdoc[key]
     provenance = {
-        "params": config.params,
+        "params": args.params,
         "query": _query_echo(q),
         "covariate_profile": _profile_echo(profile),
     }
@@ -698,24 +667,24 @@ def _run_decompose_linear(config: RunConfig) -> tuple[Report, int]:
     return report, 0
 
 
-def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
-    roles = load_roles(config.roles)
-    data = load_dataset(config.data, roles)
-    seed = _resolve_seed(config.seed)
+def _run_bootstrap_report(args: argparse.Namespace) -> tuple[Report, int]:
+    roles = load_roles(args.roles)
+    data = load_dataset(args.data, roles)
+    seed = _resolve_seed(args.seed)
     cfg = BootstrapConfig(
-        replicates=config.boot,
-        level=config.level,
+        replicates=args.boot,
+        level=args.level,
         seed=seed,
-        max_fail=config.max_fail,
+        max_fail=args.max_fail,
     )
     diagnostics: dict[str, Any] = {}
 
-    if config.method == "linear":
-        full = fit_linear_system(data, log_m2=config.log_m2)
+    if args.method == "linear":
+        full = fit_linear_system(data, log_m2=args.log_m2)
         q, profile = _linear_query(
-            config, full.sample_means, full.covariate_names, full.params.n_covariates
+            args, full.sample_means, full.covariate_names, full.params.n_covariates
         )
-        estimator = LinearEstimator(q, profile, config.log_m2)
+        estimator = LinearEstimator(q, profile, args.log_m2)
         # the estimator on the full data, from the fit already made
         point = linear_components(full.params, q, profile)
         scenario = Scenario.chain(2)
@@ -730,30 +699,30 @@ def _run_bootstrap_report(config: RunConfig) -> tuple[Report, int]:
             "residual_dof": full.residual_dof,
         }
     else:
-        scenario = Scenario.from_id(config.scenario) if config.scenario else (
+        scenario = Scenario.from_id(args.scenario) if args.scenario else (
             Scenario.chain(2) if data.m2 is not None else Scenario.single()
         )
-        q = _query_from(config)
+        q = _query_from(args)
         estimator = PluginEstimator(scenario, q)
         point = None
         diagnostics = {"n_used": data.n, "n_dropped": data.n_dropped}
 
     result = bootstrap(data, estimator, cfg, point=point)
     diagnostics["replicates"] = result.diagnostics
-    ledger = AssumptionLedger.for_scenario(scenario, config.ack_assumptions)
+    ledger = AssumptionLedger.for_scenario(scenario, args.ack_assumptions)
     provenance = {
-        "data": config.data,
+        "data": args.data,
         "roles": dict(roles),
-        "method": config.method,
+        "method": args.method,
         "scenario": scenario.id,
         "query": _query_echo(q),
-        "transforms": {"m2": "log"} if config.log_m2 and config.method == "linear" else {},
+        "transforms": {"m2": "log"} if args.log_m2 and args.method == "linear" else {},
         "seed": seed,
         "replicates": cfg.replicates,
         "level": cfg.level,
         "max_fail": cfg.max_fail,
     }
-    if config.method == "linear":
+    if args.method == "linear":
         provenance["covariate_profile"] = _profile_echo(profile)
     report = Report(
         "bootstrap-report",
@@ -777,9 +746,9 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> tuple[Report, int]:
-    """Route a resolved configuration; identifiability errors bubble up."""
-    return _DISPATCH[config.subcommand](config)
+def run(args: argparse.Namespace) -> tuple[Report, int]:
+    """Route `build_parser()`'s parsed arguments; identifiability errors bubble up."""
+    return _DISPATCH[args.subcommand](args)
 
 
 # ---------------------------------------------------------------------------
@@ -866,32 +835,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_query_flags(p)
     p.add_argument("--cov", help="covariate profile for the linear method")
     p.add_argument("--log-m2", action="store_true", dest="log_m2")
-    p.add_argument("--boot", type=int, default=1000, help="bootstrap replicates")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--boot", type=int, default=BootstrapConfig.replicates,
+                   help="bootstrap replicates")
+    p.add_argument("--level", type=float, default=BootstrapConfig.level)
     p.add_argument("--seed", type=int, help="master seed (NATFX_SEED, then 0)")
-    p.add_argument("--max-fail", type=float, default=0.01, dest="max_fail")
+    p.add_argument("--max-fail", type=float, default=BootstrapConfig.max_fail, dest="max_fail")
     _add_format(p, ledger=True)
     return parser
 
 
-def config_from_args(argv: Sequence[str] | None = None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    kwargs = {
-        f.name: getattr(ns, f.name)
-        for f in dataclasses.fields(RunConfig)
-        if hasattr(ns, f.name)
-    }
-    return RunConfig(**kwargs)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        config = config_from_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        report, code = run(config)
-        text = report.render(config.format)
+        report, code = run(args)
+        text = report.render(args.format)
     except (NotIdentifiable, EvaluationOfProblematicSpec) as err:
         print(f"natfx: {err}", file=sys.stderr)
         return 2

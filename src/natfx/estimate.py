@@ -12,7 +12,7 @@ component catalog in :mod:`natfx.decomp`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -290,16 +290,6 @@ class AssumptionLedger:
                 Assumption(aid, prose, acknowledged) for aid, prose in table
             ),
         )
-
-    def acknowledge_all(self) -> "AssumptionLedger":
-        return AssumptionLedger(
-            scenario=self.scenario,
-            assumptions=tuple(replace(a, acknowledged=True) for a in self.assumptions),
-        )
-
-    @property
-    def all_acknowledged(self) -> bool:
-        return all(a.acknowledged for a in self.assumptions)
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -240,10 +240,10 @@ class DiscreteScm:
         raise AttributeError(f"DiscreteScm is read-only; cannot set {name!r}")
 
     @classmethod
-    def _from_arrays(cls, scenario, levels, p1, p2, y, treatment=None, reference=None):
+    def _from_arrays(cls, scenario, levels, p1, p2, y):
         """A model from dense tables already known to be valid (plug-in use)."""
         model = cls.__new__(cls)
-        model._set(scenario, levels, p1, p2, y, treatment, reference)
+        model._set(scenario, levels, p1, p2, y, None, None)
         return model
 
     @property
@@ -567,32 +567,13 @@ def _check_categorical(name: str, col: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return distinct, inverse
 
 
-def _codes(
-    distinct: np.ndarray, inverse: np.ndarray, declared: Iterable | None, name: str
-):
-    """Levels and per-row level positions; only the distinct values are looked up."""
-    observed = [v.item() if hasattr(v, "item") else v for v in distinct]
-    if declared is None:
-        levels = observed
-    else:
-        levels = list(declared)
-        missing = [v for v in observed if v not in levels]
-        if missing:
-            raise UnknownSupportValue(
-                f"column {name!r} holds levels outside the declared support: {missing!r}"
-            )
-    lookup = {lvl: i for i, lvl in enumerate(levels)}
-    positions = np.array([lookup[v] for v in observed], dtype=np.intp)
-    return tuple(levels), positions[inverse]
+def _codes(distinct: np.ndarray, inverse: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Levels and per-row level positions: the sorted distinct values as
+    Python scalars, and the row inverse of `np.unique`, which indexes them."""
+    return tuple(v.item() if hasattr(v, "item") else v for v in distinct), inverse
 
 
-def _encode(
-    data: Dataset,
-    scenario: Scenario,
-    exposure_levels: Iterable | None = None,
-    m1_levels: Iterable | None = None,
-    m2_levels: Iterable | None = None,
-) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _encode(data: Dataset, scenario: Scenario) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Levels per role, each row's cell code on the level grid, and float y.
 
     The code is the row-major position of the row's (a, m1(, m2)) cell.  A
@@ -602,14 +583,14 @@ def _encode(
         raise ValueError("plug-in models support at most two mediators")
     a_enc = _check_categorical("exposure", data.exposure)
     m1_enc = _check_categorical("m1", data.m1)
-    a_levels, a_codes = _codes(*a_enc, exposure_levels, "exposure")
-    l1, c1 = _codes(*m1_enc, m1_levels, "m1")
+    a_levels, a_codes = _codes(*a_enc)
+    l1, c1 = _codes(*m1_enc)
     levels = [a_levels, l1]
     cell = a_codes * len(l1) + c1
     if scenario.k == 2:
         if data.m2 is None:
             raise ValueError("two-mediator scenario requires an m2 column")
-        l2, c2 = _codes(*_check_categorical("m2", data.m2), m2_levels, "m2")
+        l2, c2 = _codes(*_check_categorical("m2", data.m2))
         levels.append(l2)
         cell = cell * len(l2) + c2
     y = np.asarray(data.outcome, dtype=float)
@@ -656,42 +637,29 @@ def _tables(
     return n_am1 / n_a, p2, ysum / counts
 
 
-def from_dataset(
-    data: Dataset,
-    scenario: Scenario,
-    *,
-    exposure_levels: Iterable | None = None,
-    m1_levels: Iterable | None = None,
-    m2_levels: Iterable | None = None,
-    treatment: Any = None,
-    reference: Any = None,
-) -> DiscreteScm:
+def from_dataset(data: Dataset, scenario: Scenario) -> DiscreteScm:
     """Empirical plug-in model: conditional frequencies and cell means.
 
-    Supports default to the observed distinct values; pass declared level
-    sets to demand a wider grid.  Any required cell without observations
-    raises `EmptyCell` naming every offending cell — empty cells are never
-    imputed.
+    Each role's support is its observed distinct values, in sorted order,
+    and the model binds no treatment or reference level: a query binds
+    ``a`` and ``a*``.  Any required cell without observations raises
+    `EmptyCell` naming every offending cell — empty cells are never imputed.
     """
-    levels, cell, y = _encode(data, scenario, exposure_levels, m1_levels, m2_levels)
+    levels, cell, y = _encode(data, scenario)
     counts, ysum = _tally(cell, y, tuple(len(lv) for lv in levels))
     if not counts.all():
         raise EmptyCell(_empty_cells(counts, levels))
     tables = _tables(scenario, counts, ysum)
-    return DiscreteScm._from_arrays(
-        scenario, levels + (None,) * (2 - scenario.k), *tables, treatment, reference
-    )
+    return DiscreteScm._from_arrays(scenario, levels + (None,) * (2 - scenario.k), *tables)
 
 
 def _empty_cells(counts: np.ndarray, levels: Sequence[tuple]) -> list:
-    """Cells without rows, as `EmptyCell` lists them: empty exposure levels
-    first, then per exposure level each empty (A, M1) cell, else its empty
-    (A, M1, M2) cells."""
+    """Cells without rows, as `EmptyCell` lists them: per exposure level
+    each empty (A, M1) cell, else its empty (A, M1, M2) cells.  Every
+    observed exposure level has rows."""
     by_a = counts.reshape(len(levels[0]), len(levels[1]), -1)
-    empty: list = [(("A", a),) for a, n in zip(levels[0], by_a) if not n.any()]
+    empty: list = []
     for (i, j), n_am1 in np.ndenumerate(by_a.sum(axis=2)):
-        if not by_a[i].any():
-            continue
         cell = (("A", levels[0][i]), ("M1", levels[1][j]))
         if n_am1 == 0:
             empty.append(cell)

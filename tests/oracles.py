@@ -115,10 +115,10 @@ def random_seq2_tables(rng, ka=2, k1=2, k2=2, levels=None):
 
 
 def plugin_seq2_tables(exposure, m1, m2, outcome, a_levels, m1_levels, m2_levels):
-    """Chain plug-in tables by a per-row dict tally over the declared levels.
+    """Chain plug-in tables by a per-row dict tally over the given levels.
 
     Returns (pm1, pm2, ymean, empty); `empty` lists the cells without rows in
-    declared-level order, in the form `EmptyCell.cells` uses.
+    the given levels' order, in the form `EmptyCell.cells` uses.
     """
     n_a = {a: 0 for a in a_levels}
     n_am1 = {(a, v1): 0 for a in a_levels for v1 in m1_levels}

@@ -27,7 +27,7 @@ from natfx.estimate import (
     linear_components,
     plugin_seq2,
 )
-from natfx.infer import BootstrapConfig, bootstrap
+from natfx.infer import BootstrapConfig, PluginEstimator, bootstrap
 from natfx.scm import Dataset, DiscreteScm, from_dataset, simulate
 
 SEQ2 = Scenario.chain(2)
@@ -432,15 +432,14 @@ def test_a07_least_squares_recovers_generating_coefficients():
 def test_a08_bootstrap_is_worker_invariant_and_intervals_cover(dm1):
     t0 = time.perf_counter()
     q = Query(a=1, a_star=0, m1_star=0, m2_star=0)
-
-    def estimator(d):
-        return plugin_seq2(from_dataset(d, SEQ2, treatment=1, reference=0), q)
-
     data = simulate(dm1, 800, seed=41)
     cfg = BootstrapConfig(replicates=200, seed=5)
     fingerprints = set()
     for workers in (1, 3, 8):
-        result = bootstrap(data, estimator, cfg, workers=workers)
+        # a plain callable, priced once per resample on the worker pool
+        result = bootstrap(
+            data, lambda d: plugin_seq2(from_dataset(d, SEQ2), q), cfg, workers=workers
+        )
         fingerprints.add(
             (result.te.hex(),)
             + tuple(
@@ -454,8 +453,9 @@ def test_a08_bootstrap_is_worker_invariant_and_intervals_cover(dm1):
     covered = 0
     for outer in range(100):
         sample = simulate(dm1, 5000, seed=outer)
+        # the estimator bootstrap-report ships, priced a chunk at a time
         result = bootstrap(
-            sample, estimator, BootstrapConfig(replicates=400, seed=outer)
+            sample, PluginEstimator(SEQ2, q), BootstrapConfig(replicates=400, seed=outer)
         )
         lo, hi = next(c.ci for c in result.components if c.name == "TE")
         covered += int(lo <= truth <= hi)

@@ -15,8 +15,7 @@ import oracles
 from natfx.cfexpr import Scenario
 from natfx.cli import (
     Report,
-    RunConfig,
-    config_from_args,
+    build_parser,
     load_dataset,
     load_roles,
     main,
@@ -38,6 +37,11 @@ def write(path, text):
 
 def write_roles(tmp_path, doc=ROLES2, name="roles.json"):
     return write(tmp_path / name, json.dumps(doc))
+
+
+def run_argv(*argv):
+    """`run` on the arguments `main` would parse from `argv`."""
+    return run(build_parser().parse_args(argv))
 
 
 class TestLoadRoles:
@@ -169,17 +173,13 @@ class TestLoadDataset:
 
 class TestCheck:
     def test_identifiable_formula_exits_zero(self):
-        report, code = run(
-            RunConfig(subcommand="check", scenario="seq2", formula="Y(a, M1(a*), M2(a, M1(a*)))")
-        )
+        report, code = run_argv("check", "--scenario", "seq2", "Y(a, M1(a*), M2(a, M1(a*)))")
         assert code == 0
         assert report.body["status"] == "identifiable"
         assert report.body["conflicts"] == []
 
     def test_kite_conflict_exits_two(self):
-        report, code = run(
-            RunConfig(subcommand="check", scenario="seq2", formula="Y(a, M1(a), M2(a, M1(a*)))")
-        )
+        report, code = run_argv("check", "--scenario", "seq2", "Y(a, M1(a), M2(a, M1(a*)))")
         assert code == 2
         assert report.body["status"] == "problematic"
         specs = report.body["conflicts"][0]["specs"]
@@ -195,14 +195,8 @@ class TestEvalCommand:
     def test_world_value(self, tmp_path, dm1):
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
-        report, code = run(
-            RunConfig(
-                subcommand="eval",
-                model=model,
-                formula="Y(a, M1(a*), M2(a*, M1(a*)))",
-                a="1",
-                aref="0",
-            )
+        report, code = run_argv(
+            "eval", "--model", model, "Y(a, M1(a*), M2(a*, M1(a*)))", "--a", "1", "--aref", "0"
         )
         assert code == 0
         assert report.body["value"] == pytest.approx(2.96, abs=1e-12)
@@ -219,22 +213,16 @@ class TestDecomposeCommand:
     def test_golden_model(self, tmp_path, dm1):
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
-        report, code = run(
-            RunConfig(
-                subcommand="decompose",
-                model=model,
-                scenario="seq2",
-                a="1",
-                aref="0",
-                m1star="0",
-                m2star="0",
-            )
+        report, code = run_argv(
+            "decompose", "--model", model, "--scenario", "seq2",
+            "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
         )
         assert code == 0
         assert report.result["TE"] == pytest.approx(3.12, abs=1e-12)
         assert report.result["PIE_M1"] == pytest.approx(1.16, abs=1e-12)
         assert report.result.sum_gap < 1e-9
-        assert report.ledger is not None and not report.ledger.all_acknowledged
+        assert report.ledger is not None
+        assert not any(a.acknowledged for a in report.ledger.assumptions)
 
     def test_scenario_mismatch(self, tmp_path, dm1, capsys):
         model = write(tmp_path / "m.json", "")
@@ -262,11 +250,9 @@ class TestDecomposeCommand:
     def test_extended_rows(self, tmp_path, dm1):
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
-        report, _ = run(
-            RunConfig(
-                subcommand="decompose", model=model, a="1", aref="0",
-                m1star="0", m2star="0", extended=True,
-            )
+        report, _ = run_argv(
+            "decompose", "--model", model, "--a", "1", "--aref", "0",
+            "--m1star", "0", "--m2star", "0", "--extended",
         )
         names = [c.name for c in report.result.components]
         assert names[-2:] == ["TDE", "SIE_M1"]
@@ -277,8 +263,8 @@ class TestSimulateCommand:
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         out = tmp_path / "sim.csv"
-        report, code = run(
-            RunConfig(subcommand="simulate", model=model, n=50, seed=3, out=str(out))
+        report, code = run_argv(
+            "simulate", "--model", model, "--n", "50", "--seed", "3", "--out", str(out)
         )
         assert code == 0
         lines = out.read_text().splitlines()
@@ -300,18 +286,18 @@ class TestSimulateCommand:
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         monkeypatch.setenv("NATFX_SEED", "17")
-        report, _ = run(RunConfig(subcommand="simulate", model=model, n=5, out=str(tmp_path / "a.csv")))
+        report, _ = run_argv("simulate", "--model", model, "--n", "5", "--out", str(tmp_path / "a.csv"))
         assert report.body["seed"] == 17
         monkeypatch.setenv("NATFX_SEED", "not-a-number")
         with pytest.raises(ValueError, match="NATFX_SEED"):
-            run(RunConfig(subcommand="simulate", model=model, n=5, out=str(tmp_path / "b.csv")))
+            run_argv("simulate", "--model", model, "--n", "5", "--out", str(tmp_path / "b.csv"))
 
     def test_deterministic(self, tmp_path, dm1):
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        run(RunConfig(subcommand="simulate", model=model, n=30, seed=9, out=str(p1)))
-        run(RunConfig(subcommand="simulate", model=model, n=30, seed=9, out=str(p2)))
+        run_argv("simulate", "--model", model, "--n", "30", "--seed", "9", "--out", str(p1))
+        run_argv("simulate", "--model", model, "--n", "30", "--seed", "9", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_levels_with_commas_and_quotes_round_trip(self, tmp_path):
@@ -371,7 +357,7 @@ def linear_csv(tmp_path, n=800, seed=4, with_cov=True):
 class TestFitCommand:
     def test_document_shape(self, tmp_path):
         data, roles = linear_csv(tmp_path)
-        report, code = run(RunConfig(subcommand="fit", data=data, roles=roles))
+        report, code = run_argv("fit", "--data", data, "--roles", roles)
         assert code == 0
         doc = report.as_dict()
         assert set(doc["params"]) >= {"theta", "beta", "gamma", "sigma2_m1"}
@@ -382,7 +368,7 @@ class TestFitCommand:
 
     def test_fit_recovers_noisy_coefficients_roughly(self, tmp_path):
         data, roles = linear_csv(tmp_path, n=4000, seed=8)
-        report, _ = run(RunConfig(subcommand="fit", data=data, roles=roles))
+        report, _ = run_argv("fit", "--data", data, "--roles", roles)
         gamma = report.body["params"]["gamma"]
         assert gamma[1] == pytest.approx(1.0, abs=0.15)
 
@@ -396,7 +382,7 @@ class TestFitCommand:
 
     def test_pivot_ratio_per_equation(self, tmp_path):
         data, roles = linear_csv(tmp_path)
-        report, _ = run(RunConfig(subcommand="fit", data=data, roles=roles))
+        report, _ = run_argv("fit", "--data", data, "--roles", roles)
         ratios = report.as_dict()["diagnostics"]["pivot_ratio"]
         assert list(ratios) == ["outcome", "m2", "m1"]
         assert all(0.0 < r <= 1.0 for r in ratios.values())
@@ -412,7 +398,7 @@ class TestFitCommand:
             for a, m1, m2, y in zip([0, 1] * 4, *rng.normal(size=(3, 8)).tolist())
         ]
         data = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
-        report, code = run(RunConfig(subcommand="fit", data=data, roles=write_roles(tmp_path)))
+        report, code = run_argv("fit", "--data", data, "--roles", write_roles(tmp_path))
         assert code == 0
         assert report.diagnostics["residual_dof"] == {"outcome": 0, "m2": 4, "m1": 6}
         assert report.body["sigma2_y"] == 0.0
@@ -422,18 +408,16 @@ class TestFitCommand:
 class TestDecomposeLinearCommand:
     def _fit_doc(self, tmp_path, **kwargs):
         data, roles = linear_csv(tmp_path, **kwargs)
-        report, _ = run(RunConfig(subcommand="fit", data=data, roles=roles))
+        report, _ = run_argv("fit", "--data", data, "--roles", roles)
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(report.as_dict()))
         return str(path)
 
     def test_mean_reference_resolution(self, tmp_path):
         fit_path = self._fit_doc(tmp_path)
-        report, code = run(
-            RunConfig(
-                subcommand="decompose-linear", params=fit_path, a="1", aref="0",
-                m1star="mean", m2star="mean", cov="age=0.2",
-            )
+        report, code = run_argv(
+            "decompose-linear", "--params", fit_path, "--a", "1", "--aref", "0",
+            "--m1star", "mean", "--m2star", "mean", "--cov", "age=0.2",
         )
         assert code == 0
         with open(fit_path, encoding="utf-8") as fh:
@@ -451,11 +435,9 @@ class TestDecomposeLinearCommand:
             sigma2_m1=1.0,
         )
         path = write(tmp_path / "p.json", json.dumps(params.to_dict()))
-        report, code = run(
-            RunConfig(
-                subcommand="decompose-linear", params=path, a="1", aref="0",
-                m1star="0.0", m2star="0.0",
-            )
+        report, code = run_argv(
+            "decompose-linear", "--params", path, "--a", "1", "--aref", "0",
+            "--m1star", "0.0", "--m2star", "0.0",
         )
         assert code == 0
         assert report.result.sum_gap <= 1e-9
@@ -484,11 +466,9 @@ class TestDecomposeLinearCommand:
 
     def test_unstated_profile_defaults_to_zero(self, tmp_path):
         fit_path = self._fit_doc(tmp_path)
-        report, code = run(
-            RunConfig(
-                subcommand="decompose-linear", params=fit_path, a="1", aref="0",
-                m1star="0", m2star="0",
-            )
+        report, code = run_argv(
+            "decompose-linear", "--params", fit_path, "--a", "1", "--aref", "0",
+            "--m1star", "0", "--m2star", "0",
         )
         assert code == 0
         assert report.provenance["covariate_profile"] == {"age": 0.0}
@@ -499,13 +479,12 @@ class TestBootstrapReportCommand:
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         sim = tmp_path / "sim.csv"
-        run(RunConfig(subcommand="simulate", model=model, n=3000, seed=2, out=str(sim)))
+        run_argv("simulate", "--model", model, "--n", "3000", "--seed", "2", "--out", str(sim))
         roles = write_roles(tmp_path)
-        report, code = run(
-            RunConfig(
-                subcommand="bootstrap-report", data=str(sim), roles=roles,
-                a="1", aref="0", m1star="0", m2star="0", boot=200, seed=5,
-            )
+        report, code = run_argv(
+            "bootstrap-report", "--data", str(sim), "--roles", roles,
+            "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+            "--boot", "200", "--seed", "5",
         )
         assert code == 0
         te = next(c for c in report.result.components if c.name == "TE")
@@ -543,12 +522,10 @@ class TestBootstrapReportCommand:
 
     def test_linear_method_with_mean_references(self, tmp_path):
         data, roles = linear_csv(tmp_path, n=500)
-        report, code = run(
-            RunConfig(
-                subcommand="bootstrap-report", data=data, roles=roles,
-                method="linear", a="1", aref="0", m1star="mean", m2star="mean",
-                cov="age=0.1", boot=60, seed=3,
-            )
+        report, code = run_argv(
+            "bootstrap-report", "--data", data, "--roles", roles, "--method", "linear",
+            "--a", "1", "--aref", "0", "--m1star", "mean", "--m2star", "mean",
+            "--cov", "age=0.1", "--boot", "60", "--seed", "3",
         )
         assert code == 0
         assert len(report.result.components) == 11
@@ -559,14 +536,13 @@ class TestBootstrapReportCommand:
     def test_linear_records_the_profile_it_used(self, tmp_path):
         # without --cov the fit's covariate enters at 0; the provenance says so
         data, roles = linear_csv(tmp_path, n=300)
-        base = dict(
-            subcommand="bootstrap-report", data=data, roles=roles, method="linear",
-            a="1", aref="0", m1star="0", m2star="0", boot=20, seed=1,
-        )
-        report, code = run(RunConfig(**base))
+        base = ["bootstrap-report", "--data", data, "--roles", roles, "--method", "linear",
+                "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+                "--boot", "20", "--seed", "1"]
+        report, code = run_argv(*base)
         assert code == 0
         assert report.provenance["covariate_profile"] == {"age": 0.0}
-        with_cov, _ = run(RunConfig(**base, cov="age=0.0"))
+        with_cov, _ = run_argv(*base, "--cov", "age=0.0")
         assert with_cov.provenance["covariate_profile"] == {"age": 0.0}
         assert with_cov.as_dict()["components"] == report.as_dict()["components"]
 
@@ -592,11 +568,12 @@ class TestBootstrapReportCommand:
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         sim = tmp_path / "sim.csv"
-        run(RunConfig(subcommand="simulate", model=model, n=800, seed=6, out=str(sim)))
-        report, _ = run(RunConfig(
-            subcommand="bootstrap-report", data=str(sim), roles=write_roles(tmp_path),
-            a="1", aref="0", m1star="0", m2star="0", boot=80, seed=9,
-        ))
+        run_argv("simulate", "--model", model, "--n", "800", "--seed", "6", "--out", str(sim))
+        report, _ = run_argv(
+            "bootstrap-report", "--data", str(sim), "--roles", write_roles(tmp_path),
+            "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+            "--boot", "80", "--seed", "9",
+        )
         q = Query(a=1, a_star=0, m1_star=0, m2_star=0)
         pooled = bootstrap(
             load_dataset(str(sim), ROLES2),
@@ -651,7 +628,7 @@ class TestNonFiniteInput:
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         sim = tmp_path / "sim.csv"
-        run(RunConfig(subcommand="simulate", model=model, n=400, seed=2, out=str(sim)))
+        run_argv("simulate", "--model", model, "--n", "400", "--seed", "2", "--out", str(sim))
         lines = sim.read_text().splitlines()
         lines[8] = lines[8].rsplit(",", 1)[0] + ",nan"
         sim.write_text("\n".join(lines) + "\n")
@@ -666,7 +643,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_non_finite_report_value_is_an_error(self, monkeypatch, capsys, fmt):
         stray = Report("check", {"value": 1.0}, provenance={"value": float("nan")})
-        monkeypatch.setattr(natfx.cli, "run", lambda config: (stray, 0))
+        monkeypatch.setattr(natfx.cli, "run", lambda args: (stray, 0))
         assert main(["check", "--scenario", "seq2", "Y(a, M1(a))", "--format", fmt]) == 1
         out = capsys.readouterr()
         assert out.out == ""
@@ -797,7 +774,7 @@ class TestNegativeSeed:
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
         sim = tmp_path / "sim.csv"
-        run(RunConfig(subcommand="simulate", model=model, n=200, seed=2, out=str(sim)))
+        run_argv("simulate", "--model", model, "--n", "200", "--seed", "2", "--out", str(sim))
         argv = ["bootstrap-report", "--data", str(sim), "--roles", write_roles(tmp_path),
                 "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
                 "--boot", "5", "--seed", "-4"]
@@ -846,16 +823,23 @@ class TestArgumentSurface:
                      "--a", "1", "--aref", "0", "--workers", "3"]) == 1
         assert "--workers" in capsys.readouterr().err
 
-    def test_config_from_args_maps_fields(self):
-        config = config_from_args(
+    def test_parser_maps_fields(self):
+        args = build_parser().parse_args(
             ["bootstrap-report", "--data", "d.csv", "--roles", "r.json",
              "--a", "1", "--aref", "0", "--boot", "77", "--max-fail", "0.2",
              "--method", "linear", "--log-m2"]
         )
-        assert config.boot == 77
-        assert config.max_fail == 0.2
-        assert config.method == "linear"
-        assert config.log_m2 is True
+        assert args.boot == 77
+        assert args.max_fail == 0.2
+        assert args.method == "linear"
+        assert args.log_m2 is True
+        # unset flags take the library's bootstrap defaults
+        args = build_parser().parse_args(
+            ["bootstrap-report", "--data", "d.csv", "--roles", "r.json", "--a", "1", "--aref", "0"]
+        )
+        cfg = BootstrapConfig()
+        assert (args.boot, args.level, args.max_fail) == (cfg.replicates, cfg.level, cfg.max_fail)
+        assert args.seed is None and args.format == "table"
 
     def test_missing_file_exits_one(self, capsys):
         code = main(

@@ -155,7 +155,7 @@ def mc_term(rng, n, params, expr, q, cval=0.0):
     gcd = params.gamma_c[0] * cval if params.gamma_c else 0.0
     bcd = params.beta_c[0] * cval if params.beta_c else 0.0
     tcd = params.theta_c[0] * cval if params.theta_c else 0.0
-    level = lambda e: float(q.a) if e.is_treatment else float(q.a_star)
+    level = lambda e: float(q.a) if e.symbol == "a" else float(q.a_star)
     e_y = level(expr.exposure)
     m1spec, m2spec = expr.mediators
     if isinstance(m1spec, Fixed):
@@ -858,7 +858,7 @@ class TestAssumptionLedger:
     def test_single_scenario_ids(self):
         ledger = AssumptionLedger.for_scenario(Scenario.single())
         assert tuple(a.id for a in ledger.assumptions) == ("A'1", "A'2", "A'3", "A'4")
-        assert not ledger.all_acknowledged
+        assert not any(a.acknowledged for a in ledger.assumptions)
         assert all(a.prose for a in ledger.assumptions)
 
     def test_two_mediator_ids(self):
@@ -869,8 +869,8 @@ class TestAssumptionLedger:
             )
 
     def test_acknowledge_all(self):
-        ledger = AssumptionLedger.for_scenario(Scenario.chain(2)).acknowledge_all()
-        assert ledger.all_acknowledged
+        ledger = AssumptionLedger.for_scenario(Scenario.chain(2), acknowledged=True)
+        assert all(a.acknowledged for a in ledger.assumptions)
         doc = ledger.as_dict()
         assert doc["scenario"] == "seq2"
         assert all(entry["acknowledged"] for entry in doc["assumptions"])

@@ -292,7 +292,7 @@ class TestSimulate:
 class TestFromDataset:
     def test_noise_free_roundtrip_recovers_cell_means(self, dm1):
         data = simulate(dm1, 50_000, seed=11, noise_sd=0.0)
-        fitted = from_dataset(data, SEQ2, treatment=1, reference=0)
+        fitted = from_dataset(data, SEQ2)
         for a in (0, 1):
             for m1 in (0, 1):
                 for m2 in (0, 1):
@@ -309,16 +309,6 @@ class TestFromDataset:
         with pytest.raises(ValueError, match=match):
             from_dataset(data, Scenario.single())
 
-    def test_empty_exposure_cell_with_declared_support(self):
-        data = Dataset(
-            exposure=np.zeros(40, dtype=int),
-            m1=np.tile([0, 1], 20),
-            outcome=np.ones(40),
-        )
-        with pytest.raises(EmptyCell) as err:
-            from_dataset(data, Scenario.single(), exposure_levels=[0, 1])
-        assert (("A", 1),) in err.value.cells
-
     def test_empty_outcome_cell_listed(self):
         rows = [(a, m1, m2) for a in (0, 1) for m1 in (0, 1) for m2 in (0, 1)]
         rows = [r for r in rows if r != (1, 1, 1)]
@@ -329,11 +319,6 @@ class TestFromDataset:
         with pytest.raises(EmptyCell) as err:
             from_dataset(data, SEQ2)
         assert err.value.cells == (( ("A", 1), ("M1", 1), ("M2", 1)),)
-
-    def test_declared_support_must_cover_observed(self, dm1):
-        data = simulate(dm1, 100, seed=2)
-        with pytest.raises(UnknownSupportValue):
-            from_dataset(data, SEQ2, m1_levels=[0])
 
     def test_nonseq_scenario_pools_m2_rows(self, dm1):
         marginal = {0: {0: 0.9, 1: 0.1}, 1: {0: 0.7, 1: 0.3}}
@@ -353,70 +338,31 @@ class TestFromDataset:
         with pytest.raises(NonCategoricalColumn, match="m1"):
             from_dataset(data, Scenario.single())
 
-    def test_non_categorical_column_reported_before_unknown_support(self):
-        rng = np.random.default_rng(0)
-        data = Dataset(
-            exposure=np.tile([0, 1], 50),
-            m1=rng.normal(size=100),
-            outcome=np.ones(100),
-        )
-        with pytest.raises(NonCategoricalColumn, match="m1"):
-            from_dataset(data, Scenario.single(), exposure_levels=[0])
-
-    def test_reordered_declared_levels_match_row_tally(self, dm1):
-        data = simulate(dm1, 2000, seed=12)
-        declared = dict(exposure_levels=[1, 0], m1_levels=[1, 0], m2_levels=[1, 0])
-        fitted = from_dataset(data, SEQ2, **declared)
-        assert fitted.exposure_levels == (1, 0)
-        assert fitted.m1_levels == (1, 0)
-        assert fitted.m2_levels == (1, 0)
-        pm1, pm2, ymean, empty = oracles.plugin_seq2_tables(
-            data.exposure, data.m1, data.m2, data.outcome, *declared.values()
-        )
-        assert empty == []
-        _assert_tables_match(fitted, pm1, pm2, ymean)
-
-    def test_reordered_wider_declared_levels_name_the_empty_cells(self, dm1):
-        data = simulate(dm1, 500, seed=13)
-        declared = dict(exposure_levels=[1, 0], m1_levels=[1, 2, 0], m2_levels=[0, 1])
-        *_, empty = oracles.plugin_seq2_tables(
-            data.exposure, data.m1, data.m2, data.outcome, *declared.values()
-        )
-        assert empty == [(("A", 1), ("M1", 2)), (("A", 0), ("M1", 2))]
-        with pytest.raises(EmptyCell) as err:
-            from_dataset(data, SEQ2, **declared)
-        assert list(err.value.cells) == empty
-
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_declared_levels_in_any_order_match_row_tally(self, draw):
+    def test_observed_levels_match_row_tally(self, draw):
         seed = draw.draw(st.integers(0, 10**6))
         rng = np.random.default_rng(seed)
-        columns, supports = [], []
+        columns = []
         for _ in range(3):
             observed = draw.draw(
                 st.lists(st.integers(-5, 9), min_size=1, max_size=3, unique=True)
             )
-            extra = draw.draw(
-                st.lists(st.integers(10, 12), max_size=1, unique=True)
-            )
-            supports.append(draw.draw(st.permutations(observed + extra)))
             columns.append(np.asarray(observed)[rng.integers(0, len(observed), 60)])
         outcome = rng.normal(size=60)
         data = Dataset(
             exposure=columns[0], m1=columns[1], m2=columns[2], outcome=outcome
         )
+        supports = [sorted(set(c.tolist())) for c in columns]
         pm1, pm2, ymean, empty = oracles.plugin_seq2_tables(
             *columns, outcome, *supports
         )
-        declared = dict(zip(("exposure_levels", "m1_levels", "m2_levels"), supports))
         if empty:
             with pytest.raises(EmptyCell) as err:
-                from_dataset(data, SEQ2, **declared)
-            # empty exposure levels are listed first, so compare as sets
-            assert set(err.value.cells) == set(empty)
+                from_dataset(data, SEQ2)
+            assert list(err.value.cells) == empty
             return
-        fitted = from_dataset(data, SEQ2, **declared)
+        fitted = from_dataset(data, SEQ2)
         assert (fitted.exposure_levels, fitted.m1_levels, fitted.m2_levels) == tuple(
             tuple(s) for s in supports
         )
