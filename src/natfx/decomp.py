@@ -17,9 +17,12 @@ engine prices the formulas and the rows are exact sums of the priced terms.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .cfexpr import (
     CfExpr,
@@ -455,48 +458,115 @@ def _checked(catalog: _Catalog, q: Query) -> list[ComponentSpec]:
     return list(catalog.specs)
 
 
-def _totals(
-    catalog: _Catalog, addends: Sequence[Sequence[float]]
-) -> tuple[list[float], float, float]:
-    """Row values, TE and ``sum_gap`` of a compiled catalog from each
-    formula's priced addends.
+# Exact row sums: Sum2 of Ogita, Rump & Oishi (2005), "Accurate sum and dot
+# product", over all replicates at once.  A sum is kept only when proved
+# correctly rounded, so it equals `math.fsum` (Shewchuk 1997) bit for bit;
+# any other, a non-finite or overflowing one among them, is left to it.
 
-    A row is the `math.fsum` of its terms' signed addends, so addends that
-    cancel between the terms of a row cancel exactly, and a row that is
-    zero in exact arithmetic comes out as 0.0.  A sum beyond the float
-    range raises `ValueError` naming its row.
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _distil(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of `columns` and where each is proved correctly rounded.
+
+    A TwoSum cascade leaves the exact total as s + Σe, and a second one sums
+    the e into c with errors f, so Σe = c + Σf.  r = fl(s + c) has the exact
+    error r2, so |total - r| <= |r2| + (1 + γ_n) fl(Σ|f|).  r is correctly
+    rounded when that is below half the gap under |r|, the smaller of its
+    gaps, or when every f is 0: r then rounds the exact s + c, ties to even.
+    Both sides are scaled by 2^53, so nothing underflows; a non-finite r
+    makes NaN and fails.  A zero comes out +0.0, as `math.fsum` returns it.
     """
+    s = c = size = 0.0
+    count = 0
+    for x in columns:
+        s, e = _two_sum(s, x)
+        c, f = _two_sum(c, e)
+        size, count = size + np.abs(f), count + 1
+    r, r2 = _two_sum(s, c)
+    bound = np.abs(r2) * 2.0**53 + size * (2.0**53 + 2.0 * count)
+    gap = np.spacing(np.nextafter(np.abs(r), 0.0)) * 2.0**52
+    return r + 0.0, (bound < gap) | ((size == 0.0) & np.isfinite(r))
 
-    def fsum(xs: Iterable[float], what: str) -> float:
+
+@functools.lru_cache(maxsize=None)
+def _gather_plan(rows: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``[term, row]`` tables of the rows' addend indices, the ``[formula,
+    addend]`` axes flattened, and of their signs.  A row is padded with sign
+    0 on its first addend, which is 0 unless the row is not finite."""
+    terms = [[(sign, j * width + a) for sign, j in row for a in range(width)] or [(0, 0)]
+             for row in rows]
+    depth = max(map(len, terms))
+    table = np.array([t + [(0, t[0][1])] * (depth - len(t)) for t in terms]).transpose(1, 0, 2)
+    return table[..., 1], table[..., :1].astype(float)
+
+
+def _exact_sums(rows: tuple, addends: np.ndarray, names: Sequence[str],
+                failed: dict[int, Exception]) -> tuple[np.ndarray, int]:
+    """The `math.fsum` of each row's signed addends, ``[row, replicate]``,
+    from ``addends[formula, addend, replicate]`` and each row's (sign,
+    formula) terms, and how many sums `_distil` left to `math.fsum`.  A
+    replicate in `failed` is skipped there; an error fails it, an overflow
+    as a `ValueError` naming the row, and its sum is NaN."""
+    flat = addends.reshape(addends.shape[0] * addends.shape[1], -1)
+    index, sign = _gather_plan(rows, addends.shape[1])
+    sums, ok = _distil(flat[i] * s for i, s in zip(index, sign))
+    row, rep = np.nonzero(~ok)
+    for i, r in zip(row.tolist(), rep.tolist()):
+        real = sign[:, i, 0] != 0
         try:
-            return math.fsum(xs)
+            if r not in failed:
+                sums[i, r] = math.fsum((flat[index[real, i], r] * sign[real, i, 0]).tolist())
+                continue
         except OverflowError:
-            raise ValueError(f"{what} overflows the float range") from None
-
-    def total(terms: tuple[tuple[int, int], ...], name: str) -> float:
-        return fsum([sign * x for sign, j in terms for x in addends[j]], name)
-
-    values = [total(terms, spec.name) for spec, terms in zip(catalog.specs, catalog.rows)]
-    te = total(catalog.te, "TE")
-    in_sum = fsum((v for v, spec in zip(values, catalog.specs) if spec.in_sum), "the in-sum rows' total")
-    return values, te, abs(in_sum - te)
+            failed[r] = ValueError(f"{names[i]} overflows the float range")
+        except ValueError as err:  # inf - inf
+            failed[r] = err
+        sums[i, r] = math.nan
+    return sums, row.size
 
 
-def _assemble(catalog: _Catalog, addends: Sequence[Sequence[float]]) -> DecompositionResult:
-    """A `DecompositionResult` of the rows `_totals` computes."""
-    values, te, sum_gap = _totals(catalog, addends)
+def _totals(catalog: _Catalog, addends: np.ndarray) -> tuple:
+    """Row values ``[row, replicate]``, TE and ``sum_gap`` of a compiled
+    catalog from its addends ``[formula, addend, replicate]``, each failed
+    replicate's first error and the count of sums left to `math.fsum`.
+
+    Rows are exact sums (`_exact_sums`), so addends that cancel between the
+    terms of a row cancel exactly, and a row that is zero in exact
+    arithmetic comes out as 0.0.  A replicate fails at its first row, then
+    TE, then in-sum total that overflows (naming it) or meets inf - inf.
+    """
+    failed: dict[int, Exception] = {}
+    names = [spec.name for spec in catalog.specs]
+    in_sum = tuple((1, i) for i, spec in enumerate(catalog.specs) if spec.in_sum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, left = _exact_sums((*catalog.rows, catalog.te), addends, (*names, "TE"), failed)
+        total, more = _exact_sums((in_sum,), sums[:-1, None], ("the in-sum rows' total",), failed)
+    return sums[:-1], sums[-1], np.abs(total[0] - sums[-1]), failed, left + more
+
+
+def _assemble(catalog: _Catalog, addends: np.ndarray) -> DecompositionResult:
+    """A `DecompositionResult` of the rows `_totals` computes from the
+    priced formula addends ``[formula, addend]``."""
+    values, te, sum_gap, failed, _ = _totals(catalog, addends[..., None])
+    if failed:
+        raise failed[0]
     rows = tuple(
         ComponentValue(spec.name, value, in_sum=spec.in_sum)
-        for spec, value in zip(catalog.specs, values)
+        for spec, value in zip(catalog.specs, values[:, 0].tolist())
     )
-    return DecompositionResult(rows, te=te, sum_gap=sum_gap)
+    return DecompositionResult(rows, te=float(te[0]), sum_gap=float(sum_gap[0]))
 
 
 def _evaluate(model: DiscreteScm, catalog: _Catalog, q: Query) -> DecompositionResult:
     """A compiled catalog priced on a discrete model's tables."""
     _check_requires(catalog.requires, q)
     values = _price_formulas(model, catalog.formulas, q.to_binding())
-    return _assemble(catalog, [(v,) for v in values.tolist()])
+    return _assemble(catalog, values[:, None])
 
 
 # ---------------------------------------------------------------------------

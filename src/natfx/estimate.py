@@ -651,7 +651,7 @@ def linear_components(
     catalog = _catalog(_SEQ2)
     level = _linear_levels(q)
     price = _linear_pricer(params, _covariate_vector(params.n_covariates, c), level)
-    return _assemble(catalog, [price(formula) for formula in catalog.formulas])
+    return _assemble(catalog, np.array([price(f) for f in catalog.formulas], dtype=float))
 
 
 # ---------------------------------------------------------------------------

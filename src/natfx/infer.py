@@ -6,15 +6,16 @@ chunks instead, by a pricer that only prepares and prices: for a
 `PluginEstimator` the data is encoded once, a chunk of resamples is
 tabulated with one offset `bincount`, and the compiled catalog is priced
 over the chunk; for a `LinearEstimator` each equation's design is factored
-once, and a chunk of resamples is fitted by small weighted Gram systems on
-that factor.  A pricer names the draws it cannot price, and `bootstrap`
-alone sends those to the estimator, sums the priced addends into rows and
-counts the routes.  Each replicate draws its random numbers from a stream
-split off the master seed by replicate index, and each chunked replicate is
-computed on its own, so the output depends only on (seed, replicates, data,
-estimator) and never on chunk size or worker count.  The plug-in chunks
-reproduce the per-resample values bit for bit, the linear chunks to
-roundoff.
+once, a chunk of resamples is fitted by small weighted Gram systems on that
+factor, and the fits of all chunks are priced together.  A pricer names the
+draws it cannot price, and `bootstrap` alone sends those to the estimator,
+sums the addends of all priced draws into rows at once (`decomp._totals`,
+exact sums equal to `math.fsum`) and counts the routes.  Each replicate
+draws its random numbers from a stream split off the master seed by
+replicate index, and each chunked replicate is computed on its own, so the
+output depends only on (seed, replicates, data, estimator) and never on
+chunk size or worker count.  The plug-in chunks reproduce the per-resample
+values bit for bit, the linear chunks to roundoff.
 """
 from __future__ import annotations
 
@@ -94,10 +95,6 @@ _REPLICATE_ERRORS = (ValueError, np.linalg.LinAlgError, ZeroDivisionError)
 # fit, and at least one.
 _CHUNK_ENTRIES = 1 << 16
 
-# A replicate's component values (in the point estimate's row order) and its
-# sum_gap, or the error that dropped it.
-_Outcome = tuple[list[float], float] | Exception
-
 
 @dataclass(frozen=True)
 class PluginEstimator:
@@ -140,9 +137,11 @@ def _non_finite(rows: Iterable[tuple[str, float]]) -> FloatingPointError | None:
 
 # A chunk pricer is built from (data, estimator) and called on a chunk's
 # stacked draws, an m x n index matrix.  It returns one reason per draw, ""
-# for a draw it priced and otherwise one of its `reasons`, together with the
-# formula addends of the priced draws, in draw order, for `bootstrap` to sum
-# into the rows of its `catalog`.  `extras` holds its own route diagnostics.
+# for a draw it priced and otherwise one of its `reasons`, together with a
+# part for its `addends`.  Handed the parts of every chunk, `addends` returns
+# one float array ``[formula, addend, replicate]`` over all priced draws, in
+# draw order, for `bootstrap` to sum into the rows of its `catalog` at once.
+# `extras` holds the pricer's own route diagnostics.
 
 
 class _PluginChunkPricer:
@@ -166,12 +165,15 @@ class _PluginChunkPricer:
         self._rows = _formula_rows(self.catalog.formulas, estimator.q.to_binding(), levels)
         self.extras: dict = {}
 
-    def __call__(self, idx: np.ndarray) -> tuple[list[str], list]:
+    def __call__(self, idx: np.ndarray) -> tuple[list[str], np.ndarray]:
         counts, ysum = _tally(self._cell[idx], self._y[idx], self._shape)
         full = counts.reshape(len(idx), -1).all(axis=1)
         tables = _tables(self._scenario, counts[full], ysum[full])
         reasons = ["" if ok else "empty_cell" for ok in full.tolist()]
-        return reasons, _price_tables(*tables, self._rows)[..., None].tolist()
+        return reasons, _price_tables(*tables, self._rows)
+
+    def addends(self, parts: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts).T[:, None]
 
 
 # Added to the reciprocal condition number a replicate's Gram matrix must
@@ -208,7 +210,8 @@ class _LinearChunkPricer:
     costs about as much; the small systems are then solved for the whole
     chunk with batched `solve` and `eigvalsh`, which factor each matrix on
     its own.  So a replicate's value does not depend on the chunk it is
-    priced in.
+    fitted in.  The coefficients of every chunk are priced together, by one
+    `_linear_pricer` over all fitted replicates.
 
     A replicate is not priced when it keeps no more rows than an equation
     has regressors ("rows"), or when one of its G falls below the line
@@ -258,7 +261,7 @@ class _LinearChunkPricer:
         self._cvec = _covariate_vector(len(cov_names), estimator.profile)
         self.extras = {"min_gram_rcond": None}
 
-    def __call__(self, idx: np.ndarray) -> tuple[list[str], list]:
+    def __call__(self, idx: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         m, n = idx.shape
         counts = np.bincount((idx + n * np.arange(m)[:, None]).ravel(), minlength=m * n)
         counts = counts.reshape(m, n)[:, self._kept]
@@ -293,13 +296,13 @@ class _LinearChunkPricer:
         rss = [counts[r].astype(float) @ np.square(m1.y - self._m1_design @ b)
                for r, b in zip(live[good], coefs[-1])]
         sigma2_m1 = np.array(rss) / (rows[live[good]] - len(m1.piv))
+        return reason, [*coefs, sigma2_m1]
 
+    def addends(self, parts: list[list[np.ndarray]]) -> np.ndarray:
+        *coefs, sigma2_m1 = (np.concatenate(column) for column in zip(*parts))
         params = SimpleNamespace(**_split_coefficients([c.T for c in coefs]), sigma2_m1=sigma2_m1)
         price = _linear_pricer(params, self._cvec, self._level)
-        addends = np.stack(
-            [np.stack(np.broadcast_arrays(*price(f))) for f in self.catalog.formulas]
-        )
-        return reason.tolist(), addends.transpose(2, 0, 1).tolist()
+        return np.stack([np.stack(np.broadcast_arrays(*price(f))) for f in self.catalog.formulas])
 
 
 # The estimators `bootstrap` prices in chunks, each with its pricer.
@@ -328,10 +331,11 @@ def bootstrap(
     A `PluginEstimator` or `LinearEstimator` is priced a chunk of resamples
     at a time; a resample its pricer turns down runs through the estimator
     itself, in draw order, and ``diagnostics["routes"]`` counts the
-    replicates priced in the batch and those that fell back, by reason.
-    Any other estimator runs once per resample, on `workers` threads.
-    `point` is ``estimator(data)`` when the caller already holds it; it is
-    then not computed again.
+    replicates priced in the batch, those that fell back, by reason, and
+    the priced sums left to `math.fsum` (``fsum_rows``).  Any other
+    estimator runs once per resample, on `workers` threads.  `point` is
+    ``estimator(data)`` when the caller already holds it; it is then not
+    computed again.
     """
     if cfg is None:
         cfg = BootstrapConfig()
@@ -348,44 +352,49 @@ def bootstrap(
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
     pricer_type = _CHUNK_PRICERS.get(type(estimator))
     pricer = None if pricer_type is None else pricer_type(data, estimator)
+    values, gaps = np.empty((cfg.replicates, len(names))), np.empty(cfg.replicates)
+    failures: dict[int, Exception] = {}
 
-    def replicate(indices: np.ndarray) -> _Outcome:
+    def replicate(i: int, indices: np.ndarray) -> None:
         try:
             result = estimator(data.take(indices))
         except _REPLICATE_ERRORS as err:
-            return err
-        bad = _non_finite((c.name, c.value) for c in result.components)
-        return bad or ([result[name] for name in names], result.sum_gap)
-
-    def priced(addends: list) -> _Outcome:
-        try:
-            values, _, sum_gap = _totals(pricer.catalog, addends)
-        except _REPLICATE_ERRORS as err:  # inf - inf, or beyond the float range
-            return err
-        return _non_finite(zip(names, values)) or (values, sum_gap)
+            failures[i] = err
+        else:
+            values[i], gaps[i] = [result[name] for name in names], result.sum_gap
 
     tally = dict.fromkeys(("", *(pricer.reasons if pricer else ())), 0)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and pricer is None else None
     size = max(1, _CHUNK_ENTRIES // n)
-    outcomes: list[_Outcome] = []
+    batched: list[int] = []
+    parts = []
     try:
         for start in range(0, cfg.replicates, size):
+            chunk = range(start, min(start + size, cfg.replicates))
             idx = np.stack([np.random.default_rng(streams[i]).integers(0, n, size=n)
-                            for i in range(start, min(start + size, cfg.replicates))])
+                            for i in chunk])
             if pricer is None:
-                outcomes += (map if pool is None else pool.map)(replicate, idx)
+                list((map if pool is None else pool.map)(replicate, chunk, idx))
                 continue
-            reasons, addends = pricer(idx)
-            batched = iter(addends)
-            for draw, why in zip(idx, reasons):
+            reasons, part = pricer(idx)
+            parts.append(part)
+            for i, draw, why in zip(chunk, idx, reasons):
                 tally[why] += 1
-                outcomes.append(replicate(draw) if why else priced(next(batched)))
+                if why:
+                    replicate(i, draw)
+                else:
+                    batched.append(i)
     finally:
         if pool is not None:
             pool.shutdown()
+    if pricer is not None:
+        priced, _, gaps[batched], failed, fsum_rows = _totals(pricer.catalog, pricer.addends(parts))
+        values[batched] = priced.T
+        failures.update((batched[j], err) for j, err in failed.items())
+    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
+        failures.setdefault(i, _non_finite(zip(names, values[i].tolist())))
 
-    kept = [o for o in outcomes if not isinstance(o, Exception)]
-    errors = [o for o in outcomes if isinstance(o, Exception)]
+    errors = [failures[i] for i in sorted(failures)]
     failed_by_error: dict[str, dict] = {}
     for err in errors:
         entry = failed_by_error.setdefault(type(err).__name__, {"count": 0, "first": str(err)})
@@ -393,20 +402,21 @@ def bootstrap(
     if len(errors) > cfg.max_fail * cfg.replicates:
         raise TooManyFailedReplicates(len(errors), cfg.replicates, cfg.max_fail, errors[-1])
 
+    kept = np.ones(cfg.replicates, dtype=bool)
+    kept[list(failures)] = False
     alpha = (1.0 - cfg.level) / 2.0
-    values = np.array([v for v, _ in kept])
-    with_ci = []
-    for j, row in enumerate(point.components):
-        lo, hi = np.quantile(values[:, j], [alpha, 1.0 - alpha], method="linear")
-        with_ci.append(replace(row, ci=(float(lo), float(hi))))
+    ends = np.quantile(values[kept], [alpha, 1.0 - alpha], axis=0, method="linear")
+    with_ci = [replace(row, ci=(float(lo), float(hi)))
+               for row, lo, hi in zip(point.components, *ends)]
     diagnostics = {
-        "kept": len(kept),
+        "kept": int(kept.sum()),
         "failed": len(errors),
         "failed_by_error": failed_by_error,
-        "max_sum_gap": float(max(gap for _, gap in kept)),
+        "max_sum_gap": float(max(gaps[kept].tolist())),
     }
     if pricer is not None:
-        diagnostics["routes"] = {"batched": tally.pop(""), "fallback": tally, **pricer.extras}
+        diagnostics["routes"] = {"batched": tally.pop(""), "fallback": tally,
+                                 "fsum_rows": fsum_rows, **pricer.extras}
     return DecompositionResult(
         components=tuple(with_ci),
         te=point.te,

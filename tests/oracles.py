@@ -6,6 +6,8 @@ tautology.
 """
 from __future__ import annotations
 
+import itertools
+
 # ---------------------------------------------------------------------------
 # arity oracle
 
@@ -345,3 +347,40 @@ def linear_world_exact(params, e_y, e_m2, e_m1, c_value=0.0):
         + c2 * sm2 * mu1
         + c12 * sm2 * (sd1 ** 2 + mu1 ** 2)
     )
+
+
+# ---------------------------------------------------------------------------
+# engine bridge
+
+
+def linear_params_of_binary_model(pm1, pm2, ymean):
+    """Linear chain coefficients that reproduce a binary seq2 model exactly.
+
+    A, M1 and M2 take the levels 0 and 1.  With P(M1=1 | a=1) equal to p or
+    1 - p, where p = P(M1=1 | a=0), Var(M1 | a) = p (1 - p) for both
+    exposures, and the Gaussian-linear closed forms, which see M1 only
+    through its mean and that variance, price every seq2 formula as the
+    model does: gamma is (p, P(M1=1 | a=1) - p), beta the four cell
+    contrasts of P(M2=1 | a, m1), and theta the eight of the outcome cell
+    means.  Returns the fields of a `LinearParams`.
+    """
+
+    def contrast(table, cell):
+        # Moebius inversion: the signed sum over the cells at or below `cell`
+        return sum(
+            (-1) ** (sum(cell) - sum(below)) * table[below]
+            for below in itertools.product(*[(0, 1) if v else (0,) for v in cell])
+        )
+
+    p0, p1 = pm1[0][1], pm1[1][1]
+    q = {(a, m1): pm2[a][m1][1] for a in (0, 1) for m1 in (0, 1)}
+    y = {(a, m1, m2): ymean[a][m1][m2] for a in (0, 1) for m1 in (0, 1) for m2 in (0, 1)}
+    beta_cells = [(0, 0), (1, 0), (0, 1), (1, 1)]  # intercept, A, M1, A·M1
+    theta_cells = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                   (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]  # .., A·M2, M1·M2, A·M1·M2
+    return {
+        "theta": tuple(contrast(y, cell) for cell in theta_cells),
+        "beta": tuple(contrast(q, cell) for cell in beta_cells),
+        "gamma": (p0, p1 - p0),
+        "sigma2_m1": p0 * (1.0 - p0),
+    }

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from natfx.decomp import (
     MissingFixedLevel,
     Query,
     _catalog,
+    _exact_sums,
     components_for,
     components_nonseq2,
     components_seq2,
@@ -430,3 +433,99 @@ class TestCatalogAgainstOracles:
         want_te = _oracle_value(total_effect(model.scenario), q, model.scenario, tables)
         assert result.te == pytest.approx(want_te, abs=1e-12)
         assert result.sum_gap <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact row sums
+
+# Floats that make summation hard: signed zeros, subnormals, the ends of the
+# float range, and powers of two a tie apart.
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 2.0**-53, 3 * 2.0**-53,
+           2.0**53, 1.7e308, -1.7e308, 1e-300, 2.0**1023]
+
+
+@st.composite
+def summation_runs(draw):
+    """Addends ``[formula, addend, replicate]`` and signed rows over them.
+
+    Each addend is a signed, power-of-two scaled pick from a small pool, so
+    rows cancel exactly, meet ties and span the float range; a few are
+    infinite or NaN."""
+    formulas, width, count = (draw(st.integers(1, n)) for n in (6, 3, 4))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=5,
+    ))
+    size = formulas * width * count
+    cell = st.tuples(st.sampled_from(pool), st.sampled_from([1.0, -1.0]), st.integers(-60, 60))
+    with np.errstate(over="ignore"):
+        addends = np.array([np.ldexp(x * sign, e)
+                            for x, sign, e in draw(st.lists(cell, min_size=size, max_size=size))])
+    for at, value in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                             st.sampled_from([np.inf, -np.inf, np.nan])),
+                                   max_size=2)):
+        addends[at] = value
+    term = st.tuples(st.sampled_from([1, -1]), st.integers(0, formulas - 1))
+    rows = draw(st.lists(st.lists(term, max_size=8).map(tuple), min_size=1, max_size=5))
+    return addends.reshape(formulas, width, count), tuple(rows)
+
+
+def fsum_rows(rows, addends, names):
+    """Each replicate's row values by `math.fsum` over its signed addends in
+    term order, or the first error, row by row, that one raises."""
+    out = []
+    for r in range(addends.shape[-1]):
+        values = []
+        for name, row in zip(names, rows):
+            try:
+                values.append(math.fsum([sign * x for sign, j in row for x in addends[j, :, r]]))
+            except OverflowError:
+                values = ValueError(f"{name} overflows the float range")
+                break
+            except ValueError as err:
+                values = err
+                break
+        out.append(values)
+    return out
+
+
+class TestExactSums:
+    """`decomp._exact_sums` is `math.fsum`, bit for bit, row by row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(summation_runs())
+    def test_equals_fsum(self, run):
+        addends, rows = run
+        names = [f"R{i}" for i in range(len(rows))]
+        failed = {}
+        with np.errstate(all="ignore"):
+            sums, sent = _exact_sums(rows, addends, names, failed)
+        for r, want in enumerate(fsum_rows(rows, addends, names)):
+            if isinstance(want, Exception):
+                assert type(failed[r]) is type(want) and str(failed[r]) == str(want)
+            else:
+                assert r not in failed
+                assert [v.hex() for v in sums[:, r].tolist()] == [v.hex() for v in want]
+        assert 0 <= sent <= sums.size
+
+    def test_awkward_rows(self):
+        rows = (((1, 0), (-1, 0)), ((1, 1), (1, 2)), ((1, 3), (1, 3)), ((1, 4), (1, 5), (1, 6)),
+                ((1, 1), (-1, 7), (-1, 8)))
+        values = [1.5, 1.0, 2.0**-53, -0.0, 2.0**-1074, 2.0**-1074, -(2.0**-1073),
+                  2.0**-54, 2.0**-110]
+        sums, sent = _exact_sums(rows, np.array(values)[:, None, None], "ABCDE", {})
+        # exact cancellation and -0.0 + -0.0 are +0.0; 1 + 2^-53 ties to
+        # even; 1 - 2^-54 - 2^-110 lies just below the midpoint under 1.0,
+        # where the gap below a power of two is half the gap above it
+        assert [v.hex() for v in sums[:, 0].tolist()] == [
+            (0.0).hex(), (1.0).hex(), (0.0).hex(), (0.0).hex(), (1.0 - 2.0**-53).hex()]
+        assert sent == 1
+
+    def test_overflow_names_its_row(self):
+        rows = (((1, 0), (1, 1)), ((1, 0), (1, 0), (-1, 1)))
+        failed = {}
+        with np.errstate(all="ignore"):
+            sums, sent = _exact_sums(rows, np.array([1.7e308, -1.7e308])[:, None, None],
+                                     ["fine", "big"], failed)
+        assert sums[0, 0] == 0.0 and sent == 1
+        assert str(failed[0]) == "big overflows the float range"

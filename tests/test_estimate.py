@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import natfx.estimate
 import oracles
@@ -874,3 +876,52 @@ class TestAssumptionLedger:
         doc = ledger.as_dict()
         assert doc["scenario"] == "seq2"
         assert all(entry["acknowledged"] for entry in doc["assumptions"])
+
+
+# ---------------------------------------------------------------------------
+# the two engines on one model
+
+
+def binary_seq2_tables(draw_p, p1_of_p0):
+    """Binary seq2 tables from a source of probabilities and outcome means;
+    P(M1=1 | a=1) is `p1_of_p0` of P(M1=1 | a=0)."""
+    p0 = draw_p()
+    p1 = p1_of_p0(p0)
+    pm1 = {0: {0: 1.0 - p0, 1: p0}, 1: {0: 1.0 - p1, 1: p1}}
+    pm2 = {a: {m1: (lambda q: {0: 1.0 - q, 1: q})(draw_p()) for m1 in (0, 1)} for a in (0, 1)}
+    ymean = {a: {m1: {m2: draw_p() * 10.0 - 5.0 for m2 in (0, 1)} for m1 in (0, 1)}
+             for a in (0, 1)}
+    return pm1, pm2, ymean
+
+
+def engine_gap(pm1, pm2, ymean, m1_star, m2_star):
+    """The worst gap between the linear and the plug-in seq2 rows and TE of
+    one binary model, relative to max(1, |TE|)."""
+    model = DiscreteScm(SEQ2, pm1=pm1, pm2=pm2, ymean=ymean)
+    params = LinearParams(**oracles.linear_params_of_binary_model(pm1, pm2, ymean))
+    want = decompose(model, Query(1, 0, m1_star, m2_star))
+    got = linear_components(params, Query(1.0, 0.0, float(m1_star), float(m2_star)))
+    assert [c.name for c in got.components] == [c.name for c in want.components]
+    gaps = [abs(g.value - w.value) for g, w in zip(got.components, want.components)]
+    return max(*gaps, abs(got.te - want.te)) / max(1.0, abs(want.te))
+
+
+class TestEnginesAgree:
+    """On a saturated binary model with Var(M1 | a) free of a, the linear
+    closed forms and the plug-in tables price the same seq2 report."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.booleans(), st.sampled_from([0, 1]), st.sampled_from([0, 1]))
+    def test_linear_equals_plugin(self, data, flip, m1_star, m2_star):
+        def draw_p():
+            return data.draw(st.floats(0.02, 0.98))
+
+        tables = binary_seq2_tables(draw_p, (lambda p: 1.0 - p) if flip else (lambda p: p))
+        assert engine_gap(*tables, m1_star, m2_star) <= 1e-12
+
+    def test_unequal_m1_variance_breaks_the_bridge(self):
+        # negative control: with Var(M1 | a=1) != Var(M1 | a=0) the linear
+        # forms' one sigma2_m1 cannot stand for both, and rows drift apart
+        rng = np.random.default_rng(5)
+        tables = binary_seq2_tables(lambda: float(rng.uniform(0.05, 0.95)), lambda p: p / 2)
+        assert all(engine_gap(*tables, m1, m2) > 1e-3 for m1 in (0, 1) for m2 in (0, 1))

@@ -353,7 +353,8 @@ class TestChunkedPlugin:
         fallbacks = len(calls) // 3 - 1
         assert diagnostics["failed"] < fallbacks < 300
         routes = bootstrap(data, PluginEstimator(Scenario.single(), q), cfg).diagnostics["routes"]
-        assert routes == {"batched": 300 - fallbacks, "fallback": {"empty_cell": fallbacks}}
+        assert routes == {"batched": 300 - fallbacks, "fallback": {"empty_cell": fallbacks},
+                          "fsum_rows": 0}
 
     def test_max_sum_gap_is_the_worst_kept_replicate(self):
         rng = np.random.default_rng(3)
@@ -455,7 +456,9 @@ def batched_fits(data, estimator, draws):
     real = infer._linear_pricer
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(infer, "_linear_pricer", lambda coefs, *rest: seen.append(coefs) or real(coefs, *rest))
-        reasons, _ = infer._LinearChunkPricer(data, estimator)(np.stack(draws))
+        pricer = infer._LinearChunkPricer(data, estimator)
+        reasons, part = pricer(np.stack(draws))
+        pricer.addends([part])
     (coefs,) = seen
     fits, j = [], 0
     for why in reasons:
