@@ -1,0 +1,201 @@
+"""Alternating parent/change pairs of perfbench runs, summarised to one JSON file.
+
+    python scripts/bench_pairs.py --parent HEAD --out BENCH_14.json \\
+        --pairs 3 --seconds 25 --seed 17 --claim simulate-fit:op_ref:1.15
+
+The parent revision (by `git archive`) and the working tree's src/ and
+perfbench/ are copied side by side into a temporary directory outside the
+checkout, and both copies are byte-compiled with ``python -m compileall -q
+src perfbench``: where PYTHONDONTWRITEBYTECODE is set, a copy would otherwise
+compile its sources on every start, or read stale bytecode, and that skews
+``setup_s``.  For each workload, pair i runs ``perfbench/run.py`` on the
+parent first when i is even and on the change first when i is odd.
+
+Every end-to-end metric is lower-better.  The output records, per workload
+and metric, each side's runs, median and quartiles, the pairs the change
+won, the ratio of medians and the parent's interquartile range.  ``--claim
+WORKLOAD:METRIC:RATIO`` is met when the parent's median over the change's
+is at least RATIO, the change wins every pair, and the medians lie further
+apart than the parent's interquartile range.  ``not_met`` names each metric
+whose change median is worse than the parent's by more than that range.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("op_ref", "setup_s", "peak_rss_mb")  # BENCHMARK.json's end-to-end metrics
+SIDES = ("parent", "change")
+
+
+def pair_order(i: int) -> tuple[str, str]:
+    """The sides of pair `i` in the order they run."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def quartiles(runs: list[float]) -> dict:
+    """Median and quartiles by linear interpolation between order statistics
+    (numpy's default percentile), with the runs in the order they ran."""
+    if len(runs) == 1:
+        return {"median": runs[0], "q1": runs[0], "q3": runs[0], "runs": list(runs)}
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": list(runs)}
+
+
+def summarize(parent: list[float], change: list[float]) -> dict:
+    """One lower-better metric over paired runs: ``parent[i]`` and
+    ``change[i]`` come from pair i."""
+    p, c = quartiles(parent), quartiles(change)
+    return {
+        "parent": p,
+        "change": c,
+        "change_better_in_pairs": sum(b < a for a, b in zip(parent, change)),
+        "median_ratio_change_over_parent": c["median"] / p["median"],
+        "parent_iqr": p["q3"] - p["q1"],
+    }
+
+
+def claim_verdict(claim: str, workloads: dict) -> tuple[bool, str]:
+    """Whether ``WORKLOAD:METRIC:RATIO`` holds on the summaries, and why."""
+    workload, metric, ratio = claim.split(":")
+    s = workloads[workload][metric]
+    parent, change = s["parent"]["median"], s["change"]["median"]
+    pairs = workloads[workload]["pairs"]
+    gap = parent - change
+    met = (parent / change >= float(ratio) and s["change_better_in_pairs"] == pairs
+           and gap > s["parent_iqr"])
+    return met, (
+        f"{metric} on {workload} falls by at least {ratio}x against the parent: "
+        f"{'met' if met else 'not met'}, {parent:.4g} -> {change:.4g} "
+        f"({parent / change:.3g}x), the change lower in {s['change_better_in_pairs']} "
+        f"of {pairs} pairs, medians {gap:.3g} apart against a parent IQR of "
+        f"{s['parent_iqr']:.3g}"
+    )
+
+
+def worse_beyond_spread(workloads: dict) -> list[str]:
+    """Each metric whose change median exceeds the parent's by more than the
+    parent's interquartile range."""
+    found = []
+    for name, w in workloads.items():
+        for metric in METRICS:
+            s = w[metric]
+            parent, change = s["parent"]["median"], s["change"]["median"]
+            if change - parent > s["parent_iqr"]:
+                found.append(f"{metric} on {name}: {parent:.4g} -> {change:.4g} "
+                             f"({(change / parent - 1) * 100:+.1f}%, parent IQR "
+                             f"{s['parent_iqr']:.3g})")
+    return found
+
+
+def parse_run_output(stdout: str) -> tuple[dict, dict]:
+    """perfbench/run.py's info line (the first) and result line (the last)."""
+    lines = stdout.strip().splitlines()
+    return json.loads(lines[0]), json.loads(lines[-1])
+
+
+def host_line(env: dict) -> str:
+    threads = sorted({b.get("threads") for b in env.get("blas", []) if "threads" in b})
+    return (f"{env['nproc']}-vCPU host, {env['cpu_model']}, BLAS threads {threads}, "
+            f"Python {env['python']}, numpy {env['numpy']}, scipy {env['scipy']}")
+
+
+def copy_sides(parent: str, tmp: Path) -> dict[str, Path]:
+    """The parent revision and the working tree, each as src/ and perfbench/
+    under `tmp`, byte-compiled."""
+    sides = {side: tmp / side for side in SIDES}
+    sides["parent"].mkdir()
+    archive = subprocess.run(["git", "archive", parent, "src", "perfbench"], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".perfbench_tmp")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, sides["change"] / part, ignore=ignore)
+    for path in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=path, check=True)
+    return sides
+
+
+def run_side(path: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=path, capture_output=True, text=True,
+                          timeout=seconds * 6 + 300)
+    if done.returncode not in (0, 1):  # 1: some op failed its checks, still recorded
+        raise RuntimeError(f"{path.name} {workload}: exit {done.returncode}\n{done.stderr}")
+    return parse_run_output(done.stdout)
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    p.add_argument("--out", required=True, help="JSON path to write, e.g. BENCH_14.json")
+    p.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
+    p.add_argument("--pairs", type=int, default=3)
+    p.add_argument("--seconds", type=float, default=25)
+    p.add_argument("--seed", type=int, default=17)
+    p.add_argument("--claim", help="WORKLOAD:METRIC:RATIO, e.g. simulate-fit:op_ref:1.15")
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if not args.workloads:
+        with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+            args.workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    env: dict = {}
+    workloads: dict = {}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = copy_sides(commit, Path(tmp))
+        for workload in args.workloads:
+            values = {side: {m: [] for m in METRICS} for side in SIDES}
+            ops = {side: [] for side in SIDES}
+            for i in range(args.pairs):
+                for side in pair_order(i):
+                    info, result = run_side(sides[side], workload, args.seed, args.seconds)
+                    env.setdefault(side, info["env"])
+                    for m in METRICS:
+                        values[side][m].append(result["metrics"][m]["value"])
+                    ops[side].append(f"{result['failed']} failed of {result['attempted']}")
+                    print(f"{workload} pair {i} {side}: "
+                          f"op_ref {values[side]['op_ref'][-1]:.4g}", file=sys.stderr)
+            workloads[workload] = {"pairs": args.pairs, **{
+                m: summarize(values["parent"][m], values["change"][m]) for m in METRICS
+            }, "ops": ops}
+    claim = claim_verdict(args.claim, workloads)[1] if args.claim else None
+    worse = worse_beyond_spread(workloads)
+    doc = {
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "seed": args.seed,
+        "host": host_line(env["change"]),
+        "parent": commit,
+        "order": "pair i runs the parent first when i is even, the change first when i "
+                 "is odd; each side runs from its own copy of src/ and perfbench/, both "
+                 "byte-compiled with `python -m compileall -q src perfbench` before timing",
+        "claim": claim,
+        "not_met": "; ".join(worse) if worse else "none: no end-to-end metric's change "
+                   "median is above the parent's by more than the parent's IQR",
+        "workloads": workloads,
+        "env": env,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(claim or "no claim")
+    print(doc["not_met"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

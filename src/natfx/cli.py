@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _ROLE_KEYS = ("exposure", "m1", "m2", "outcome")
+_SIMULATE_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -507,28 +508,40 @@ def _run_eval(args: argparse.Namespace) -> tuple[Report, int]:
     return Report("eval", body), 0
 
 
+def _spell(column: str, level: str) -> str:
+    """The csv module's spelling of a level; its "\r\n" terminator quotes a
+    level holding either line break.  `load_dataset` would read an empty level
+    as missing and strip a padded one, so those are refused."""
+    if not level or level != level.strip():
+        raise ValueError(f"column {column} level {level!r} would not read back from CSV: "
+                         "a level must be non-empty, with no leading or trailing whitespace")
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow([level])
+    return buffer.getvalue()[:-2]
+
+
 def _run_simulate(args: argparse.Namespace) -> tuple[Report, int]:
     model = load_model(args.model)
     seed = _resolve_seed(args.seed)
+    columns = ["A", "M1", "M2"][: model.k + 1] + ["Y"]
+    supports = (model.exposure_levels, model.m1_levels, model.m2_levels)[: model.k + 1]
+    # keyed as simulate's numpy string arrays give levels back (they drop trailing NULs)
+    spellings = [{lv: _spell(c, lv) for lv in np.asarray(levels).tolist()}
+                 for c, levels in zip(columns, supports)]
     data = simulate_model(model, args.n, seed, noise_sd=args.noise_sd)
-    levels = [data.exposure, data.m1] + ([data.m2] if data.m2 is not None else [])
-    columns = ["A", "M1", "M2"][: len(levels)] + ["Y"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*(c.tolist() for c in levels), map(repr, data.outcome.tolist())))
-    text = buffer.getvalue()
+    chunks = [",".join(columns) + "\n"]
+    for at in range(0, data.n, _SIMULATE_CHUNK):  # one chunk's row strings alive at a time
+        part = slice(at, at + _SIMULATE_CHUNK)
+        cells = [map(spelled.__getitem__, values[part].tolist())
+                 for spelled, values in zip(spellings, (data.exposure, data.m1, data.m2))]
+        rows = zip(*cells, map(repr, data.outcome[part].tolist()))
+        chunks.append("\n".join(map(",".join, rows)) + "\n")
     if args.out is None:
-        return Report("simulate", {}, raw=text.rstrip("\n")), 0
+        return Report("simulate", {}, raw="".join(chunks).rstrip("\n")), 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    body = {
-        "rows": data.n,
-        "columns": columns,
-        "seed": seed,
-        "noise_sd": args.noise_sd,
-        "out": args.out,
-    }
+        fh.writelines(chunks)
+    body = {"rows": data.n, "columns": columns, "seed": seed, "noise_sd": args.noise_sd,
+            "out": args.out}
     return Report("simulate", body), 0
 
 

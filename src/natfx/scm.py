@@ -498,19 +498,15 @@ def eval_expectation(
 def _sample_rows(
     rng: np.random.Generator, prob_rows: np.ndarray, row_idx: np.ndarray
 ) -> np.ndarray:
-    """Draw one categorical value per row from per-row probability vectors."""
-    cum = np.cumsum(prob_rows[row_idx], axis=1)
+    """Draw one categorical value per row from per-row probability vectors;
+    the cumulative table is built once over the k rows, then gathered."""
+    cum = np.cumsum(prob_rows, axis=1)[row_idx]
     u = rng.random(len(row_idx))
     idx = (cum < u[:, None]).sum(axis=1)
     return np.minimum(idx, prob_rows.shape[1] - 1)
 
 
-def simulate(
-    model: DiscreteScm,
-    n: int,
-    seed: int,
-    noise_sd: float = 1.0,
-) -> Dataset:
+def simulate(model: DiscreteScm, n: int, seed: int, noise_sd: float = 1.0) -> Dataset:
     """Draw `n` i.i.d. rows through the factorization A -> M1 (-> M2) -> Y.
 
     The exposure is uniform over the model's levels, and the outcome is its
@@ -523,28 +519,17 @@ def simulate(
         raise ValueError(f"n must be >= 1, got {n}")
     if not (np.isfinite(noise_sd) and noise_sd >= 0.0):
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
-    levels = model.exposure_levels
-    probs = np.full(len(levels), 1.0 / len(levels))
-
+    ka = len(model.exposure_levels)
     rng = np.random.default_rng(seed)
-    a_idx = _sample_rows(rng, np.tile(probs, (1, 1)), np.zeros(n, dtype=int))
-
-    m1_idx = _sample_rows(rng, model._p1, a_idx)
-
-    exposure = np.asarray(levels)[a_idx]
-    m1 = np.asarray(model.m1_levels)[m1_idx]
-
-    if model.k == 1:
-        mean = model._y[a_idx, m1_idx]
-        outcome = mean + rng.normal(size=n) * noise_sd
-        return Dataset(exposure=exposure, m1=m1, outcome=outcome)
-
-    k1, k2 = model._p2.shape[1:]
-    m2_idx = _sample_rows(rng, model._p2.reshape(-1, k2), a_idx * k1 + m1_idx)
-    m2 = np.asarray(model.m2_levels)[m2_idx]
-    mean = model._y[a_idx, m1_idx, m2_idx]
-    outcome = mean + rng.normal(size=n) * noise_sd
-    return Dataset(exposure=exposure, m1=m1, outcome=outcome, m2=m2)
+    a_idx = _sample_rows(rng, np.full((1, ka), 1.0 / ka), np.zeros(n, dtype=int))
+    cells = [a_idx, _sample_rows(rng, model._p1, a_idx)]
+    if model.k == 2:
+        k1, k2 = model._p2.shape[1:]
+        cells.append(_sample_rows(rng, model._p2.reshape(-1, k2), a_idx * k1 + cells[1]))
+    supports = (model.exposure_levels, model.m1_levels, model.m2_levels)
+    drawn = [np.asarray(lv)[i] for lv, i in zip(supports, cells)]
+    outcome = model._y[tuple(cells)] + rng.normal(size=n) * noise_sd
+    return Dataset(*drawn[:2], outcome, m2=drawn[2] if model.k == 2 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ tautology.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # arity oracle
@@ -384,3 +388,26 @@ def linear_params_of_binary_model(pm1, pm2, ymean):
         "gamma": (p0, p1 - p0),
         "sigma2_m1": p0 * (1.0 - p0),
     }
+
+
+# ---------------------------------------------------------------------------
+# simulation oracles
+
+
+def sample_rows_gathered(rng, prob_rows, row_idx):
+    """One categorical draw per row, gathering each row's probability vector
+    into an n x k copy and taking its cumulative sum there."""
+    cum = np.cumsum(prob_rows[row_idx], axis=1)
+    u = rng.random(len(row_idx))
+    idx = (cum < u[:, None]).sum(axis=1)
+    return np.minimum(idx, prob_rows.shape[1] - 1)
+
+
+def sample_csv(data):
+    """A simulated sample's CSV text, written row by row through csv.writer."""
+    levels = [data.exposure, data.m1] + ([data.m2] if data.m2 is not None else [])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["A", "M1", "M2"][: len(levels)] + ["Y"])
+    writer.writerows(zip(*(c.tolist() for c in levels), map(repr, data.outcome.tolist())))
+    return buffer.getvalue()

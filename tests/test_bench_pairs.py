@@ -1,0 +1,75 @@
+"""The pure summary and order logic of scripts/bench_pairs.py."""
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_pairs_alternate_which_side_runs_first():
+    orders = [bench_pairs.pair_order(i) for i in range(4)]
+    assert orders == [("parent", "change"), ("change", "parent")] * 2
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    # BENCH_13's simulate-fit parent op_ref runs and their recorded quartiles
+    runs = [50.81408277297071, 51.387964664904466, 47.58455170217722]
+    got = bench_pairs.quartiles(runs)
+    assert got["runs"] == runs
+    assert got["median"] == runs[0]
+    assert got["q1"] == pytest.approx(49.199317237573965, rel=1e-15)
+    assert got["q3"] == pytest.approx(51.10102371893758, rel=1e-15)
+    assert bench_pairs.quartiles([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0]}
+
+
+def test_summary_counts_the_pairs_the_change_wins():
+    s = bench_pairs.summarize([10.0, 12.0, 11.0, 9.0], [8.0, 12.5, 10.0, 9.0])
+    assert s["change_better_in_pairs"] == 2  # a tie is not a win
+    assert s["median_ratio_change_over_parent"] == pytest.approx(9.5 / 10.5)
+    assert s["parent_iqr"] == pytest.approx(11.25 - 9.75)
+
+
+def workloads(parent, change):
+    return {"w": {"pairs": len(parent),
+                  **{m: bench_pairs.summarize(parent, change) for m in bench_pairs.METRICS}}}
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        ([40.0, 41.0, 39.0], True),
+        ([40.0, 51.0, 39.0], False),  # loses one pair
+        ([46.0, 45.0, 45.5], False),  # 1.1x, short of the ratio
+    ],
+)
+def test_claim_needs_the_ratio_every_pair_and_a_gap_beyond_the_parent_iqr(change, met):
+    got, text = bench_pairs.claim_verdict("w:op_ref:1.15", workloads([50.0, 51.0, 49.0], change))
+    assert got is met
+    assert text.startswith("op_ref on w falls by at least 1.15x against the parent: "
+                           + ("met" if met else "not met"))
+
+
+def test_claim_fails_when_medians_lie_within_the_parent_iqr():
+    spread = workloads([10.0, 30.0, 50.0, 70.0], [8.0, 25.0, 20.0, 60.0])
+    assert bench_pairs.claim_verdict("w:op_ref:1.15", spread)[0] is False
+
+
+def test_regressions_beyond_the_parent_iqr_are_named():
+    assert bench_pairs.worse_beyond_spread(workloads([5.0, 5.1, 4.9], [5.05, 5.0, 5.1])) == []
+    found = bench_pairs.worse_beyond_spread(workloads([5.0, 5.1, 4.9], [5.5, 5.6, 5.4]))
+    assert [line.split(":")[0] for line in found] == [
+        f"{m} on w" for m in bench_pairs.METRICS
+    ]
+
+
+def test_run_output_is_the_first_and_last_json_lines():
+    info, result = {"workload": "linear"}, {"correct": True, "metrics": {}}
+    stdout = "\n".join([json.dumps(info), "op_ref   1.2 ref-loops", json.dumps(result), ""])
+    assert bench_pairs.parse_run_output(stdout) == (info, result)

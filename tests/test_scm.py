@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import natfx.scm
 import oracles
 from natfx.cfexpr import (
     CfExpr,
@@ -287,6 +288,28 @@ class TestSimulate:
         data = simulate(ds1, 100, seed=1)
         assert data.m2 is None
         assert data.n == 100
+
+    @pytest.mark.parametrize("seed", [1, 13, 17])
+    @pytest.mark.parametrize("kind", ["single", "seq2", "nonseq2"])
+    def test_draws_match_gather_then_cumsum(self, monkeypatch, kind, seed):
+        # the cumulative table is built once over the k rows and gathered;
+        # the gather-then-cumsum oracle pins the RNG stream and every value
+        pm1, pm2, ymean = oracles.random_seq2_tables(np.random.default_rng(5), ka=3, k1=4, k2=3)
+        if kind == "single":
+            y1 = {a: {m1: ys[0] for m1, ys in row.items()} for a, row in ymean.items()}
+            model = DiscreteScm(Scenario.single(), pm1=pm1, ymean=y1)
+        elif kind == "seq2":
+            model = DiscreteScm(SEQ2, pm1=pm1, pm2=pm2, ymean=ymean)
+        else:
+            model = DiscreteScm.nonseq2(pm1, {a: pm2[a][0] for a in pm1}, ymean)
+        got = simulate(model, 5000, seed)
+        monkeypatch.setattr(natfx.scm, "_sample_rows", oracles.sample_rows_gathered)
+        want = simulate(model, 5000, seed)
+        for column in ("exposure", "m1", "m2", "outcome"):
+            if getattr(got, column) is None:  # one mediator: no M2 column
+                assert kind == "single" and want.m2 is None
+                continue
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
 
 
 class TestFromDataset:
