@@ -520,14 +520,27 @@ def _spell(column: str, level: str) -> str:
     return buffer.getvalue()[:-2]
 
 
+def _spellings(column: str, levels: list[str]) -> dict[str, str]:
+    """Each level's `_spell`, refusing two numeric levels that some sample
+    could read back as one value: `_type_column` types them together as
+    ints, else floats, so ``01`` and ``1``, or ``1`` and ``1.0``, merge."""
+    spelled = {lv: _spell(column, lv) for lv in levels}
+    numeric = [lv for lv in levels if not isinstance(_parse_level(lv), str)]
+    seen: dict[Any, str] = {}
+    for level, value in zip(numeric, _type_column(numeric, column, [], True).tolist()):
+        if (other := seen.setdefault("nan" if value != value else value, level)) != level:
+            raise ValueError(f"column {column} levels {other!r} and {level!r} would read back "
+                             f"from CSV as one value, {value!r}")
+    return spelled
+
+
 def _run_simulate(args: argparse.Namespace) -> tuple[Report, int]:
     model = load_model(args.model)
     seed = _resolve_seed(args.seed)
     columns = ["A", "M1", "M2"][: model.k + 1] + ["Y"]
     supports = (model.exposure_levels, model.m1_levels, model.m2_levels)[: model.k + 1]
     # keyed as simulate's numpy string arrays give levels back (they drop trailing NULs)
-    spellings = [{lv: _spell(c, lv) for lv in np.asarray(levels).tolist()}
-                 for c, levels in zip(columns, supports)]
+    spellings = [_spellings(c, np.asarray(levels).tolist()) for c, levels in zip(columns, supports)]
     data = simulate_model(model, args.n, seed, noise_sd=args.noise_sd)
     chunks = [",".join(columns) + "\n"]
     for at in range(0, data.n, _SIMULATE_CHUNK):  # one chunk's row strings alive at a time

@@ -5,17 +5,17 @@ callable runs once per resample.  The two named estimators are priced in
 chunks instead, by a pricer that only prepares and prices: for a
 `PluginEstimator` the data is encoded once, a chunk of resamples is
 tabulated with one offset `bincount`, and the compiled catalog is priced
-over the chunk; for a `LinearEstimator` each equation's design is factored
-once, a chunk of resamples is fitted by small weighted Gram systems on that
-factor, and the fits of all chunks are priced together.  A pricer names the
-draws it cannot price, and `bootstrap` alone sends those to the estimator,
-sums the addends of all priced draws into rows at once (`decomp._totals`,
-exact sums equal to `math.fsum`) and counts the routes.  Each replicate
-draws its random numbers from a stream split off the master seed by
-replicate index, and each chunked replicate is computed on its own, so the
-output depends only on (seed, replicates, data, estimator) and never on
-chunk size or worker count.  The plug-in chunks reproduce the per-resample
-values bit for bit, the linear chunks to roundoff.
+over the chunk; for a `LinearEstimator` the outcome design is factored
+once, a chunk's Gram systems come from fixed-shape gemms over products of
+that factor, and the fits of all chunks are priced together.  A pricer
+names the draws it cannot price, and `bootstrap` alone sends those to the
+estimator, sums the addends of all priced draws into rows at once
+(`decomp._totals`, exact sums equal to `math.fsum`) and counts the routes.
+Each replicate draws its random numbers from a stream split off the master
+seed by replicate index, and each chunked replicate is computed on its
+own, so the output depends only on (seed, replicates, data, estimator) and
+never on chunk size or worker count.  The plug-in chunks reproduce the
+per-resample values bit for bit, the linear chunks to roundoff.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ import numpy as np
 from .cfexpr import Scenario
 from .decomp import DecompositionResult, Query, _catalog, _totals, decompose
 from .estimate import (
+    _EQUATIONS,
     _PIVOT_TOL,
     _SEQ2,
     CovariateProfile,
@@ -180,13 +181,16 @@ class _PluginChunkPricer:
 # exceed; see `_LinearChunkPricer`.
 _RCOND_SLACK = math.sqrt(np.finfo(float).eps)
 
+# Replicates per gemm, and rows of K per block; see `_LinearChunkPricer`.
+_GRAM_ROWS = 4
+_GRAM_BLOCK = 512
+
 
 class _Equation(NamedTuple):
-    """One equation of the linear system, factored once on the full data as
-    ``x[:, piv] = q @ r``."""
+    """An equation ``x[:, piv] = (Q t) r`` on the outcome design's basis Q."""
 
-    qt: np.ndarray  # q transposed, one row per column of q
-    y: np.ndarray  # response, kept rows only
+    t: np.ndarray  # p x p_e, orthonormal columns
+    resp: np.ndarray | None  # the response's column of B; None for the outcome
     piv: np.ndarray
     r_inv: np.ndarray
     min_rcond: float  # the line a replicate's Gram matrix must clear
@@ -197,69 +201,91 @@ class _LinearChunkPricer:
 
     A resample is a vector w of row multiplicities, so its least-squares fit
     is the fit weighted by w on the full data's design.  The finiteness mask
-    and the log of M2 act row by row and are applied once.  Each equation's
-    design is factored once, ``X[:, piv] = Q R`` with ``Q = Q0 Q1`` from an
-    unpivoted QR ``X = Q0 R0`` and `_pivoted_qr` of R0, and R inverted once.
-    With ``G = Qᵀ diag(w) Q`` a replicate's coefficients are
-    ``b[piv] = R⁻¹ G⁻¹ Qᵀ W y``, and ``sigma2_m1 = Σ w (y - X b)² /
-    (n_w - p)`` comes from the weighted residuals themselves.  The weights
-    average 1, so G stays near the identity and the conditioning of X is
-    carried by R alone, as in `fit_ols`.  G and ``Qᵀ W y`` are formed one
-    replicate at a time from ``Qᵀ diag(w)``, a p x n product, which holds
-    far less memory than Q's n x p(p+1)/2 column-pair products would and
-    costs about as much; the small systems are then solved for the whole
-    chunk with batched `solve` and `eigvalsh`, which factor each matrix on
-    its own.  So a replicate's value does not depend on the chunk it is
-    fitted in.  The coefficients of every chunk are priced together, by one
-    `_linear_pricer` over all fitted replicates.
+    and the log of M2 act row by row and are applied once.  The regressors
+    of all three equations, and the responses M2 and M1, are columns of the
+    outcome design X, so X alone is factored, once: ``X = Q B``.  For an
+    equation's columns B_e of B, a QR ``B_e = U0 R0`` and `_pivoted_qr` of
+    R0 give ``X_e[:, piv] = (Q T) R`` with ``T = U0 U1``.  With ``G = Qᵀ W
+    Q``, W = diag(w), the equation's Gram matrix is ``G_e = Tᵀ G T`` and its
+    coefficients are ``b[piv] = R⁻¹ G_e⁻¹ Tᵀ Qᵀ W y``, where a mediator
+    response's ``Qᵀ W y`` is G times its column of B; ``sigma2_m1 = Σ w (y -
+    X b)² / (n_w - p)`` comes from the weighted residuals themselves.  The
+    weights average 1, so G_e stays near the identity and X_e's conditioning
+    is carried by R alone, as in `fit_ols`.
+
+    G and ``Qᵀ W y`` are the rows of ``W K``, K = ``[Q_i Q_j, i <= j | Q_i
+    y]`` formed once, p(p+1)/2 + p columns: its width grows as p squared (65
+    columns, 520 B per kept row, at two covariates; 135 at seven).  W K is
+    a run of gemms of one fixed shape, `_GRAM_ROWS` replicates by
+    `_GRAM_BLOCK` rows of K, zero-padded and summed over the blocks in
+    order: BLAS picks kernels and threads by shape, and one product over a
+    chunk gave bits that moved with its height and the thread count.  Above
+    n = 32,768 a chunk (`_CHUNK_ENTRIES` entries) holds one replicate, padded
+    to a group: K then costs memory and saves no time (n = 100,000: 135 MB
+    peak, against 104 MB for a per-replicate loop over p x n factors).
+    Batched `solve` and `eigvalsh` factor each small system on its own.
 
     A replicate is not priced when it keeps no more rows than an equation
-    has regressors ("rows"), or when one of its G falls below the line
-    derived below ("conditioning").  ``extras["min_gram_rcond"]`` records
-    the smallest reciprocal condition number of G over the replicates that
-    reached the check.
+    has regressors ("rows") or a G_e falls below the line ("conditioning");
+    ``extras["min_gram_rcond"]`` is the least rcond of a G_e checked.
 
     The line.  `fit_ols` rejects a design A when its pivoted QR has
-    ``min|r_kk| <= tau |r_11|``, tau = `_PIVOT_TOL`.  The diagonal of a
-    triangular matrix holds its eigenvalues, which lie between its smallest
-    and largest singular values, so a rejection means
-    ``sigma_min(A) <= tau sigma_max(A)``, i.e. ``kappa(A) >= 1/tau``.  A
-    replicate's design, rows repeated by multiplicity, has the singular
-    values of ``diag(sqrt w) X``, whose permuted columns are
-    ``diag(sqrt w) Q R``; hence ``kappa(A) <= kappa(diag(sqrt w) Q)
-    kappa(R) = sqrt(kappa(G)) kappa(R)``.  So a replicate `fit_ols` would
-    reject has ``rcond(G) = 1/kappa(G) <= (tau kappa(R))^2``.  The line
-    doubles tau, which covers the rounding in `fit_ols`'s own QR, and adds
-    `_RCOND_SLACK` = sqrt(eps), which covers the rounding in forming G and
-    its eigenvalues (at most about p n eps of its largest eigenvalue, below
-    sqrt(eps) for p n up to 6.7e7).  A replicate is kept only above the line
-    in every equation, so none that `fit_ols` would reject as
-    `RankDeficient` is kept.  The full data's pivot ratio rho =
-    ``min|r_kk| / |r_11|`` bounds kappa(R) from below by 1/rho and, with
-    column pivoting, from above by ``sqrt(p (4^p + 6p - 1)) / (3 rho)``;
-    that bound would serve too but grows as 2^p, so kappa(R) is taken from
-    R's singular values instead.
+    ``min|r_kk| <= tau |r_11|``, tau = `_PIVOT_TOL`, so ``kappa(A) >=
+    1/tau``: a triangle's diagonal holds its eigenvalues, which lie between
+    its extreme singular values.  A replicate's design, rows repeated by
+    multiplicity, has the singular values of ``diag(sqrt w) X_e``, whose
+    permuted columns are ``diag(sqrt w) Q T R``, so ``kappa(A) <=
+    sqrt(kappa(G_e)) kappa(R)``: a replicate `fit_ols` would reject has
+    ``rcond(G_e) <= (tau kappa(R))^2``.  The line doubles tau, for the
+    rounding in `fit_ols`'s own QR, and adds `_RCOND_SLACK` = sqrt(eps), for
+    the rounding in forming G_e and its eigenvalues (about p n eps of its
+    largest eigenvalue, below sqrt(eps) for p n up to 6.7e7), so nothing
+    kept above it in every equation is `RankDeficient` to `fit_ols`.  kappa(R)
+    comes from R's singular values; the pivot ratio fixes it only to ~2^p.
     """
 
     reasons = ("rows", "conditioning")
 
     def __init__(self, data: Dataset, estimator: LinearEstimator) -> None:
         columns, self._kept, cov_names = _prepared_columns(data, estimator.log_m2)
+        designs = _designs(columns, cov_names)
+        (x, y, names), (self._m1_design, self._m1_y, _) = designs[0], designs[-1]
+        (q, b), p = np.linalg.qr(x), len(names)
+        # B's columns by position: a covariate may be named "A", say
+        fixed, covs = _EQUATIONS[0][2], list(range(len(_EQUATIONS[0][2]), p))
         self._equations = []
-        for x, y, names in _designs(columns, cov_names):
-            q0, r0 = np.linalg.qr(x)
-            q1, r, piv, _ = _pivoted_qr(r0, names)
+        for (role, _, regressors), (_, _, own) in zip(_EQUATIONS, designs):
+            u0, r0 = np.linalg.qr(b[:, [fixed.index(name) for name in regressors] + covs])
+            u1, r, piv, _ = _pivoted_qr(r0, own)
+            resp = None if role == "outcome" else b[:, fixed.index(role.upper())]  # "m2" is "M2"
             sigma = np.linalg.svd(r, compute_uv=False)
-            self._equations.append(_Equation(
-                q1.T @ q0.T, y, piv, np.linalg.inv(r),
-                (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK,
-            ))
-        self._m1_design = x  # the M1 equation comes last; its residuals give sigma2_m1
+            line = (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK
+            self._equations.append(_Equation(u0 @ u1, resp, piv, np.linalg.inv(r), line))
+        del x, designs  # before K, the largest array here
+        i, j = self._pairs = np.triu_indices(p)
+        self._k = np.zeros((-(-len(y) // _GRAM_BLOCK), _GRAM_BLOCK, len(i) + p))
+        for block, lo in zip(self._k, range(0, len(y), _GRAM_BLOCK)):
+            qb = q[lo:lo + _GRAM_BLOCK]  # one block's pair products alive at a time
+            np.multiply(qb[:, i], qb[:, j], out=block[:len(qb), :len(i)])
+            np.multiply(qb, y[lo:lo + _GRAM_BLOCK, None], out=block[:len(qb), len(i):])
         self._max_p = max(len(eq.piv) for eq in self._equations)
         self.catalog = _catalog(_SEQ2)
         self._level = _linear_levels(estimator.q)
         self._cvec = _covariate_vector(len(cov_names), estimator.profile)
         self.extras = {"min_gram_rcond": None}
+
+    def _systems(self, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each equation's G_e and ``(Q T)ᵀ W y``, one per row of `counts`."""
+        blocks, height, width = self._k.shape
+        w = np.zeros((-(-len(counts) // _GRAM_ROWS) * _GRAM_ROWS, blocks * height))
+        w[:len(counts), :counts.shape[1]] = counts
+        w = w.reshape(-1, _GRAM_ROWS, blocks, height).transpose(0, 2, 1, 3)
+        sums = np.matmul(w, self._k).sum(axis=1).reshape(-1, width)[:len(counts)]
+        (i, j), p = self._pairs, len(self._equations[0].t)
+        g = np.empty((len(counts), p, p))
+        g[:, i, j] = g[:, j, i] = sums[:, :len(i)]
+        return [(eq.t.T @ g @ eq.t, eq.t.T @ (sums[:, len(i):] if eq.resp is None else g @ eq.resp)[..., None])
+                for eq in self._equations]
 
     def __call__(self, idx: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         m, n = idx.shape
@@ -269,16 +295,8 @@ class _LinearChunkPricer:
         reason = np.full(m, "", dtype=object)
         reason[rows <= self._max_p] = "rows"
         live = np.nonzero(rows > self._max_p)[0]
-
-        grams = [np.empty((len(live), len(eq.piv), len(eq.piv))) for eq in self._equations]
-        rhs = [np.empty((len(live), len(eq.piv), 1)) for eq in self._equations]
-        for j, r in enumerate(live):
-            w = counts[r].astype(float)
-            for eq, gram, qwy in zip(self._equations, grams, rhs):
-                qw = eq.qt * w
-                gram[j] = qw @ eq.qt.T
-                qwy[j, :, 0] = qw @ eq.y
-        for eq, gram in zip(self._equations, grams):
+        systems = [(gram[live], rhs[live]) for gram, rhs in self._systems(counts)]
+        for eq, (gram, _) in zip(self._equations, systems):
             eig = np.linalg.eigvalsh(gram)
             rcond = eig[:, 0] / eig[:, -1]
             reason[live[~(rcond > eq.min_rcond)]] = "conditioning"
@@ -288,14 +306,13 @@ class _LinearChunkPricer:
 
         good = reason[live] == ""
         coefs = []
-        for eq, gram, qwy in zip(self._equations, grams, rhs):
+        for eq, (gram, rhs) in zip(self._equations, systems):
             coef = np.empty((int(good.sum()), len(eq.piv)))
-            coef[:, eq.piv] = (eq.r_inv @ np.linalg.solve(gram[good], qwy[good]))[..., 0]
+            coef[:, eq.piv] = (eq.r_inv @ np.linalg.solve(gram[good], rhs[good]))[..., 0]
             coefs.append(coef)
-        m1 = self._equations[-1]
-        rss = [counts[r].astype(float) @ np.square(m1.y - self._m1_design @ b)
+        rss = [counts[r].astype(float) @ np.square(self._m1_y - self._m1_design @ b)
                for r, b in zip(live[good], coefs[-1])]
-        sigma2_m1 = np.array(rss) / (rows[live[good]] - len(m1.piv))
+        sigma2_m1 = np.array(rss) / (rows[live[good]] - len(self._equations[-1].piv))
         return reason, [*coefs, sigma2_m1]
 
     def addends(self, parts: list[list[np.ndarray]]) -> np.ndarray:

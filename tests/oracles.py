@@ -354,6 +354,20 @@ def linear_world_exact(params, e_y, e_m2, e_m1, c_value=0.0):
 
 
 # ---------------------------------------------------------------------------
+# weighted least-squares systems, one equation's own QR
+
+
+def weighted_gram(design, response, weights, pivots):
+    """``(Qᵀ W Q, Qᵀ W y)`` for ``design[:, pivots] = Q R``, R's diagonal
+    positive, W = diag(weights): the design's own QR and two products per
+    equation and weight vector, ``qt * w`` then times ``qt.T`` and y."""
+    q, r = np.linalg.qr(design[:, pivots])
+    qt = (q * np.sign(np.diag(r))).T
+    qw = qt * weights
+    return qw @ qt.T, qw @ response
+
+
+# ---------------------------------------------------------------------------
 # engine bridge
 
 

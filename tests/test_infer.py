@@ -1,6 +1,11 @@
 """Bootstrap behavior: determinism, percentile math, and the failure policy."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 from natfx import infer
 from natfx.cfexpr import Scenario
 from natfx.decomp import ComponentValue, DecompositionResult, Query, decompose
-from natfx.estimate import fit_linear_system, plugin_seq2
+from natfx.estimate import _designs, _prepared_columns, fit_linear_system, plugin_seq2
 from natfx.infer import (
     BootstrapConfig,
     LinearEstimator,
@@ -18,6 +23,8 @@ from natfx.infer import (
     bootstrap,
 )
 from natfx.scm import Dataset, DiscreteScm, from_dataset, simulate
+
+import oracles
 
 SEQ2 = Scenario.chain(2)
 Q = Query(a=1, a_star=0, m1_star=0, m2_star=0)
@@ -382,14 +389,46 @@ class TestChunkedPlugin:
 # Both sides solve the same least-squares problems, so they differ by
 # roundoff amplified by the designs' conditioning; `gaussian_chain` draws M1
 # with means up to 10, where the outcome design's M1 columns lean on the
-# intercept.  Over 2,500 examples of `gaussian_chain_runs` the worst
-# differences were 1.2e-11 for CI ends and 4.1e-16 for max_sum_gap, of the
-# result's scale (the largest |value| or |CI end| over its rows); 3.8e-12
-# for coefficients, of the equation's largest; and 3.9e-15 for sigma2_m1,
-# relative.  Computing sigma2_m1 from the expanded quadratic form instead
-# of the residuals moved it by up to 5.6e-13.
+# intercept.  Over 2,500 derandomized examples of `gaussian_chain_runs` the
+# worst CI ends differed by 1.1e-12 of the result's scale (the largest
+# |value| or |CI end| over its rows).  Over 2,500 seeded draws of the same
+# kind the worst were 2.2e-16 for max_sum_gap, of that scale; 1.4e-11 for
+# coefficients, of the equation's largest; and 1.6e-15 for sigma2_m1,
+# relative.  The per-replicate Gram loop this path replaced read 1.2e-12,
+# 2.0e-16, 1.4e-11 and 2.0e-15 on the same draws.  Computing sigma2_m1 from
+# the expanded quadratic form instead of the residuals moved it by up to
+# 5.6e-13.
 LINEAR_TOL = 1e-9
 SIGMA2_TOL = 1e-13
+
+# The chunked path's Gram matrices and right-hand sides against each
+# equation's own QR (`oracles.weighted_gram`), of the oracle's largest
+# entry.  Over 2,000 seeded draws like `gaussian_chain_runs` the worst were
+# 1.2e-13 for G and 7.5e-14 for the right-hand side.
+GRAM_TOL = 1e-11
+
+# One chunked linear bootstrap at the linear benchmark's 5,000 rows, 40
+# replicates in chunks of 13, printed as the hex digests of every value and
+# CI end.
+_LINEAR_DIGESTS = """
+import numpy as np
+from natfx.decomp import Query
+from natfx.infer import BootstrapConfig, LinearEstimator, bootstrap
+from natfx.scm import Dataset
+rng = np.random.default_rng(17)
+n = 5000
+c = {"c0": rng.normal(size=n), "c1": (rng.random(n) < 0.4).astype(float)}
+a = (rng.random(n) < 0.5).astype(float)
+m1 = 0.5 + 0.8 * a + 0.3 * c["c0"] + rng.normal(size=n)
+lm2 = 0.2 + 0.3 * a + 0.25 * m1 + 0.1 * a * m1 + 0.5 * rng.normal(size=n)
+y = 1 + 0.5 * a + 0.4 * m1 + 0.6 * lm2 + 0.1 * m1 * lm2 + rng.normal(size=n)
+data = Dataset(exposure=a, m1=m1, m2=np.exp(lm2), outcome=y, covariates=c)
+estimator = LinearEstimator(Query(1.0, 0.0, 0.5, 0.2), (0.0, 1.0), True)
+out = bootstrap(data, estimator, BootstrapConfig(replicates=40, seed=3))
+assert out.diagnostics["routes"]["batched"] == 40
+for row in out.components:
+    print(row.name, row.value.hex(), row.ci[0].hex(), row.ci[1].hex())
+"""
 
 
 def gaussian_chain(rng, n, k, log_m2, non_finite):
@@ -504,6 +543,27 @@ class TestChunkedLinear:
                 assert np.abs(got - expect).max() <= LINEAR_TOL * np.abs(expect).max()
             assert abs(sigma2_m1 - want.params.sigma2_m1) <= SIGMA2_TOL * want.params.sigma2_m1
 
+    @pytest.mark.parametrize("label", ["A", "M1", "intercept", "A:M1"])
+    def test_a_covariate_may_share_a_regressor_label(self, label):
+        # covariate names come from the CSV header, so a covariate called
+        # "A" is legal once the exposure column has another name
+        rng = np.random.default_rng(8)
+        data = gaussian_chain(rng, 120, 2, True, [np.nan])
+        data = Dataset(exposure=data.exposure, m1=data.m1, m2=data.m2, outcome=data.outcome,
+                       covariates={label: data.covariates["c0"], "c1": data.covariates["c1"]})
+        estimator = LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5, -0.2), True)
+        draws = [rng.integers(0, data.n, size=data.n) for _ in range(6)]
+        fits = batched_fits(data, estimator, draws)
+        assert all(fit is not None for fit in fits)
+        for draw, (coefs, sigma2_m1) in zip(draws, fits):
+            want = fit_linear_system(data.take(draw), log_m2=True).params  # its tables key by label
+            for got, field in zip(coefs, ("theta", "beta", "gamma")):
+                expect = np.concatenate([getattr(want, field), getattr(want, field + "_c")])
+                assert np.abs(got - expect).max() <= LINEAR_TOL * np.abs(expect).max()
+            assert abs(sigma2_m1 - want.sigma2_m1) <= SIGMA2_TOL * want.sigma2_m1
+        cfg = BootstrapConfig(replicates=30, seed=3)
+        assert_linear_agree(bootstrap(data, estimator, cfg), bootstrap(data, lambda d: estimator(d), cfg))
+
     def test_degenerate_resamples_fall_back_to_the_same_errors(self):
         # 14 rows, five of them exposed and two with the binary covariate
         # at 1: resamples lose one of the four exposed rows the interaction
@@ -537,7 +597,10 @@ class TestChunkedLinear:
         estimator = LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5,), True)
         cfg = BootstrapConfig(replicates=60, seed=5, max_fail=0.5)
         runs = []
-        for cap in (1, 7 * data.n, infer._CHUNK_ENTRIES):
+        # chunks of one replicate, one fewer than a gemm group, a group, one
+        # more, seven, and the default
+        per_chunk = (1, infer._GRAM_ROWS - 1, infer._GRAM_ROWS, infer._GRAM_ROWS + 1, 7)
+        for cap in (*(k * data.n for k in per_chunk), infer._CHUNK_ENTRIES):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(infer, "_CHUNK_ENTRIES", cap)
                 out = bootstrap(data, estimator, cfg)
@@ -545,8 +608,41 @@ class TestChunkedLinear:
                 [(c.value.hex(), c.ci[0].hex(), c.ci[1].hex()) for c in out.components],
                 out.te.hex(), out.sum_gap.hex(), repr(out.diagnostics),
             ))
-        assert runs[0] == runs[1] == runs[2]
+        assert runs == [runs[0]] * len(runs)
         assert out.diagnostics["routes"]["batched"] > 0
+
+    def test_output_is_the_same_for_any_blas_thread_count(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", _LINEAR_DIGESTS], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads)),
+            ).stdout
+            for threads in (1, 2)
+        ]
+        assert runs[0].count("\n") == 11
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(gaussian_chain_runs())
+    def test_grams_match_each_equations_own_qr(self, run):
+        data, estimator, _ = run
+        try:
+            pricer = infer._LinearChunkPricer(data, estimator)
+        except ValueError:  # the full data's fit fails; `bootstrap` raises first
+            return
+        columns, kept, cov_names = _prepared_columns(data, estimator.log_m2)
+        rng = np.random.default_rng(len(kept))
+        counts = np.stack([np.bincount(rng.integers(0, len(kept), len(kept)), minlength=len(kept))
+                           for _ in range(6)])
+        designs = _designs(columns, cov_names)
+        for (x, y, _), eq, (grams, rhs) in zip(designs, pricer._equations, pricer._systems(counts)):
+            sign = np.sign(np.diag(eq.r_inv))  # the pricer's R need not have a positive diagonal
+            for w, gram, b in zip(counts, grams, rhs):
+                want_gram, want_b = oracles.weighted_gram(x, y, w.astype(float), eq.piv)
+                want_gram, want_b = sign[:, None] * want_gram * sign, sign * want_b
+                assert np.abs(gram - want_gram).max() <= GRAM_TOL * np.abs(want_gram).max()
+                assert np.abs(b[:, 0] - want_b).max() <= GRAM_TOL * np.abs(want_b).max()
 
 
 class TestSimulatedCoverage:

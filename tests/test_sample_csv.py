@@ -99,31 +99,67 @@ def not_a_number(text):
     return False
 
 
+def read_back(cells):
+    """A column's cells as the reader types them: ints if every cell reads
+    as one, else floats if every cell reads as one, else the strings."""
+    for kind in (int, float):
+        try:
+            return [kind(c) for c in cells]
+        except ValueError:
+            pass
+    return cells
+
+
+def merged_pair(levels):
+    """The first two levels that some sample would read back as one value,
+    or None: a sample may hold any subset of the levels, so the numeric ones
+    are typed together, with every NaN one value."""
+    numbers = {}
+    for level, value in zip(numeric := [lv for lv in levels if not not_a_number(lv)],
+                            read_back(numeric)):
+        first = numbers.setdefault("nan" if value != value else value, level)
+        if first != level:
+            return first, level
+    return None
+
+
 ANY_LEVEL = st.text(alphabet='aZ7,"é\t\r\n ', max_size=4).filter(not_a_number)
+# spellings of one number, NaN in two cases, and two ints a float cannot tell apart
+NUMERIC_LEVEL = st.sampled_from(["0", "00", "1", "01", "+1", "1.0", "1e0", "nan", "NaN", "2",
+                                 "9007199254740992", "9007199254740993"])
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
-    a_levels=level_sets(ANY_LEVEL),
-    m1_levels=level_sets(ANY_LEVEL),
-    m2_levels=level_sets(ANY_LEVEL),
+    a_levels=level_sets(ANY_LEVEL | NUMERIC_LEVEL),
+    m1_levels=level_sets(ANY_LEVEL | NUMERIC_LEVEL),
+    m2_levels=level_sets(ANY_LEVEL | NUMERIC_LEVEL),
 )
 @example(kind="single", a_levels=["a\rb", "c"], m1_levels=["x", "y"], m2_levels=["z"])
 @example(kind="single", a_levels=["a", "b"], m1_levels=["", "y"], m2_levels=["z"])
 @example(kind="seq2", a_levels=["a", "b"], m1_levels=["y"], m2_levels=["x", " x"])
+@example(kind="single", a_levels=["01", "1"], m1_levels=["x", "y"], m2_levels=["z"])
+@example(kind="seq2", a_levels=["a"], m1_levels=["1", "1.0"], m2_levels=["z"])
+@example(kind="nonseq2", a_levels=["a", "b"], m1_levels=["y"], m2_levels=["1e0", "x", "1"])
+@example(kind="seq2", a_levels=["a"], m1_levels=["y"], m2_levels=["nan", "NaN"])
+@example(kind="single", a_levels=["9007199254740992", "9007199254740993"], m1_levels=["x", "y"],
+         m2_levels=["z"])
 def test_sample_reads_back_as_the_model_levels_or_is_refused(kind, a_levels, m1_levels,
                                                              m2_levels):
     model = level_model(kind, a_levels, m1_levels, m2_levels)
     columns = list(zip(["A", "M1", "M2"], [a_levels, m1_levels, m2_levels]))[: model.k + 1]
-    refused = [(c, lv) for c, levels in columns for lv in levels if lv != lv.strip() or not lv]
+    refused = []  # per column, a level that would not read back alone, then a merged pair
+    for c, levels in columns:
+        refused += [f"column {c} level {lv!r}" for lv in levels if lv != lv.strip() or not lv]
+        if (pair := merged_pair(levels)):
+            refused.append(f"column {c} levels {pair[0]!r} and {pair[1]!r}")
     with tempfile.TemporaryDirectory() as tmp:
         code, stdout, stderr, written = run_simulate(model, 3, tmp)
         if refused:
-            column, level = refused[0]
             assert (code, stdout, written) == (1, "", None)
             assert stderr.startswith("natfx: error: ") and stderr.count("\n") == 1, stderr
-            assert f"column {column} level {level!r}" in stderr
+            assert refused[0] in stderr
             return
         assert code == 0, stderr
         roles = {"exposure": "A", "m1": "M1", "outcome": "Y"}
@@ -134,6 +170,7 @@ def test_sample_reads_back_as_the_model_levels_or_is_refused(kind, a_levels, m1_
     assert data.n_dropped == 0
     for (column, levels), got, drawn in zip(columns, (data.exposure, data.m1, data.m2),
                                             (want.exposure, want.m1, want.m2)):
-        assert set(got.tolist()) <= set(levels), column
-        assert got.tolist() == drawn.tolist(), column
+        cells = drawn.tolist()
+        assert set(cells) <= set(levels), column
+        assert list(map(repr, got.tolist())) == list(map(repr, read_back(cells))), column
     assert data.outcome.tolist() == want.outcome.tolist()
