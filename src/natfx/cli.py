@@ -695,6 +695,9 @@ def _run_decompose_linear(args: argparse.Namespace) -> tuple[Report, int]:
 
 def _run_bootstrap_report(args: argparse.Namespace) -> tuple[Report, int]:
     roles = load_roles(args.roles)
+    if args.method == "plugin" and roles.get("covariates"):  # a blank covariate would drop its row
+        raise ValueError(f"the plugin method does not adjust for covariates "
+                         f"({', '.join(roles['covariates'])}); use --method linear")
     data = load_dataset(args.data, roles)
     seed = _resolve_seed(args.seed)
     cfg = BootstrapConfig(

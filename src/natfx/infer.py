@@ -15,12 +15,14 @@ Each replicate draws its random numbers from a stream split off the master
 seed by replicate index, and each chunked replicate is computed on its
 own, so the output depends only on (seed, replicates, data, estimator) and
 never on chunk size or worker count.  The plug-in chunks reproduce the
-per-resample values bit for bit, the linear chunks to roundoff.
+per-resample values bit for bit, the linear chunks to roundoff.  Every
+chunk is drawn and gathered into arrays allocated once per call.  Fresh
+520 KB arrays per chunk went back to the kernel when freed and faulted in
+again: 11,000 minor faults and a third of a 5,000-row plug-in op.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -93,7 +95,7 @@ Estimator = Callable[[Dataset], DecompositionResult]
 _REPLICATE_ERRORS = (ValueError, np.linalg.LinAlgError, ZeroDivisionError)
 
 # Resample indices drawn and held at once: a chunk is as many replicates as
-# fit, and at least one.
+# fit, and at least its pricer's `least_chunk`.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -137,12 +139,14 @@ def _non_finite(rows: Iterable[tuple[str, float]]) -> FloatingPointError | None:
 
 
 # A chunk pricer is built from (data, estimator) and called on a chunk's
-# stacked draws, an m x n index matrix.  It returns one reason per draw, ""
-# for a draw it priced and otherwise one of its `reasons`, together with a
-# part for its `addends`.  Handed the parts of every chunk, `addends` returns
-# one float array ``[formula, addend, replicate]`` over all priced draws, in
-# draw order, for `bootstrap` to sum into the rows of its `catalog` at once.
-# `extras` holds the pricer's own route diagnostics.
+# draws, an m x n index matrix that `bootstrap` overwrites with the next
+# chunk: a pricer neither keeps nor writes it.  It returns one reason per
+# draw, "" for a draw it priced and otherwise one of its `reasons`, together
+# with a part for its `addends`.  Handed the parts of every chunk, `addends`
+# returns one float array ``[formula, addend, replicate]`` over all priced
+# draws, in draw order, for `bootstrap` to sum into the rows of its
+# `catalog` at once.  `extras` holds the pricer's own route diagnostics, and
+# only a last chunk holds fewer than `least_chunk` draws.
 
 
 class _PluginChunkPricer:
@@ -157,6 +161,7 @@ class _PluginChunkPricer:
     """
 
     reasons = ("empty_cell",)
+    least_chunk = 1
 
     def __init__(self, data: Dataset, estimator: PluginEstimator) -> None:
         self._scenario = estimator.scenario
@@ -164,10 +169,16 @@ class _PluginChunkPricer:
         levels, self._cell, self._y = _encode(data, estimator.scenario)
         self._shape = tuple(len(lv) for lv in levels)
         self._rows = _formula_rows(self.catalog.formulas, estimator.q.to_binding(), levels)
+        self._gathered: tuple[np.ndarray, np.ndarray] | None = None
         self.extras: dict = {}
 
     def __call__(self, idx: np.ndarray) -> tuple[list[str], np.ndarray]:
-        counts, ysum = _tally(self._cell[idx], self._y[idx], self._shape)
+        if self._gathered is None:  # the first chunk is the largest
+            self._gathered = np.empty(idx.shape, self._cell.dtype), np.empty(idx.shape)
+        # "clip" moves no index here and, unlike "raise", takes into `out` with no temporary
+        cells, y = (np.take(source, idx, out=buf[:len(idx)], mode="clip")
+                    for source, buf in zip((self._cell, self._y), self._gathered))
+        counts, ysum = _tally(cells, y, self._shape)
         full = counts.reshape(len(idx), -1).all(axis=1)
         tables = _tables(self._scenario, counts[full], ysum[full])
         reasons = ["" if ok else "empty_cell" for ok in full.tolist()]
@@ -219,11 +230,10 @@ class _LinearChunkPricer:
     a run of gemms of one fixed shape, `_GRAM_ROWS` replicates by
     `_GRAM_BLOCK` rows of K, zero-padded and summed over the blocks in
     order: BLAS picks kernels and threads by shape, and one product over a
-    chunk gave bits that moved with its height and the thread count.  Above
-    n = 32,768 a chunk (`_CHUNK_ENTRIES` entries) holds one replicate, padded
-    to a group: K then costs memory and saves no time (n = 100,000: 135 MB
-    peak, against 104 MB for a per-replicate loop over p x n factors).
-    Batched `solve` and `eigvalsh` factor each small system on its own.
+    chunk gave bits that moved with its height and the thread count.  A
+    chunk holds a group at least (`least_chunk`), so at large n only the
+    last group is padded.  Batched `solve` and `eigvalsh` factor each small
+    system on its own.
 
     A replicate is not priced when it keeps no more rows than an equation
     has regressors ("rows") or a G_e falls below the line ("conditioning");
@@ -245,6 +255,7 @@ class _LinearChunkPricer:
     """
 
     reasons = ("rows", "conditioning")
+    least_chunk = _GRAM_ROWS
 
     def __init__(self, data: Dataset, estimator: LinearEstimator) -> None:
         columns, self._kept, cov_names = _prepared_columns(data, estimator.log_m2)
@@ -381,15 +392,20 @@ def bootstrap(
             values[i], gaps[i] = [result[name] for name in names], result.sum_gap
 
     tally = dict.fromkeys(("", *(pricer.reasons if pricer else ())), 0)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and pricer is None else None
-    size = max(1, _CHUNK_ENTRIES // n)
+    pool = None
+    if workers > 1 and pricer is None:
+        from concurrent.futures import ThreadPoolExecutor  # imports logging: ~9 ms at start-up
+        pool = ThreadPoolExecutor(max_workers=workers)
+    size = max(pricer.least_chunk if pricer else 1, _CHUNK_ENTRIES // n)
+    draws = np.empty((min(size, cfg.replicates), n), dtype=np.int64)
     batched: list[int] = []
     parts = []
     try:
         for start in range(0, cfg.replicates, size):
             chunk = range(start, min(start + size, cfg.replicates))
-            idx = np.stack([np.random.default_rng(streams[i]).integers(0, n, size=n)
-                            for i in chunk])
+            idx = draws[:len(chunk)]
+            for row, i in zip(idx, chunk):
+                row[:] = np.random.default_rng(streams[i]).integers(0, n, size=n)
             if pricer is None:
                 list((map if pool is None else pool.map)(replicate, chunk, idx))
                 continue

@@ -590,13 +590,14 @@ def _tally(cells: np.ndarray, y: np.ndarray, shape: tuple) -> tuple[np.ndarray, 
 
     A 2-D `cells` (with `y` alongside) holds one replicate per row and gives
     tables with a leading replicate axis: each replicate's codes are offset
-    into a grid of their own, so one `bincount` tallies them all, and each
-    y-sum adds its rows in the same order as a tally of that replicate alone.
+    in place (`cells` is overwritten) into a grid of their own, so one
+    `bincount` tallies them all, and each y-sum adds its rows in the same
+    order as a tally of that replicate alone.
     """
     size = int(np.prod(shape))
     lead = cells.shape[:-1]
     if lead:
-        cells = cells + (np.arange(lead[0]) * size)[:, None]
+        cells += (np.arange(lead[0]) * size)[:, None]
     total = size * (lead[0] if lead else 1)
     counts = np.bincount(cells.ravel(), minlength=total).reshape(lead + shape)
     ysum = np.bincount(cells.ravel(), weights=y.ravel(), minlength=total)

@@ -520,6 +520,20 @@ class TestBootstrapReportCommand:
         assert empty["count"] == replicates["failed"]
         assert empty["first"].startswith("empty cells: (A=")
 
+    def test_plugin_method_refuses_covariates_before_reading_the_data(self, tmp_path, capsys):
+        # the plug-in engine has no covariate strata: a covariate would only
+        # drop the rows where it is blank and leave the estimate unadjusted
+        roles = write_roles(tmp_path, dict(ROLES2, covariates=["age", "sex"]))
+        code = main(["bootstrap-report", "--data", str(tmp_path / "absent.csv"),
+                     "--roles", roles, "--a", "1", "--aref", "0", "--m1star", "0",
+                     "--m2star", "0", "--boot", "20"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("natfx: error: the plugin method does not adjust for "
+                                       "covariates (age, sex)")
+
     def test_linear_method_with_mean_references(self, tmp_path):
         data, roles = linear_csv(tmp_path, n=500)
         report, code = run_argv(

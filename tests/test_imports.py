@@ -5,11 +5,15 @@ rule (F401) the package keeps, checked on the AST: a module-level import
 whose bound name never appears as a name in the module fails, unless its
 line carries ``# noqa: F401``.  A name used only inside a quoted
 annotation counts as unused.  ``__init__.py`` is left out, since its
-imports are the public re-exports.
+imports are the public re-exports.  A fresh interpreter also checks that
+importing the CLI leaves out a module it needs only on demand.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,13 @@ def test_check_sees_an_unused_import_and_honours_noqa():
         "    return dataclass\n"
     )
     assert unused_imports(source) == ["line 1: field"]
+
+
+def test_the_cli_starts_without_the_thread_pool_module():
+    # concurrent.futures pulls in logging, about 9 ms of every start-up;
+    # only bootstrap(workers=) on a plain callable needs it
+    code = "import sys, natfx.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out == "False\n"

@@ -122,6 +122,17 @@ class TestBootstrap:
         threaded = bootstrap(data, mean_result, cfg, workers=4)
         assert serial == threaded
 
+    def test_reused_draw_rows_leak_nothing_between_chunks(self):
+        # chunks of 7 draws share one draw matrix, the last chunk ragged;
+        # workers read their rows while no later chunk may overwrite them
+        data = toy_dataset(n=30, seed=9)
+        cfg = BootstrapConfig(replicates=31, seed=4)
+        whole = bootstrap(data, mean_result, cfg)  # one chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(infer, "_CHUNK_ENTRIES", 7 * data.n)
+            runs = [bootstrap(data, mean_result, cfg, workers=w) for w in (1, 2)]
+        assert runs == [whole, whole]
+
     def test_seed_determines_output(self):
         data = toy_dataset()
         cfg = BootstrapConfig(replicates=30, seed=21)
@@ -610,6 +621,22 @@ class TestChunkedLinear:
             ))
         assert runs == [runs[0]] * len(runs)
         assert out.diagnostics["routes"]["batched"] > 0
+
+    def test_chunks_fill_whole_gemm_groups(self, monkeypatch):
+        # a cap below one replicate still hands the pricer a full group
+        data = gaussian_chain(np.random.default_rng(3), 40, 1, False, [])
+        heights = []
+        price = infer._LinearChunkPricer.__call__
+
+        def spy(self, idx):
+            heights.append(len(idx))
+            return price(self, idx)
+
+        monkeypatch.setattr(infer._LinearChunkPricer, "__call__", spy)
+        monkeypatch.setattr(infer, "_CHUNK_ENTRIES", 1)
+        bootstrap(data, LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5,)),
+                  BootstrapConfig(replicates=10, seed=2))
+        assert heights == [infer._GRAM_ROWS] * 2 + [10 - 2 * infer._GRAM_ROWS]
 
     def test_output_is_the_same_for_any_blas_thread_count(self):
         src = Path(__file__).resolve().parent.parent / "src"
