@@ -17,7 +17,9 @@ won, the ratio of medians and the parent's interquartile range.  ``--claim
 WORKLOAD:METRIC:RATIO`` is met when the parent's median over the change's
 is at least RATIO, the change wins every pair, and the medians lie further
 apart than the parent's interquartile range.  ``not_met`` names each metric
-whose change median is worse than the parent's by more than that range.
+whose change median is worse than the parent's by more than that range, and
+each whose change median is above the parent's by more than the metric's
+``bound`` in BENCHMARK.json, a fraction of the parent's median.
 """
 from __future__ import annotations
 
@@ -95,6 +97,19 @@ def worse_beyond_spread(workloads: dict) -> list[str]:
     return found
 
 
+def worse_beyond_bound(workloads: dict, bounds: dict[str, float]) -> list[str]:
+    """Each metric whose change median exceeds the parent's by more than
+    ``bounds[metric]`` times the parent's median."""
+    found = []
+    for name, w in workloads.items():
+        for metric in METRICS:
+            parent, change = (w[metric][side]["median"] for side in SIDES)
+            if change - parent > bounds[metric] * parent:
+                found.append(f"{metric} on {name}: {parent:.4g} -> {change:.4g} "
+                             f"({(change / parent - 1) * 100:+.1f}%, bound {bounds[metric]:g})")
+    return found
+
+
 def parse_run_output(stdout: str) -> tuple[dict, dict]:
     """perfbench/run.py's info line (the first) and result line (the last)."""
     lines = stdout.strip().splitlines()
@@ -148,9 +163,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     if not args.workloads:
-        with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-            args.workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        args.workloads = [w["name"] for w in benchmark["workloads"]]
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     env: dict = {}
@@ -173,7 +190,7 @@ def main(argv=None) -> int:
                 m: summarize(values["parent"][m], values["change"][m]) for m in METRICS
             }, "ops": ops}
     claim = claim_verdict(args.claim, workloads)[1] if args.claim else None
-    worse = worse_beyond_spread(workloads)
+    worse = worse_beyond_spread(workloads) + worse_beyond_bound(workloads, bounds)
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
@@ -185,7 +202,7 @@ def main(argv=None) -> int:
                  "byte-compiled with `python -m compileall -q src perfbench` before timing",
         "claim": claim,
         "not_met": "; ".join(worse) if worse else "none: no end-to-end metric's change "
-                   "median is above the parent's by more than the parent's IQR",
+                   "median is above the parent's by more than the parent's IQR or its bound",
         "workloads": workloads,
         "env": env,
     }

@@ -527,10 +527,12 @@ def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
 
     params = LinearParams(**_split_coefficients([coef for coef, _, _ in fits]), sigma2_m1=sigma2_m1)
     sample_means = {name: float(np.mean(col)) for name, col in columns.items()}
-    tables = {
-        role: dict(zip(names, (float(v) for v in coef)))
-        for (role, _, _), (_, _, names), (coef, _, _) in zip(_EQUATIONS, designs, fits)
-    }
+    tables = {role: {} for role, _, _ in _EQUATIONS}
+    for (role, _, _), (_, _, names), (coef, _, _) in zip(_EQUATIONS, designs, fits):
+        for name, value in zip(names, coef.tolist()):
+            while name in tables[role]:  # a covariate named like a fixed regressor, "A" say
+                name = f"covariate {name}"
+            tables[role][name] = value
     return LinearFit(
         params=params,
         sigma2_y=sigma2_y,

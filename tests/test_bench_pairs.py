@@ -69,6 +69,19 @@ def test_regressions_beyond_the_parent_iqr_are_named():
     ]
 
 
+def test_regressions_beyond_a_metrics_bound_are_named():
+    # setup_s on perfbench's 50 ms grid: a wide parent IQR hides a step
+    # that crosses a metric's bound, which alone refuses a change
+    bounds = {"op_ref": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+    parent = [0.2135, 0.2135, 0.3135, 0.3135]
+    for change, named in (([0.3162] * 4, ["peak_rss_mb"]), ([0.3585] * 4, list(bench_pairs.METRICS))):
+        assert bench_pairs.worse_beyond_spread(workloads(parent, change)) == []
+        found = bench_pairs.worse_beyond_bound(workloads(parent, change), bounds)
+        assert [line.split(" on ")[0] for line in found] == named
+    assert found[1] == "setup_s on w: 0.2635 -> 0.3585 (+36.1%, bound 0.25)"
+    assert bench_pairs.worse_beyond_bound(workloads(parent, [0.2135] * 4), bounds) == []
+
+
 def test_run_output_is_the_first_and_last_json_lines():
     info, result = {"workload": "linear"}, {"correct": True, "metrics": {}}
     stdout = "\n".join([json.dumps(info), "op_ref   1.2 ref-loops", json.dumps(result), ""])

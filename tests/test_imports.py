@@ -6,7 +6,7 @@ whose bound name never appears as a name in the module fails, unless its
 line carries ``# noqa: F401``.  A name used only inside a quoted
 annotation counts as unused.  ``__init__.py`` is left out, since its
 imports are the public re-exports.  A fresh interpreter also checks that
-importing the CLI leaves out a module it needs only on demand.
+importing the CLI leaves out the modules it needs only on demand.
 """
 from __future__ import annotations
 
@@ -54,11 +54,22 @@ def test_check_sees_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == ["line 1: field"]
 
 
-def test_the_cli_starts_without_the_thread_pool_module():
-    # concurrent.futures pulls in logging, about 9 ms of every start-up;
-    # only bootstrap(workers=) on a plain callable needs it
-    code = "import sys, natfx.cli; print('concurrent.futures' in sys.modules)"
+def loaded_by_importing_the_cli(module: str) -> bool:
+    """Whether a fresh interpreter holds `module` after ``import natfx.cli``."""
+    code = f"import sys, natfx.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
-    assert out == "False\n"
+    return {"True\n": True, "False\n": False}[out]
+
+
+def test_the_cli_starts_without_the_thread_pool_module():
+    # concurrent.futures pulls in logging, about 9 ms of every start-up;
+    # only bootstrap(workers=) on a plain callable needs it
+    assert not loaded_by_importing_the_cli("concurrent.futures")
+
+
+def test_the_cli_starts_without_numpy_random():
+    # loading numpy.random costs 11-27 ms; bootstrap and simulate load it
+    # when they run
+    assert not loaded_by_importing_the_cli("numpy.random")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natfx import infer
@@ -70,6 +70,38 @@ class TestBootstrapConfig:
             BootstrapConfig(level=0.0)
         with pytest.raises(ValueError, match="max_fail"):
             BootstrapConfig(max_fail=1.0)
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        # refused when the config is made, before any point estimate; split
+        # into words, a negative int would give a stream numpy never draws
+        for seed in (-1, -(2**70), 1.0, 2.5, "3", None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                BootstrapConfig(seed=seed)
+        assert BootstrapConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+        assert BootstrapConfig(seed=2**200).seed == 2**200
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200])
+       | st.integers(0, 2**256 - 1), count=st.integers(2, 1100))
+@example(seed=0, count=2)
+@example(seed=2**32 - 1, count=3)
+@example(seed=2**32, count=1100)
+@example(seed=2**64, count=17)
+@example(seed=2**128 - 1, count=400)
+@example(seed=2**128, count=5)
+@example(seed=2**200, count=64)
+def test_spawned_states_match_numpys_seed_sequence(seed, count):
+    # the stream contract: replicate i draws from
+    # default_rng(SeedSequence(seed).spawn(count)[i])
+    states = infer._spawned_states(seed, count)
+    children = np.random.SeedSequence(seed).spawn(count)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    assert states.tolist() == [c.generate_state(4, np.uint64).tolist() for c in children]
+    np.random.bit_generator.ISeedSequence.register(infer._GivenState)  # as bootstrap does
+    for words, child in zip(states, children):
+        got = np.random.Generator(np.random.PCG64(infer._GivenState(words))).integers(1 << 62, size=64)
+        assert got.tolist() == np.random.default_rng(child).integers(1 << 62, size=64).tolist()
 
 
 class TestBootstrap:
@@ -567,13 +599,20 @@ class TestChunkedLinear:
         fits = batched_fits(data, estimator, draws)
         assert all(fit is not None for fit in fits)
         for draw, (coefs, sigma2_m1) in zip(draws, fits):
-            want = fit_linear_system(data.take(draw), log_m2=True).params  # its tables key by label
+            want = fit_linear_system(data.take(draw), log_m2=True).params
             for got, field in zip(coefs, ("theta", "beta", "gamma")):
                 expect = np.concatenate([getattr(want, field), getattr(want, field + "_c")])
                 assert np.abs(got - expect).max() <= LINEAR_TOL * np.abs(expect).max()
             assert abs(sigma2_m1 - want.sigma2_m1) <= SIGMA2_TOL * want.sigma2_m1
         cfg = BootstrapConfig(replicates=30, seed=3)
         assert_linear_agree(bootstrap(data, estimator, cfg), bootstrap(data, lambda d: estimator(d), cfg))
+        # the printed tables hold every coefficient once, the covariate keyed apart
+        full = fit_linear_system(data, log_m2=True)
+        fixed = ["intercept", "A", "M1", "M2", "A:M1", "A:M2", "M1:M2", "A:M1:M2"]
+        assert list(full.tables["outcome"]) == [*fixed, f"covariate {label}", "c1"]
+        for role, field in (("outcome", "theta"), ("m2", "beta"), ("m1", "gamma")):
+            want = [*getattr(full.params, field), *getattr(full.params, field + "_c")]
+            assert list(full.tables[role].values()) == want
 
     def test_degenerate_resamples_fall_back_to_the_same_errors(self):
         # 14 rows, five of them exposed and two with the binary covariate
