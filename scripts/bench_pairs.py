@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of perfbench runs, summarised to one JSON file.
 
     python scripts/bench_pairs.py --parent HEAD --out BENCH_14.json \\
-        --pairs 3 --seconds 25 --seed 17 --claim simulate-fit:op_ref:1.15
+        --pairs 3 --seconds 25 --seed 17 29 --claim simulate-fit:op_ref:1.15
 
 The parent revision (by `git archive`) and the working tree's src/ and
 perfbench/ are copied side by side into a temporary directory outside the
@@ -20,6 +20,12 @@ apart than the parent's interquartile range.  ``not_met`` names each metric
 whose change median is worse than the parent's by more than that range, and
 each whose change median is above the parent's by more than the metric's
 ``bound`` in BENCHMARK.json, a fraction of the parent's median.
+
+With several ``--seed`` values every seed runs its own pairs, and the file
+holds each seed's summaries, claim verdict and ``not_met`` under
+``by_seed``; its top-level ``claim`` and ``not_met`` join the seeds'.  With
+one seed the file keeps the single-seed shape: ``seed``, ``claim``,
+``not_met`` and ``workloads`` at the top level.
 """
 from __future__ import annotations
 
@@ -156,9 +162,34 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
     p.add_argument("--pairs", type=int, default=3)
     p.add_argument("--seconds", type=float, default=25)
-    p.add_argument("--seed", type=int, default=17)
+    p.add_argument("--seed", type=int, nargs="+", default=[17],
+                   help="one or more seeds; each runs its own pairs")
     p.add_argument("--claim", help="WORKLOAD:METRIC:RATIO, e.g. simulate-fit:op_ref:1.15")
     return p.parse_args(argv)
+
+
+def seed_summary(workloads: dict, claim: str | None, bounds: dict[str, float]) -> dict:
+    """One seed's claim verdict, regressions and workload summaries."""
+    worse = worse_beyond_spread(workloads) + worse_beyond_bound(workloads, bounds)
+    return {
+        "claim": claim_verdict(claim, workloads)[1] if claim else None,
+        "not_met": "; ".join(worse) if worse else "none: no end-to-end metric's change "
+                   "median is above the parent's by more than the parent's IQR or its bound",
+        "workloads": workloads,
+    }
+
+
+def document(head: dict, by_seed: dict[int, dict], env: dict) -> dict:
+    """The output file: `head` (command, host, parent, order), then one seed's
+    summary at the top level, or each seed's under ``by_seed``."""
+    if len(by_seed) == 1:
+        (seed, summary), = by_seed.items()
+        return {"command": head["command"], "seed": seed, **head, **summary, "env": env}
+    claims = [f"seed {seed}: {s['claim']}" for seed, s in by_seed.items() if s["claim"]]
+    not_met = "; ".join(f"seed {seed}: {s['not_met']}" for seed, s in by_seed.items())
+    return {"command": head["command"], "seeds": list(by_seed), **head,
+            "claim": "; ".join(claims) or None, "not_met": not_met,
+            "by_seed": {str(seed): s for seed, s in by_seed.items()}, "env": env}
 
 
 def main(argv=None) -> int:
@@ -171,45 +202,42 @@ def main(argv=None) -> int:
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     env: dict = {}
-    workloads: dict = {}
+    by_seed: dict[int, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = copy_sides(commit, Path(tmp))
-        for workload in args.workloads:
-            values = {side: {m: [] for m in METRICS} for side in SIDES}
-            ops = {side: [] for side in SIDES}
-            for i in range(args.pairs):
-                for side in pair_order(i):
-                    info, result = run_side(sides[side], workload, args.seed, args.seconds)
-                    env.setdefault(side, info["env"])
-                    for m in METRICS:
-                        values[side][m].append(result["metrics"][m]["value"])
-                    ops[side].append(f"{result['failed']} failed of {result['attempted']}")
-                    print(f"{workload} pair {i} {side}: "
-                          f"op_ref {values[side]['op_ref'][-1]:.4g}", file=sys.stderr)
-            workloads[workload] = {"pairs": args.pairs, **{
-                m: summarize(values["parent"][m], values["change"][m]) for m in METRICS
-            }, "ops": ops}
-    claim = claim_verdict(args.claim, workloads)[1] if args.claim else None
-    worse = worse_beyond_spread(workloads) + worse_beyond_bound(workloads, bounds)
-    doc = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+        for seed in args.seed:
+            workloads: dict = {}
+            for workload in args.workloads:
+                values = {side: {m: [] for m in METRICS} for side in SIDES}
+                ops = {side: [] for side in SIDES}
+                for i in range(args.pairs):
+                    for side in pair_order(i):
+                        info, result = run_side(sides[side], workload, seed, args.seconds)
+                        env.setdefault(side, info["env"])
+                        for m in METRICS:
+                            values[side][m].append(result["metrics"][m]["value"])
+                        ops[side].append(f"{result['failed']} failed of {result['attempted']}")
+                        print(f"seed {seed} {workload} pair {i} {side}: "
+                              f"op_ref {values[side]['op_ref'][-1]:.4g}", file=sys.stderr)
+                workloads[workload] = {"pairs": args.pairs, **{
+                    m: summarize(values["parent"][m], values["change"][m]) for m in METRICS
+                }, "ops": ops}
+            by_seed[seed] = seed_summary(workloads, args.claim, bounds)
+    seed_text = str(args.seed[0]) if len(args.seed) == 1 else "S"
+    head = {
+        "command": f"python3 perfbench/run.py --workload W --seed {seed_text} "
                    f"--seconds {args.seconds:g} --trace 0",
-        "seed": args.seed,
         "host": host_line(env["change"]),
         "parent": commit,
         "order": "pair i runs the parent first when i is even, the change first when i "
                  "is odd; each side runs from its own copy of src/ and perfbench/, both "
                  "byte-compiled with `python -m compileall -q src perfbench` before timing",
-        "claim": claim,
-        "not_met": "; ".join(worse) if worse else "none: no end-to-end metric's change "
-                   "median is above the parent's by more than the parent's IQR or its bound",
-        "workloads": workloads,
-        "env": env,
     }
+    doc = document(head, by_seed, env)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print(claim or "no claim")
+    print(doc["claim"] or "no claim")
     print(doc["not_met"])
     return 0
 

@@ -9,9 +9,9 @@ cannot price, and `bootstrap` alone sends those to the estimator, sums the
 addends of all priced draws into rows at once (`decomp._totals`, exact sums
 equal to `math.fsum`) and counts the routes.  Replicate i draws its
 resample from ``default_rng(SeedSequence(seed).spawn(replicates)[i])``, the
-stream it always drew from, but the children's PCG64 seed words are
-hashed for all replicates in one numpy pass: 3-5 µs of set-up per
-replicate, not 14-24 µs to spawn and seed each (2-vCPU Xeon).  Each
+stream it always drew from, but its PCG64 seed words are hashed for all
+replicates in one numpy pass (`_spawned_states`), and numpy makes only its
+raw words, turned into indices a chunk at a time (`_draws`).  Each
 chunked replicate is computed on its own, so the output depends only on
 (seed, replicates, data, estimator) and never on chunk size or worker
 count.  The plug-in chunks reproduce the per-resample values bit for bit,
@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,8 +94,8 @@ Estimator = Callable[[Dataset], DecompositionResult]
 # estimator errors in this package are ValueError subclasses.
 _REPLICATE_ERRORS = (ValueError, np.linalg.LinAlgError, ZeroDivisionError)
 
-# Resample indices drawn and held at once: a chunk is as many replicates as
-# fit, and at least its pricer's `least_chunk`.
+# Resample indices drawn and held at once: a chunk is as many whole
+# `least_chunk`s of its pricer as fit (whole gemm groups), and at least one.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -370,6 +370,35 @@ class _GivenState(NamedTuple):
         return self.words
 
 
+def _draws(seed: int, replicates: int, n: int, size: int) -> Iterator[tuple[range, np.ndarray]]:
+    """Each chunk of `size` replicates and its resamples, drawn into arrays allocated once.
+
+    numpy's `integers(0, n)` maps a 32-bit half h of PCG64's words, low half first, to ``(h n)
+    >> 32``, passing over h when ``(h n) mod 2^32 < 2^32 mod n`` (Lemire 2019).  numpy makes
+    only the raw words here; that step is replayed on a chunk at once, and numpy redraws a row
+    that passes over one of its first n halves, or all rows where a row expects one or more.
+    """
+    np.random.bit_generator.ISeedSequence.register(_GivenState)  # loads numpy.random: 11-27 ms
+    states = _spawned_states(seed, replicates)
+    reject, rows = (1 << 32) % n, np.empty((min(size, replicates), n), dtype=np.int64)
+    words = np.empty((len(rows), -(-n // 2)), "<u8") if n * reject < 1 << 32 else None
+    for start in range(0, replicates, size):
+        chunk = range(start, min(start + size, replicates))
+        idx, redraw = rows[:len(chunk)], chunk
+        if words is not None:
+            for row, i in zip(words, chunk):
+                row[:] = np.random.PCG64(_GivenState(states[i])).random_raw(len(row))
+            halves = words[:len(chunk)].view("<u4")[:, :n]  # low half first
+            wide = np.multiply(halves, n, out=idx.view(np.uint64), dtype=np.uint64)
+            np.right_shift(wide, 32, out=wide)
+            low = np.multiply(halves, n, out=halves)  # (h n) mod 2^32
+            redraw = [chunk[r] for r in np.flatnonzero(low.min(axis=1) < reject).tolist()]
+        for i in redraw:
+            bits = np.random.PCG64(_GivenState(states[i]))
+            idx[i - start] = np.random.Generator(bits).integers(0, n, size=n)
+        yield chunk, idx
+
+
 # The estimators `bootstrap` prices in chunks, each with its pricer.
 _CHUNK_PRICERS = {PluginEstimator: _PluginChunkPricer, LinearEstimator: _LinearChunkPricer}
 
@@ -413,9 +442,6 @@ def bootstrap(
         raise ValueError(f"point estimate: {bad}")
     names = [row.name for row in point.components]
 
-    n = data.n
-    np.random.bit_generator.ISeedSequence.register(_GivenState)  # loads numpy.random: 11-27 ms
-    states = _spawned_states(int(cfg.seed), cfg.replicates)
     pricer_type = _CHUNK_PRICERS.get(type(estimator))
     pricer = None if pricer_type is None else pricer_type(data, estimator)
     values, gaps = np.empty((cfg.replicates, len(names))), np.empty(cfg.replicates)
@@ -434,16 +460,11 @@ def bootstrap(
     if workers > 1 and pricer is None:
         from concurrent.futures import ThreadPoolExecutor  # imports logging: ~9 ms at start-up
         pool = ThreadPoolExecutor(max_workers=workers)
-    size = max(pricer.least_chunk if pricer else 1, _CHUNK_ENTRIES // n)
-    draws = np.empty((min(size, cfg.replicates), n), dtype=np.int64)
+    size = max(least := pricer.least_chunk if pricer else 1, _CHUNK_ENTRIES // data.n // least * least)
     batched: list[int] = []
     parts = []
     try:
-        for start in range(0, cfg.replicates, size):
-            chunk = range(start, min(start + size, cfg.replicates))
-            idx = draws[:len(chunk)]
-            for row, i in zip(idx, chunk):
-                row[:] = np.random.Generator(np.random.PCG64(_GivenState(states[i]))).integers(0, n, size=n)
+        for chunk, idx in _draws(int(cfg.seed), cfg.replicates, data.n, size):
             if pricer is None:
                 list((map if pool is None else pool.map)(replicate, chunk, idx))
                 continue

@@ -86,3 +86,29 @@ def test_run_output_is_the_first_and_last_json_lines():
     info, result = {"workload": "linear"}, {"correct": True, "metrics": {}}
     stdout = "\n".join([json.dumps(info), "op_ref   1.2 ref-loops", json.dumps(result), ""])
     assert bench_pairs.parse_run_output(stdout) == (info, result)
+
+
+def test_several_seeds_keep_a_summary_and_claim_per_seed():
+    bounds = {"op_ref": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+    head = {"command": "python3 perfbench/run.py", "host": "h", "parent": "p", "order": "o"}
+    win = bench_pairs.seed_summary(workloads([50.0, 51.0, 49.0], [40.0, 41.0, 39.0]),
+                                   "w:op_ref:1.15", bounds)
+    short = bench_pairs.seed_summary(workloads([50.0, 51.0, 49.0], [46.0, 45.0, 45.5]),
+                                     "w:op_ref:1.15", bounds)
+    # one seed: the single-seed file, keys in the order earlier files have them
+    one = bench_pairs.document(head, {17: win}, {"change": {}})
+    assert list(one) == ["command", "seed", "host", "parent", "order", "claim", "not_met",
+                         "workloads", "env"]
+    assert one["seed"] == 17 and one["claim"] == win["claim"]
+    two = bench_pairs.document(head, {17: win, 29: short}, {"change": {}})
+    assert list(two) == ["command", "seeds", "host", "parent", "order", "claim", "not_met",
+                         "by_seed", "env"]
+    assert two["seeds"] == [17, 29] and two["by_seed"] == {"17": win, "29": short}
+    verdict = "op_ref on w falls by at least 1.15x against the parent: "
+    assert win["claim"].startswith(verdict + "met") and short["claim"].startswith(verdict + "not met")
+    assert two["claim"] == f"seed 17: {win['claim']}; seed 29: {short['claim']}"
+    assert two["not_met"].startswith("seed 17: none") and "; seed 29: none" in two["not_met"]
+    no_claim = bench_pairs.seed_summary(win["workloads"], None, bounds)
+    assert bench_pairs.document(head, {17: no_claim, 29: no_claim}, {})["claim"] is None
+    assert bench_pairs.parse_args(["--out", "x.json"]).seed == [17]
+    assert bench_pairs.parse_args(["--out", "x.json", "--seed", "17", "29"]).seed == [17, 29]

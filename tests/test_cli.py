@@ -855,6 +855,34 @@ class TestArgumentSurface:
         assert (args.boot, args.level, args.max_fail) == (cfg.replicates, cfg.level, cfg.max_fail)
         assert args.seed is None and args.format == "table"
 
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        built = []
+        init = natfx.cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        natfx.cli._parser.cache_clear()
+        monkeypatch.setattr(natfx.cli._Parser, "__init__", counting_init)
+        argv = ["check", "--scenario", "seq2", "Y(a, M1(a*), M2(a, M1(a*)))"]
+        assert [main(argv) for _ in range(3)] == [0] * 3
+        assert built.count("natfx") == 1
+        # the public builder still hands out a fresh parser
+        assert build_parser() is not build_parser()
+        assert built.count("natfx") == 3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bootstrap-report", "--help"], [],
+                                      ["check"], ["fit", "--data"], ["bogus"]])
+    def test_help_and_usage_errors_match_a_fresh_parser(self, argv, capsys):
+        runs = []
+        for _ in range(2):  # the second call parses with the parser the first built
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(argv)
+        assert runs == [(int(stop.value.code or 0), *capsys.readouterr())] * 2
+
     def test_missing_file_exits_one(self, capsys):
         code = main(
             ["decompose", "--model", "no-such-file.json", "--a", "1",

@@ -104,6 +104,55 @@ def test_spawned_states_match_numpys_seed_sequence(seed, count):
         assert got.tolist() == np.random.default_rng(child).integers(1 << 62, size=64).tolist()
 
 
+def rows_numpy_redraws(children, n):
+    """The rows in which numpy's `integers(0, n)` passes over one of the
+    first n 32-bit halves of its PCG64 words (low half first), or every
+    row where a row expects one or more such halves."""
+    line = 2**32 % n
+    if n * line >= 2**32:
+        return list(range(len(children)))
+    found = []
+    for r, child in enumerate(children):
+        raw = np.random.PCG64(child).random_raw(-(-n // 2))
+        halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:n]
+        if ((halves * np.uint64(n)) % 2**32 < line).any():
+            found.append(r)
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 7, 64, 300, 600, 1500, 5000, 49152, 65336, 2**16 - 1,
+                          2**16, 2**16 + 1, 100_000, 2**20, 1_000_003]) | st.integers(1, 70_000),
+       seed=st.integers(0, 2**64), count=st.integers(1, 5), height=st.integers(1, 5))
+# row 0 passes over a half and is redrawn; row 2 has a half exactly at the
+# line, (h n) mod 2^32 == 2^32 mod n, which numpy keeps
+@example(n=49152, seed=3, count=4, height=3)
+@example(n=1, seed=0, count=2, height=1)
+@example(n=1_000_003, seed=17, count=2, height=1)  # every row drawn by numpy
+def test_draws_match_numpys_integers(n, seed, count, height):
+    # each row must be default_rng(SeedSequence(seed).spawn(count)[i])'s draw,
+    # with numpy's Generator redrawing exactly the rows its own draw passes
+    # over a half in
+    children = np.random.SeedSequence(seed).spawn(count)
+    row_of = {np.random.PCG64(c).state["state"]["state"]: r for r, c in enumerate(children)}
+    generator, redrawn = np.random.Generator, []
+
+    def spy(bits):
+        redrawn.append(row_of[bits.state["state"]["state"]])
+        return generator(bits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "Generator", spy)
+        chunks = [(list(chunk), idx.copy()) for chunk, idx in infer._draws(seed, count, n, height)]
+    want = [generator(np.random.PCG64(c)).integers(0, n, size=n) for c in children]
+    assert [i for chunk, _ in chunks for i in chunk] == list(range(count))
+    assert {len(idx) for _, idx in chunks[:-1]} <= {height}
+    assert np.concatenate([idx for _, idx in chunks]).tolist() == np.stack(want).tolist()
+    assert redrawn == rows_numpy_redraws(children, n)
+    if (n, seed, count) == (49152, 3, 4):
+        assert redrawn == [0]
+
+
 class TestBootstrap:
     def test_constant_estimator_degenerate_interval(self):
         data = toy_dataset()
@@ -673,9 +722,14 @@ class TestChunkedLinear:
 
         monkeypatch.setattr(infer._LinearChunkPricer, "__call__", spy)
         monkeypatch.setattr(infer, "_CHUNK_ENTRIES", 1)
-        bootstrap(data, LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5,)),
-                  BootstrapConfig(replicates=10, seed=2))
+        estimator = LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5,))
+        bootstrap(data, estimator, BootstrapConfig(replicates=10, seed=2))
         assert heights == [infer._GRAM_ROWS] * 2 + [10 - 2 * infer._GRAM_ROWS]
+        # a cap of 13 replicates holds three whole groups, not three and a padded one
+        heights.clear()
+        monkeypatch.setattr(infer, "_CHUNK_ENTRIES", 13 * data.n)
+        bootstrap(data, estimator, BootstrapConfig(replicates=30, seed=2))
+        assert heights == [3 * infer._GRAM_ROWS] * 2 + [30 - 6 * infer._GRAM_ROWS]
 
     def test_output_is_the_same_for_any_blas_thread_count(self):
         src = Path(__file__).resolve().parent.parent / "src"
