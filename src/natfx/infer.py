@@ -219,10 +219,12 @@ class _LinearChunkPricer:
     R0 give ``X_e[:, piv] = (Q T) R`` with ``T = U0 U1``.  With ``G = Qᵀ W
     Q``, W = diag(w), the equation's Gram matrix is ``G_e = Tᵀ G T`` and its
     coefficients are ``b[piv] = R⁻¹ G_e⁻¹ Tᵀ Qᵀ W y``, where a mediator
-    response's ``Qᵀ W y`` is G times its column of B; ``sigma2_m1 = Σ w (y -
-    X b)² / (n_w - p)`` comes from the weighted residuals themselves.  The
-    weights average 1, so G_e stays near the identity and X_e's conditioning
-    is carried by R alone, as in `fit_ols`.
+    response's ``Qᵀ W y`` is G times its column of B, ``resp``.  For M1, with z
+    its solve, y - X b is Q c for ``c = resp - T z``, so ``sigma2_m1 = Σ w (y -
+    X b)² / (n_w - p)`` takes ``cᵀ G c``: like the residuals, and unlike ``respᵀ
+    G resp - (Tᵀ G resp)ᵀ z``, it is stationary at the solve, so z's rounding
+    enters only at second order.  The weights average 1, so G_e stays near the
+    identity and X_e's conditioning is carried by R alone, as in `fit_ols`.
 
     G and ``Qᵀ W y`` are the rows of ``W K``, K = ``[Q_i Q_j, i <= j | Q_i
     y]`` formed once, p(p+1)/2 + p columns: its width grows as p squared (65
@@ -260,7 +262,7 @@ class _LinearChunkPricer:
     def __init__(self, data: Dataset, estimator: LinearEstimator) -> None:
         columns, self._kept, cov_names = _prepared_columns(data, estimator.log_m2)
         designs = _designs(columns, cov_names)
-        (x, y, names), (self._m1_design, self._m1_y, _) = designs[0], designs[-1]
+        x, y, names = designs[0]
         (q, b), p = np.linalg.qr(x), len(names)
         # B's columns by position: a covariate may be named "A", say
         fixed, covs = _EQUATIONS[0][2], list(range(len(_EQUATIONS[0][2]), p))
@@ -272,7 +274,7 @@ class _LinearChunkPricer:
             sigma = np.linalg.svd(r, compute_uv=False)
             line = (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK
             self._equations.append(_Equation(u0 @ u1, resp, piv, np.linalg.inv(r), line))
-        del x, designs  # before K, the largest array here
+        del x, designs  # all three, before K, the largest array here
         i, j = self._pairs = np.triu_indices(p)
         self._k = np.zeros((-(-len(y) // _GRAM_BLOCK), _GRAM_BLOCK, len(i) + p))
         for block, lo in zip(self._k, range(0, len(y), _GRAM_BLOCK)):
@@ -285,8 +287,8 @@ class _LinearChunkPricer:
         self._cvec = _covariate_vector(len(cov_names), estimator.profile)
         self.extras = {"min_gram_rcond": None}
 
-    def _systems(self, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each equation's G_e and ``(Q T)ᵀ W y``, one per row of `counts`."""
+    def _systems(self, counts: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """G, and each equation's G_e and ``(Q T)ᵀ W y``, one per row of `counts`."""
         blocks, height, width = self._k.shape
         w = np.zeros((-(-len(counts) // _GRAM_ROWS) * _GRAM_ROWS, blocks * height))
         w[:len(counts), :counts.shape[1]] = counts
@@ -295,7 +297,7 @@ class _LinearChunkPricer:
         (i, j), p = self._pairs, len(self._equations[0].t)
         g = np.empty((len(counts), p, p))
         g[:, i, j] = g[:, j, i] = sums[:, :len(i)]
-        return [(eq.t.T @ g @ eq.t, eq.t.T @ (sums[:, len(i):] if eq.resp is None else g @ eq.resp)[..., None])
+        return g, [(eq.t.T @ g @ eq.t, eq.t.T @ (sums[:, len(i):] if eq.resp is None else g @ eq.resp)[..., None])
                 for eq in self._equations]
 
     def __call__(self, idx: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -306,7 +308,8 @@ class _LinearChunkPricer:
         reason = np.full(m, "", dtype=object)
         reason[rows <= self._max_p] = "rows"
         live = np.nonzero(rows > self._max_p)[0]
-        systems = [(gram[live], rhs[live]) for gram, rhs in self._systems(counts)]
+        g, systems = self._systems(counts)
+        systems = [(gram[live], rhs[live]) for gram, rhs in systems]
         for eq, (gram, _) in zip(self._equations, systems):
             eig = np.linalg.eigvalsh(gram)
             rcond = eig[:, 0] / eig[:, -1]
@@ -316,14 +319,16 @@ class _LinearChunkPricer:
                 self.extras["min_gram_rcond"] = min(float(rcond.min()), math.inf if seen is None else seen)
 
         good = reason[live] == ""
+        solves = [np.linalg.solve(gram[good], rhs[good]) for gram, rhs in systems]
         coefs = []
-        for eq, (gram, rhs) in zip(self._equations, systems):
+        for eq, z in zip(self._equations, solves):
             coef = np.empty((int(good.sum()), len(eq.piv)))
-            coef[:, eq.piv] = (eq.r_inv @ np.linalg.solve(gram[good], rhs[good]))[..., 0]
+            coef[:, eq.piv] = (eq.r_inv @ z)[..., 0]
             coefs.append(coef)
-        rss = [counts[r].astype(float) @ np.square(self._m1_y - self._m1_design @ b)
-               for r, b in zip(live[good], coefs[-1])]
-        sigma2_m1 = np.array(rss) / (rows[live[good]] - len(self._equations[-1].piv))
+        m1, z = self._equations[-1], solves[-1]
+        c = m1.resp[:, None] - m1.t @ z  # y - X b is Q c
+        rss = (np.swapaxes(c, 1, 2) @ g[live[good]] @ c)[:, 0, 0]
+        sigma2_m1 = rss / (rows[live[good]] - len(m1.piv))
         return reason, [*coefs, sigma2_m1]
 
     def addends(self, parts: list[list[np.ndarray]]) -> np.ndarray:

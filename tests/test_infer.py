@@ -486,10 +486,12 @@ class TestChunkedPlugin:
 # |value| or |CI end| over its rows).  Over 2,500 seeded draws of the same
 # kind the worst were 2.2e-16 for max_sum_gap, of that scale; 1.4e-11 for
 # coefficients, of the equation's largest; and 1.6e-15 for sigma2_m1,
-# relative.  The per-replicate Gram loop this path replaced read 1.2e-12,
-# 2.0e-16, 1.4e-11 and 2.0e-15 on the same draws.  Computing sigma2_m1 from
-# the expanded quadratic form instead of the residuals moved it by up to
-# 5.6e-13.
+# relative, from a pass over the weighted residuals.  The per-replicate Gram
+# loop this path replaced read 1.2e-12, 2.0e-16, 1.4e-11 and 2.0e-15 on the
+# same draws.  Computing sigma2_m1 from the expanded quadratic form instead
+# of the residuals moved it by up to 5.6e-13; from cᵀ G c, which like the
+# residuals is stationary at the solve, it read 1.1e-14 over another 2,500
+# seeded draws, on which the residual pass read 1.6e-15.
 LINEAR_TOL = 1e-9
 SIGMA2_TOL = 1e-13
 
@@ -635,6 +637,29 @@ class TestChunkedLinear:
                 assert np.abs(got - expect).max() <= LINEAR_TOL * np.abs(expect).max()
             assert abs(sigma2_m1 - want.params.sigma2_m1) <= SIGMA2_TOL * want.params.sigma2_m1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sigma2_m1_holds_when_m1_sits_far_from_zero(self, seed):
+        # M1's mean, 100, is 1e4 times its residual scale: the rounding in
+        # c = resp - T z is that ratio times eps.  Over 30 seeds of 8 draws
+        # each the chunked cᵀ G c read 1.6e-12 relative at worst, the explicit
+        # residuals 3.4e-13, and the Schur form respᵀ G resp - rhsᵀ z, which
+        # squares the ratio, 1.3e-7.
+        rng = np.random.default_rng(seed)
+        n = 200
+        c = rng.normal(size=n)
+        a = (rng.random(n) < 0.5).astype(float)
+        m1 = 100 + 2 * a + 0.3 * c + 0.01 * rng.normal(size=n)
+        lm2 = 0.2 + 0.3 * a + 0.01 * m1 + 0.5 * rng.normal(size=n)
+        y = 1 + 0.5 * a + 0.4 * m1 + 0.6 * lm2 + rng.normal(size=n)
+        data = Dataset(exposure=a, m1=m1, m2=np.exp(lm2), outcome=y, covariates={"c": c})
+        estimator = LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5,), True)
+        draws = [rng.integers(0, n, size=n) for _ in range(8)]
+        fits = batched_fits(data, estimator, draws)
+        assert all(fit is not None for fit in fits)
+        for draw, (_, sigma2_m1) in zip(draws, fits):
+            want = fit_linear_system(data.take(draw), log_m2=True).params.sigma2_m1
+            assert abs(sigma2_m1 - want) <= 1e-10 * want
+
     @pytest.mark.parametrize("label", ["A", "M1", "intercept", "A:M1"])
     def test_a_covariate_may_share_a_regressor_label(self, label):
         # covariate names come from the CSV header, so a covariate called
@@ -756,7 +781,7 @@ class TestChunkedLinear:
         counts = np.stack([np.bincount(rng.integers(0, len(kept), len(kept)), minlength=len(kept))
                            for _ in range(6)])
         designs = _designs(columns, cov_names)
-        for (x, y, _), eq, (grams, rhs) in zip(designs, pricer._equations, pricer._systems(counts)):
+        for (x, y, _), eq, (grams, rhs) in zip(designs, pricer._equations, pricer._systems(counts)[1]):
             sign = np.sign(np.diag(eq.r_inv))  # the pricer's R need not have a positive diagonal
             for w, gram, b in zip(counts, grams, rhs):
                 want_gram, want_b = oracles.weighted_gram(x, y, w.astype(float), eq.piv)
