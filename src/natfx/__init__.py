@@ -30,7 +30,6 @@ from natfx.estimate import (
     CovariateProfile,
     LinearFit,
     LinearParams,
-    expectation_w,
     fit_linear_system,
     fit_ols,
     linear_components,
@@ -73,7 +72,6 @@ __all__ = [
     "decompose",
     "eval_expectation",
     "evaluate_decomposition",
-    "expectation_w",
     "fit_linear_system",
     "fit_ols",
     "format_cf",

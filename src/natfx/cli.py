@@ -695,6 +695,14 @@ def _run_decompose_linear(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _run_bootstrap_report(args: argparse.Namespace) -> tuple[Report, int]:
+    if args.method == "plugin":
+        linear_only = (("--cov", args.cov is not None), ("--log-m2", args.log_m2))
+        if given := [flag for flag, on in linear_only if on]:
+            raise ValueError(f"the plugin method does not take {' or '.join(given)}; "
+                             "use --method linear")
+    elif args.scenario and Scenario.from_id(args.scenario) != Scenario.chain(2):
+        raise ValueError("the linear method fits the seq2 model only, "
+                         f"not --scenario {args.scenario}")
     roles = load_roles(args.roles)
     if args.method == "plugin" and roles.get("covariates"):  # a blank covariate would drop its row
         raise ValueError(f"the plugin method does not adjust for covariates "
@@ -746,7 +754,7 @@ def _run_bootstrap_report(args: argparse.Namespace) -> tuple[Report, int]:
         "method": args.method,
         "scenario": scenario.id,
         "query": _query_echo(q),
-        "transforms": {"m2": "log"} if args.log_m2 and args.method == "linear" else {},
+        "transforms": {"m2": "log"} if args.log_m2 else {},
         "seed": seed,
         "replicates": cfg.replicates,
         "level": cfg.level,

@@ -12,8 +12,9 @@ scenario catalogs are provided:
 
 Auxiliary rows (PDE, TDE, SIE_M1, TE, flavor pairs) carry ``in_sum=False``
 and are reported but excluded from the telescoping sum check.  Each catalog
-is compiled once, at import, into its distinct formulas and signed rows; an
-engine prices the formulas and the rows are exact sums of the priced terms.
+is compiled once per process, on first use, into its distinct formulas and
+signed rows; an engine prices the formulas and the rows are exact sums of the
+priced terms.
 """
 from __future__ import annotations
 
@@ -142,9 +143,6 @@ class DecompositionResult:
             if c.name == name:
                 return c.value
         raise KeyError(name)
-
-    def as_dict(self) -> dict[str, float]:
-        return {c.name: c.value for c in self.components}
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +326,13 @@ def total_effect(scenario: Scenario) -> ComponentSpec:
     return ComponentSpec("TE", ((+1, treated), (-1, reference)), in_sum=False)
 
 
+def _interaction(name: str, cell, problematic: bool = False) -> ComponentSpec:
+    """The 2x2 contrast cell(a, a) - cell(a*, a) - cell(a, a*) + cell(a*, a*)."""
+    signs = ((+1, _A, _A), (-1, _R, _A), (-1, _A, _R), (+1, _R, _R))
+    terms = tuple((sign, cell(x, y)) for sign, x, y in signs)
+    return ComponentSpec(name, terms, in_sum=False, problematic=problematic)
+
+
 def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
     """Mediated interaction effects, with identifiability flags.
 
@@ -339,58 +344,24 @@ def mediated_contrasts(q: Query, scenario: Scenario) -> list[ComponentSpec]:
     attempt to evaluate them raises.
     """
     if scenario.kind is ScenarioKind.SINGLE:
-        int_med = next(spec for spec in _catalog(scenario).specs if spec.name == "INT_med")
+        int_med = next(spec for spec in _single_specs() if spec.name == "INT_med")
         return [replace(int_med, in_sum=False)]
     if scenario.k != 2:
         raise ValueError(f"no mediated contrasts for scenario {scenario.id}")
-    m1a, m1r = _nat(_A), _nat(_R)
-    int_med_am1 = ComponentSpec(
-        "INT_med-AM1",
-        (
-            (+1, _y2(_A, m1a, _M2S)),
-            (-1, _y2(_R, m1a, _M2S)),
-            (-1, _y2(_A, m1r, _M2S)),
-            (+1, _y2(_R, m1r, _M2S)),
-        ),
-        in_sum=False,
-    )
+    int_med_am1 = _interaction("INT_med-AM1", lambda ey, e1: _y2(ey, _nat(e1), _M2S))
     if scenario.kind is ScenarioKind.NONSEQ:
         specs = [int_med_am1]
         _check_requires(_requires(specs), q)
         return specs
     w1, _, _, w4, _, _, w7, w8 = _worlds(scenario)
-    m2aa = _chain(_A, m1a)
-    m2rr = _chain(_R, m1r)
-    int_med_am2 = ComponentSpec(
-        "INT_med-AM2",
-        (
-            (+1, _y2(_A, _M1S, m2aa)),
-            (-1, _y2(_A, _M1S, m2rr)),
-            (-1, _y2(_R, _M1S, m2aa)),
-            (+1, _y2(_R, _M1S, m2rr)),
-        ),
-        in_sum=False,
-        problematic=True,
+    int_med_am2 = _interaction(
+        "INT_med-AM2", lambda e2, ey: _y2(ey, _M1S, _chain(e2, _nat(e2))), problematic=True
     )
-    int_med_am1m2 = ComponentSpec(
-        "INT_med-AM1M2",
-        (
-            (+1, w1),
-            (-1, w7),
-            (-1, _y2(_A, m1a, _M2S)),
-            (+1, _y2(_A, m1r, _M2S)),
-            (-1, _y2(_A, _M1S, m2aa)),
-            (+1, _y2(_A, _M1S, m2rr)),
-            (-1, w4),
-            (+1, w8),
-            (+1, _y2(_R, _M1S, m2aa)),
-            (-1, _y2(_R, _M1S, m2rr)),
-            (+1, _y2(_R, m1a, _M2S)),
-            (-1, _y2(_R, m1r, _M2S)),
-        ),
-        in_sum=False,
-        problematic=True,
-    )
+    # the corner interaction less the two single mediated contrasts
+    corner = ((+1, w1), (-1, w7), (-1, w4), (+1, w8))
+    negated = tuple((-sign, expr) for spec in (int_med_am1, int_med_am2)
+                    for sign, expr in spec.terms)
+    int_med_am1m2 = ComponentSpec("INT_med-AM1M2", corner + negated, in_sum=False, problematic=True)
     specs = [int_med_am1, int_med_am2, int_med_am1m2]
     _check_requires(_requires(specs), q)
     return specs
@@ -435,22 +406,19 @@ def _compile(specs: Sequence[ComponentSpec], scenario: Scenario) -> _Catalog:
     return _Catalog(tuple(specs), formulas, rows, te, _requires(specs))
 
 
-def _build_catalogs() -> dict[tuple[str, bool], _Catalog]:
-    single = _compile(_single_specs(), Scenario.single())
-    catalogs = {("single", False): single, ("single", True): single}
-    for scenario in (Scenario.nonseq(2), Scenario.chain(2)):
-        for extended in (False, True):
-            catalogs[scenario.id, extended] = _compile(
-                _two_mediator_specs(scenario, extended), scenario
-            )
-    return catalogs
+@functools.lru_cache(maxsize=None)
+def _compiled(scenario: Scenario, extended: bool) -> _Catalog:
+    if scenario.kind is ScenarioKind.SINGLE:
+        return _compile(_single_specs(), scenario)
+    if scenario.k != 2:
+        raise ValueError(f"no component catalog for scenario {scenario.id}")
+    return _compile(_two_mediator_specs(scenario, extended), scenario)
 
 
 def _catalog(scenario: Scenario, extended: bool = False) -> _Catalog:
-    try:
-        return _CATALOGS[scenario.id, extended]
-    except KeyError:
-        raise ValueError(f"no component catalog for scenario {scenario.id}") from None
+    """`scenario`'s catalog, compiled on first use and kept for the process,
+    so no per-call path rebuilds, hashes or re-validates a spec."""
+    return _compiled(scenario, bool(extended))
 
 
 def _checked(catalog: _Catalog, q: Query) -> list[ComponentSpec]:
@@ -591,8 +559,3 @@ def decompose(
     """Catalog lookup by the model's scenario plus evaluation, in one call."""
     return _evaluate(model, _catalog(model.scenario, extended), q)
 
-
-# Each catalog is built and compiled once per process, so the per-call paths
-# (decompose, plugin_seq2, linear_components) neither rebuild, hash nor
-# re-validate a spec.
-_CATALOGS = _build_catalogs()

@@ -25,9 +25,8 @@ from .decomp import (
     _catalog,
     _check_requires,
     _evaluate,
-    _worlds,
 )
-from .scm import Dataset, DiscreteScm, _compile_formula, _rows_text
+from .scm import Dataset, DiscreteScm, _rows_text
 
 __all__ = [
     "Assumption",
@@ -37,7 +36,6 @@ __all__ = [
     "LinearParams",
     "LogDomainError",
     "RankDeficient",
-    "expectation_w",
     "fit_linear_system",
     "fit_ols",
     "linear_components",
@@ -599,28 +597,6 @@ def _linear_pricer(
         )
 
     return addends
-
-
-def expectation_w(
-    params: LinearParams,
-    which: str | int,
-    a: float,
-    a_star: float,
-    c: CovariateProfile | Sequence[float] | None = None,
-) -> float:
-    """Closed-form expectation of one of the eight one-path worlds.
-
-    ``which`` is "W1".."W8" (or the bare index 1..8).  W1 is the all-treated
-    world; W8 is W1 with a replaced by a* throughout; the rest mix levels
-    across the outcome, M2, and M1 exposure slots.
-    """
-    worlds = {f"W{i}": world for i, world in enumerate(_worlds(_SEQ2), 1)}
-    key = f"W{which}" if isinstance(which, int) else str(which).upper()
-    if key not in worlds:
-        raise ValueError(f"which must be one of W1..W8, got {which!r}")
-    level = {"a": float(a), "a*": float(a_star)}
-    price = _linear_pricer(params, _covariate_vector(params.n_covariates, c), level)
-    return math.fsum(price(_compile_formula(worlds[key], _SEQ2)))
 
 
 def _linear_levels(q: Query) -> dict[str, float]:

@@ -267,14 +267,14 @@ class _LinearChunkPricer:
         # B's columns by position: a covariate may be named "A", say
         fixed, covs = _EQUATIONS[0][2], list(range(len(_EQUATIONS[0][2]), p))
         self._equations = []
-        for (role, _, regressors), (_, _, own) in zip(_EQUATIONS, designs):
+        for role, _, regressors in _EQUATIONS:
             u0, r0 = np.linalg.qr(b[:, [fixed.index(name) for name in regressors] + covs])
-            u1, r, piv, _ = _pivoted_qr(r0, own)
+            u1, r, piv, _ = _pivoted_qr(r0, regressors + cov_names)
             resp = None if role == "outcome" else b[:, fixed.index(role.upper())]  # "m2" is "M2"
             sigma = np.linalg.svd(r, compute_uv=False)
             line = (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK
             self._equations.append(_Equation(u0 @ u1, resp, piv, np.linalg.inv(r), line))
-        del x, designs  # all three, before K, the largest array here
+        del x, designs, columns  # every design and column but y, before K, the largest array
         i, j = self._pairs = np.triu_indices(p)
         self._k = np.zeros((-(-len(y) // _GRAM_BLOCK), _GRAM_BLOCK, len(i) + p))
         for block, lo in zip(self._k, range(0, len(y), _GRAM_BLOCK)):

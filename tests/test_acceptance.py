@@ -17,16 +17,11 @@ import numpy as np
 import pytest
 
 import oracles
-from test_estimate import make_params, mc_term, residualize
+from test_estimate import make_params, mc_term, residualize, to_oracle
 from natfx import cli
 from natfx.cfexpr import Scenario, check_identifiability, format_cf, parse_cf
 from natfx.decomp import Query, components_seq2, decompose, evaluate_decomposition
-from natfx.estimate import (
-    expectation_w,
-    fit_linear_system,
-    linear_components,
-    plugin_seq2,
-)
+from natfx.estimate import fit_linear_system, linear_components, plugin_seq2
 from natfx.infer import BootstrapConfig, PluginEstimator, bootstrap
 from natfx.scm import Dataset, DiscreteScm, from_dataset, simulate
 
@@ -308,8 +303,9 @@ def test_a06_linear_closed_forms_sit_within_monte_carlo_error():
                 f"trial {trial}: {spec.name}"
             )
         in_sum = sum(c.value for c in closed.components if c.in_sum)
-        te = expectation_w(params, "W1", q.a, q.a_star) - expectation_w(
-            params, "W8", q.a, q.a_star
+        oracle = to_oracle(params)
+        te = oracles.linear_world_exact(oracle, q.a, q.a, q.a) - oracles.linear_world_exact(
+            oracle, q.a_star, q.a_star, q.a_star
         )
         assert abs(in_sum - te) <= 1e-9, f"trial {trial}"
     assert time.perf_counter() - t0 < 120.0

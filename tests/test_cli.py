@@ -534,6 +534,45 @@ class TestBootstrapReportCommand:
         assert captured.err.startswith("natfx: error: the plugin method does not adjust for "
                                        "covariates (age, sex)")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--cov", "x=1"], "--cov"),
+        (["--log-m2"], "--log-m2"),
+        (["--log-m2", "--cov", "x=1"], "--cov or --log-m2"),
+    ])
+    def test_plugin_method_refuses_the_linear_flags_by_name(self, tmp_path, capsys, flags, named):
+        # the plug-in estimate has no covariate profile and no log scale
+        code = main(["bootstrap-report", "--data", str(tmp_path / "absent.csv"),
+                     "--roles", write_roles(tmp_path), "--a", "1", "--aref", "0",
+                     "--m1star", "0", "--m2star", "0", "--boot", "20", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"natfx: error: the plugin method does not take {named}; "
+                                "use --method linear\n")
+
+    @pytest.mark.parametrize("scenario", ["nonseq2", "single", "seq3"])
+    def test_linear_method_refuses_a_scenario_other_than_seq2(self, tmp_path, capsys, scenario):
+        code = main(["bootstrap-report", "--data", str(tmp_path / "absent.csv"),
+                     "--roles", write_roles(tmp_path), "--method", "linear",
+                     "--scenario", scenario, "--a", "1", "--aref", "0",
+                     "--m1star", "0", "--m2star", "0", "--boot", "20"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("natfx: error: the linear method fits the seq2 model only, "
+                                f"not --scenario {scenario}\n")
+
+    def test_linear_method_takes_seq2_under_either_name(self, tmp_path):
+        data, roles = linear_csv(tmp_path, n=300)
+        base = ["bootstrap-report", "--data", data, "--roles", roles, "--method", "linear",
+                "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+                "--boot", "20", "--seed", "1"]
+        plain = run_argv(*base)[0].as_dict()
+        for name in ("seq2", "chain2"):
+            report, code = run_argv(*base, "--scenario", name)
+            assert code == 0
+            assert report.as_dict() == plain
+
     def test_linear_method_with_mean_references(self, tmp_path):
         data, roles = linear_csv(tmp_path, n=500)
         report, code = run_argv(

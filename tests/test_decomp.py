@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from natfx import decomp
 from natfx.cfexpr import Fixed, Scenario, check_identifiability, format_cf
 from natfx.decomp import (
     ComponentSpec,
@@ -366,6 +367,26 @@ class TestDispatch:
     def test_te_row_is_the_total_effect(self, scenario, extended):
         (te,) = [s for s in _catalog(scenario, extended).specs if s.name == "TE"]
         assert te.terms == total_effect(scenario).terms
+
+    def test_each_catalog_compiles_once_however_it_is_asked_for(self, monkeypatch):
+        compiled = []
+        compile_ = decomp._compile
+        monkeypatch.setattr(decomp, "_compile", lambda specs, scenario: (
+            compiled.append(scenario.id) or compile_(specs, scenario)))
+        decomp._compiled.cache_clear()
+        for scenario in (SINGLE, NONSEQ2, SEQ2, Scenario.from_id("chain2")):
+            assert _catalog(scenario) is _catalog(scenario, False)
+            for extended in (False, True):
+                first = _catalog(scenario, extended)
+                assert _catalog(scenario, extended=extended) is first
+                assert _catalog(scenario, int(extended)) is first
+        assert compiled == ["single", "single", "nonseq2", "nonseq2", "seq2", "seq2"]
+
+    @pytest.mark.parametrize("scenario", [Scenario.chain(3), Scenario.nonseq(3)])
+    def test_a_scenario_without_a_catalog_keeps_its_named_error(self, scenario):
+        for _ in range(2):  # a failed compile is not cached
+            with pytest.raises(ValueError, match=f"^no component catalog for scenario {scenario.id}$"):
+                components_for(scenario, Q)
 
     def test_single_int_med_contrast_is_the_catalog_row(self):
         (contrast,) = mediated_contrasts(Q, SINGLE)

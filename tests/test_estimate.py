@@ -22,6 +22,7 @@ from natfx.decomp import (
     MissingFixedLevel,
     Query,
     components_seq2,
+    _worlds,
     decompose,
     evaluate_decomposition,
 )
@@ -31,13 +32,13 @@ from natfx.estimate import (
     LinearParams,
     LogDomainError,
     RankDeficient,
-    expectation_w,
+    _linear_pricer,
     fit_linear_system,
     fit_ols,
     linear_components,
     plugin_seq2,
 )
-from natfx.scm import Dataset, DiscreteScm, UnknownSupportValue
+from natfx.scm import Dataset, DiscreteScm, UnknownSupportValue, _compile_formula
 
 SEQ2 = Scenario.chain(2)
 Q = Query(a=1, a_star=0, m1_star=0, m2_star=0)
@@ -73,6 +74,13 @@ def make_params(rng, k_cov=0, scale=1.2, sigma2=None):
         gamma_c=u(k_cov),
         sigma2_m1=sigma2,
     )
+
+
+def world(params, k, a, a_star, c=()):
+    """E[W_k], W1..W8 in the catalog's order: the linear engine's addends of
+    that one compiled world, summed exactly."""
+    price = _linear_pricer(params, tuple(c), {"a": a, "a*": a_star})
+    return math.fsum(price(_compile_formula(_worlds(SEQ2)[k - 1], SEQ2)))
 
 
 def to_oracle(params, sd_m2=1.0, sd_y=1.0):
@@ -574,27 +582,25 @@ class TestExpectationW:
             oracle = to_oracle(params)
             a, a_star, cval = 1.4, -0.3, 0.9
             lv = {"a": a, "a*": a_star}
-            for which, (ey, e2, e1) in self.TRIPLES.items():
+            for k, (which, (ey, e2, e1)) in enumerate(self.TRIPLES.items(), 1):
                 want = oracles.linear_world_exact(
                     oracle, lv[ey], lv[e2], lv[e1], c_value=cval
                 )
-                got = expectation_w(params, which, a, a_star, c=(cval,))
+                got = world(params, k, a, a_star, c=(cval,))
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12), which
 
     def test_collapse_at_equal_exposures(self):
         rng = np.random.default_rng(22)
         params = make_params(rng, k_cov=1)
         kw = dict(a=0.8, a_star=0.8, c=(1.1,))
-        assert expectation_w(params, "W1", **kw) == expectation_w(params, "W8", **kw)
-        assert expectation_w(params, "W2", **kw) == expectation_w(params, "W6", **kw)
-        assert expectation_w(params, "W3", **kw) == expectation_w(params, "W5", **kw)
+        assert world(params, 1, **kw) == world(params, 8, **kw)
+        assert world(params, 2, **kw) == world(params, 6, **kw)
+        assert world(params, 3, **kw) == world(params, 5, **kw)
 
     def test_w8_is_w1_with_exposures_swapped(self):
         rng = np.random.default_rng(23)
         params = make_params(rng)
-        assert expectation_w(params, "W1", 1.7, -0.2) == expectation_w(
-            params, "W8", -0.2, 1.7
-        )
+        assert world(params, 1, 1.7, -0.2) == world(params, 8, -0.2, 1.7)
 
     def test_no_interaction_te_collapses(self):
         rng = np.random.default_rng(24)
@@ -606,9 +612,7 @@ class TestExpectationW:
             b[3] = 0.0
             p = replace(p, theta=tuple(t), beta=tuple(b))
             a, a_star = 2.0, 0.5
-            diff = expectation_w(params=p, which="W1", a=a, a_star=a_star, c=(0.7,)) - expectation_w(
-                params=p, which="W8", a=a, a_star=a_star, c=(0.7,)
-            )
+            diff = world(p, 1, a, a_star, c=(0.7,)) - world(p, 8, a, a_star, c=(0.7,))
             slope = p.theta[1] + p.theta[3] * p.beta[1] + p.theta[2] * p.gamma[1] + p.theta[3] * p.beta[2] * p.gamma[1]
             assert diff == pytest.approx(slope * (a - a_star), rel=1e-10, abs=1e-12)
 
@@ -619,23 +623,8 @@ class TestExpectationW:
         m1 = Counterfactual(TREATMENT)
         w1 = CfExpr(TREATMENT, (m1, Counterfactual(TREATMENT, (m1,))))
         mean, var = mc_term(rng, 1_000_000, params, w1, q, cval=0.4)
-        got = expectation_w(params, "W1", 1.0, 0.0, c=(0.4,))
+        got = world(params, 1, 1.0, 0.0, c=(0.4,))
         assert abs(got - mean) <= 3.0 * math.sqrt(var)
-
-    def test_integer_and_string_selectors_agree(self):
-        rng = np.random.default_rng(26)
-        params = make_params(rng)
-        assert expectation_w(params, 3, 1.0, 0.0) == expectation_w(params, "W3", 1.0, 0.0)
-        with pytest.raises(ValueError, match="W1..W8"):
-            expectation_w(params, "W9", 1.0, 0.0)
-
-    def test_covariate_length_checked(self):
-        rng = np.random.default_rng(27)
-        params = make_params(rng, k_cov=2)
-        with pytest.raises(ValueError, match="covariate"):
-            expectation_w(params, "W1", 1.0, 0.0, c=(1.0,))
-        profile = CovariateProfile(values=(1.0, 2.0), names=("sex", "age"))
-        expectation_w(params, "W1", 1.0, 0.0, c=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +637,15 @@ class TestLinearComponents:
         result = linear_components(make_params(rng), Query(1.0, 0.0, 0.3, -0.2))
         assert tuple(c.name for c in result.components) == ROW_NAMES
         assert {c.name for c in result.components if not c.in_sum} == {"PDE", "TE"}
+
+    def test_covariate_length_checked(self):
+        rng = np.random.default_rng(27)
+        params = make_params(rng, k_cov=2)
+        q = Query(1.0, 0.0, 0.3, -0.2)
+        with pytest.raises(ValueError, match="covariate"):
+            linear_components(params, q, c=(1.0,))
+        profile = CovariateProfile(values=(1.0, 2.0), names=("sex", "age"))
+        linear_components(params, q, c=profile)
 
     def test_sum_identity_1000_draws(self):
         rng = np.random.default_rng(32)
@@ -696,7 +694,7 @@ class TestLinearComponents:
                 ), name
             for name, combo in combos.items():
                 want = sum(
-                    sign * expectation_w(params, w, q.a, q.a_star, c)
+                    sign * world(params, int(w[1:]), q.a, q.a_star, c)
                     for w, sign in combo.items()
                 )
                 assert result[name] == pytest.approx(want, rel=1e-9, abs=1e-9), name
@@ -782,8 +780,8 @@ class TestLinearComponents:
         q = Query(1.2, -0.2, m1_star=0.5, m2_star=0.1)
         c = (0.6,)
         for w in range(1, 9):
-            assert expectation_w(shifted, w, q.a, q.a_star, c) == pytest.approx(
-                expectation_w(params, w, q.a, q.a_star, c) + 5.0, rel=1e-12
+            assert world(shifted, w, q.a, q.a_star, c) == pytest.approx(
+                world(params, w, q.a, q.a_star, c) + 5.0, rel=1e-12
             )
         before = linear_components(params, q, c)
         after = linear_components(shifted, q, c)

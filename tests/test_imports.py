@@ -6,7 +6,8 @@ whose bound name never appears as a name in the module fails, unless its
 line carries ``# noqa: F401``.  A name used only inside a quoted
 annotation counts as unused.  ``__init__.py`` is left out, since its
 imports are the public re-exports.  A fresh interpreter also checks that
-importing the CLI leaves out the modules it needs only on demand.
+importing the CLI leaves out the modules it needs only on demand, and
+compiles no component catalog.
 """
 from __future__ import annotations
 
@@ -54,13 +55,17 @@ def test_check_sees_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == ["line 1: field"]
 
 
+def after_importing_the_cli(expression: str) -> str:
+    """What a fresh interpreter prints for `expression` after ``import natfx.cli``."""
+    code = f"import sys, natfx.cli; print({expression})"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
 def loaded_by_importing_the_cli(module: str) -> bool:
     """Whether a fresh interpreter holds `module` after ``import natfx.cli``."""
-    code = f"import sys, natfx.cli; print({module!r} in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env).stdout
-    return {"True\n": True, "False\n": False}[out]
+    return {"True\n": True, "False\n": False}[after_importing_the_cli(f"{module!r} in sys.modules")]
 
 
 def test_the_cli_starts_without_the_thread_pool_module():
@@ -73,3 +78,8 @@ def test_the_cli_starts_without_numpy_random():
     # loading numpy.random costs 11-27 ms; bootstrap and simulate load it
     # when they run
     assert not loaded_by_importing_the_cli("numpy.random")
+
+
+def test_the_cli_starts_without_compiling_a_catalog():
+    # a command prices at most one of the catalogs; each compiles on first use
+    assert after_importing_the_cli("natfx.decomp._compiled.cache_info().currsize") == "0\n"

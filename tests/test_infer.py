@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -755,6 +756,31 @@ class TestChunkedLinear:
         monkeypatch.setattr(infer, "_CHUNK_ENTRIES", 13 * data.n)
         bootstrap(data, estimator, BootstrapConfig(replicates=30, seed=2))
         assert heights == [3 * infer._GRAM_ROWS] * 2 + [30 - 6 * infer._GRAM_ROWS]
+
+    def test_init_frees_every_prepared_column_but_y_before_k(self, monkeypatch):
+        # after the designs only the outcome is read; K is the pricer's largest array
+        data = gaussian_chain(np.random.default_rng(4), 60, 2, True, [])
+        refs, alive = {}, []
+        prepared = infer._prepared_columns
+
+        def prepared_spy(*args):
+            columns, kept, cov_names = prepared(*args)
+            refs.update((name, weakref.ref(column)) for name, column in columns.items())
+            return columns, kept, cov_names
+
+        class NumpySpy:  # infer's numpy; its first `zeros` in the pricer's init is K
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+                return np.zeros(*args, **kwargs)
+
+        monkeypatch.setattr(infer, "_prepared_columns", prepared_spy)
+        monkeypatch.setattr(infer, "np", NumpySpy())
+        infer._LinearChunkPricer(data, LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5, -0.5), True))
+        assert sorted(refs) == ["c0", "c1", "exposure", "m1", "m2", "outcome"]
+        assert alive[0] == ["outcome"]
 
     def test_output_is_the_same_for_any_blas_thread_count(self):
         src = Path(__file__).resolve().parent.parent / "src"
