@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .estimate import (
 from .infer import BootstrapConfig, LinearEstimator, PluginEstimator, bootstrap
 # from_dataset stays bound here: perfbench's tracer and selftest look it up on this module
 from .scm import Dataset, NotIdentifiable, eval_expectation, from_dataset, load_model  # noqa: F401
-from .scm import simulate as simulate_model
+from .scm import _draw
 
 __all__ = [
     "Report",
@@ -50,7 +51,8 @@ __all__ = [
 ]
 
 _ROLE_KEYS = ("exposure", "m1", "m2", "outcome")
-_SIMULATE_CHUNK = 1 << 15
+_SIMULATE_CHUNK = 1 << 13
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,72 @@ def _round_floats(value: Any) -> Any:
 def _fmt4(x: float) -> str:
     # table digits are a prefix of the JSON digits by construction
     return f"{_round12(x):.4g}"
+
+
+def _csv_rows(prefixes: np.ndarray, cell: np.ndarray, y: np.ndarray) -> tuple[bytes, int]:
+    """Each row's ``prefixes[cell]`` words and ``repr(y)``, as bytes with the
+    pad byte 0xFF dropped, and how many values were left to `repr` itself.
+
+    For finite |y| = x in [1e-4, 1e15), not a power of two, of decimal
+    exponent e, `repr`'s digits are ``D = round(x * 10^s)``, s = p - 1 - e,
+    for the least p of 15, 16, 17 whose D reads back as x, that is
+    ``|D - x * 10^s| < ulp(x) / 2 * 10^s``: the nearest p-digit decimal reads
+    back if any does, and no two of at most 15 digits read as one double.
+    x * 10^s is an exact Dekker product.  A rounding or test is trusted only
+    1e-9 clear of its threshold, its error being below 1e-14; the rest go to
+    `repr`.
+    """
+    tens = np.array([float(f"1e{k}") for k in range(-4, 23)])  # each >= its exact power
+    bits = y.view(np.int64) & (2**63 - 1)
+    x = bits.view(np.float64)
+    todo = (x >= tens[0]) & (x < tens[19]) & (bits & (2**52 - 1) != 0)
+    x = np.where(todo, x, 1.5)
+    exp = x.view(np.int64) >> 52
+    e = (exp - 1023) * 78913 >> 18  # floor(log10(2) * binary exponent): e or e - 1
+    e += x >= tens.take(e + 5)
+    half_ulp = ((exp - 53) << 52).view(np.float64)
+    split = [(c := 134217729.0 * v) - (c - v) for v in (x, tens)]  # Veltkamp's high halves
+
+    def scaled(s):  # x * 10^s as floor(hi) + f, f within 2e-15
+        ten, th = tens.take(s + 4), split[1].take(s + 4)
+        xh, xl, tl, hi = split[0], x - split[0], ten - th, x * ten
+        base = np.floor(hi)
+        return base, (hi - base) + (((xh * th - hi) + xh * tl + xl * th) + xl * tl), ten
+
+    p = np.zeros(len(y), np.int64)
+    for digits in (15, 16, 17):
+        _, f, ten = scaled(digits - 1 - e)
+        near, bound = np.abs(f - np.floor(f + 0.5)), half_ulp * ten
+        p += digits * (todo & (near < np.minimum(bound, 0.5) - 1e-9))
+        todo &= near > bound + 1e-9
+    left = np.flatnonzero(p == 0)
+    p[left] = 17
+    base, f, _ = scaled(s := p - 1 - e)
+    d = base.astype(np.int64) + np.floor(f + 0.5).astype(np.int64)
+    whole = np.maximum(e + (d >= 10**p), 0) + 1
+    d, s = d * (1 + 9 * (s == 0)), np.maximum(s, 1)
+    while (z := (p == 15) & (s > 1) & (d % 10 == 0)).any():  # trailing fraction zeros
+        d, s = np.where(z, d // 10, d), s - z
+    unit = 10 ** np.minimum(s, 18)  # d < 10^18
+    d += 9 * (d // unit) * unit  # a 0 between the integer and fraction digits
+    g = np.empty((len(y), 12), np.uint16)  # d's 24 digits, zero-padded
+    for i in range(11, -1, -1):
+        g[:, i], d = _DIGIT_PAIRS.take(d - d // 100 * 100), d // 100
+    text, negative = g.view(np.uint8), np.flatnonzero(y < 0)
+    text[np.arange(len(y)), 23 - s] = ord(".")
+    text[negative, 22 - s[negative] - whole[negative]] = ord("-")
+    size = whole + 1 + s + (y < 0)
+    if left.size:
+        spelled = b"".join(repr(v).encode().rjust(24, b"\xff") for v in y[left].tolist())
+        text[left], size[left] = np.frombuffer(spelled, np.uint8).reshape(-1, 24), 24
+    pads = (np.arange(24) < 24 - np.arange(25)[:, None]).astype(np.uint8) * 255
+    w = prefixes.shape[1]
+    out = np.empty((len(y), w + 3), np.uint64)
+    out[:, :w] = prefixes.take(cell, axis=0)
+    for j, pad in enumerate(pads.view(np.uint64).T):  # 0xFF pads, never UTF-8 text
+        out[:, w + j] = g.view(np.uint64)[:, j] | pad.take(size)
+    flat = out.view(np.uint8).ravel()
+    return flat[flat != 0xFF].tobytes(), left.size
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +589,11 @@ def _spell(column: str, level: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _spellings(column: str, levels: list[str]) -> dict[str, str]:
+def _spellings(column: str, levels: list[str]) -> list[str]:
     """Each level's `_spell`, refusing two numeric levels that some sample
     could read back as one value: `_type_column` types them together as
     ints, else floats, so ``01`` and ``1``, or ``1`` and ``1.0``, merge."""
-    spelled = {lv: _spell(column, lv) for lv in levels}
+    spelled = [_spell(column, lv) for lv in levels]
     numeric = [lv for lv in levels if not isinstance(_parse_level(lv), str)]
     seen: dict[Any, str] = {}
     for level, value in zip(numeric, _type_column(numeric, column, [], True).tolist()):
@@ -540,28 +608,29 @@ def _run_simulate(args: argparse.Namespace) -> tuple[Report, int]:
     seed = _resolve_seed(args.seed)
     columns = ["A", "M1", "M2"][: model.k + 1] + ["Y"]
     supports = (model.exposure_levels, model.m1_levels, model.m2_levels)[: model.k + 1]
-    # keyed as simulate's numpy string arrays give levels back (they drop trailing NULs)
-    spellings = [_spellings(c, np.asarray(levels).tolist()) for c, levels in zip(columns, supports)]
-    data = simulate_model(model, args.n, seed, noise_sd=args.noise_sd)
-    chunks = [",".join(columns) + "\n"]
-    for at in range(0, data.n, _SIMULATE_CHUNK):  # one chunk's row strings alive at a time
-        part = slice(at, at + _SIMULATE_CHUNK)
-        cells = [map(spelled.__getitem__, values[part].tolist())
-                 for spelled, values in zip(spellings, (data.exposure, data.m1, data.m2))]
-        rows = zip(*cells, map(repr, data.outcome[part].tolist()))
-        chunks.append("\n".join(map(",".join, rows)) + "\n")
+    # as simulate's numpy string arrays give levels back (they drop trailing NULs)
+    spelled = [_spellings(c, np.asarray(lv).tolist()) for c, lv in zip(columns, supports)]
+    heads = [("\n" + ",".join(cell) + ",").encode() for cell in itertools.product(*spelled)]
+    width = -(-max(map(len, heads)) // 8) * 8  # whole uint64 words
+    prefixes = np.frombuffer(b"".join(h.ljust(width, b"\xff") for h in heads), np.uint64)
+    codes, outcome = _draw(model, args.n, seed, args.noise_sd)
+    cell = np.ravel_multi_index(codes, tuple(map(len, spelled)))
+    ends = range(_SIMULATE_CHUNK, args.n, _SIMULATE_CHUNK)
+    blocks = (_csv_rows(prefixes.reshape(len(heads), -1), c, y)[0]  # each row starts "\n"
+              for c, y in zip(np.split(cell, ends), np.split(outcome, ends)))
+    header = ",".join(columns).encode()
     if args.out is None:
-        return Report("simulate", {}, raw="".join(chunks).rstrip("\n")), 0
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
-    body = {"rows": data.n, "columns": columns, "seed": seed, "noise_sd": args.noise_sd,
+        return Report("simulate", {}, raw=(header + b"".join(blocks)).decode()), 0
+    with open(args.out, "wb") as fh:
+        fh.writelines(itertools.chain([header], blocks, [b"\n"]))  # each block as it is made
+    body = {"rows": args.n, "columns": columns, "seed": seed, "noise_sd": args.noise_sd,
             "out": args.out}
     return Report("simulate", body), 0
 
 
 def _run_decompose(args: argparse.Namespace) -> tuple[Report, int]:
     model = load_model(args.model)
-    if args.scenario is not None and args.scenario != model.scenario.id:
+    if args.scenario is not None and Scenario.from_id(args.scenario) != model.scenario:
         raise ValueError(
             f"--scenario {args.scenario} does not match the model file's "
             f"scenario {model.scenario.id}"

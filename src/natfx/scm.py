@@ -515,6 +515,14 @@ def simulate(model: DiscreteScm, n: int, seed: int, noise_sd: float = 1.0) -> Da
     byte-identical output; the generator is stream-split so concurrent
     callers with distinct seeds never share state.
     """
+    cells, outcome = _draw(model, n, seed, noise_sd)
+    supports = (model.exposure_levels, model.m1_levels, model.m2_levels)
+    drawn = [np.asarray(lv)[i] for lv, i in zip(supports, cells)]
+    return Dataset(*drawn[:2], outcome, m2=drawn[2] if model.k == 2 else None)
+
+
+def _draw(model: DiscreteScm, n: int, seed: int, noise_sd: float) -> tuple[list, np.ndarray]:
+    """`simulate`'s draw: each row's level index per column, and the outcome."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (np.isfinite(noise_sd) and noise_sd >= 0.0):
@@ -526,10 +534,7 @@ def simulate(model: DiscreteScm, n: int, seed: int, noise_sd: float = 1.0) -> Da
     if model.k == 2:
         k1, k2 = model._p2.shape[1:]
         cells.append(_sample_rows(rng, model._p2.reshape(-1, k2), a_idx * k1 + cells[1]))
-    supports = (model.exposure_levels, model.m1_levels, model.m2_levels)
-    drawn = [np.asarray(lv)[i] for lv, i in zip(supports, cells)]
-    outcome = model._y[tuple(cells)] + rng.normal(size=n) * noise_sd
-    return Dataset(*drawn[:2], outcome, m2=drawn[2] if model.k == 2 else None)
+    return cells, model._y[tuple(cells)] + rng.normal(size=n) * noise_sd
 
 
 # ---------------------------------------------------------------------------

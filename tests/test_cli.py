@@ -234,6 +234,26 @@ class TestDecomposeCommand:
         assert code == 1
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alias", ["chain2", "SEQ2"])
+    def test_scenario_alias_matches(self, tmp_path, dm1, capsys, alias):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        argv = ["decompose", "--model", model, "--a", "1", "--aref", "0", "--m1star", "0",
+                "--m2star", "0", "--format", "json", "--scenario"]
+        assert main(argv + ["seq2"]) == 0
+        want = capsys.readouterr().out
+        assert main(argv + [alias]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("other", ["chain3", "single"])
+    def test_scenario_alias_mismatch(self, tmp_path, dm1, capsys, other):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        code = main(["decompose", "--model", model, "--scenario", other,
+                     "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0"])
+        assert code == 1
+        assert "does not match the model file's scenario seq2" in capsys.readouterr().err
+
     def test_json_and_table_share_digits(self, tmp_path, dm1, capsys):
         model = write(tmp_path / "m.json", "")
         save_model(dm1, model)
