@@ -21,6 +21,11 @@ whose change median is worse than the parent's by more than that range, and
 each whose change median is above the parent's by more than the metric's
 ``bound`` in BENCHMARK.json, a fraction of the parent's median.
 
+Before the pairs, ``import_s`` times 15 fresh ``python -c "import natfx.cli"``
+runs a side, interleaved, each a blocking ``subprocess.run`` with no timeout
+(perfbench's ``setup_s`` polls its child on a 50 ms grid).  The file records
+each side's median and IQR as information; no verdict reads them.
+
 With several ``--seed`` values every seed runs its own pairs, and the file
 holds each seed's summaries, claim verdict and ``not_met`` under
 ``by_seed``; its top-level ``claim`` and ``not_met`` join the seeds'.  With
@@ -31,16 +36,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("op_ref", "setup_s", "peak_rss_mb")  # BENCHMARK.json's end-to-end metrics
 SIDES = ("parent", "change")
+IMPORT_RUNS = 15
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -145,6 +153,22 @@ def copy_sides(parent: str, tmp: Path) -> dict[str, Path]:
     return sides
 
 
+def import_times(sides: dict[str, Path], runs: int = IMPORT_RUNS, run=subprocess.run,
+                 clock=time.perf_counter) -> dict:
+    """Wall seconds of fresh ``import natfx.cli`` interpreters, `runs` a side
+    in the order `pair_order` gives, after one untimed run a side that warms
+    the file cache: each side's quartiles and IQR."""
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for i in range(-1, runs):
+        for side in pair_order(i):
+            env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
+            start = clock()
+            run([sys.executable, "-c", "import natfx.cli"], cwd=sides[side], env=env, check=True)
+            if i >= 0:
+                times[side].append(clock() - start)
+    return {side: {**(q := quartiles(t)), "iqr": q["q3"] - q["q1"]} for side, t in times.items()}
+
+
 def run_side(path: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -205,6 +229,7 @@ def main(argv=None) -> int:
     by_seed: dict[int, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = copy_sides(commit, Path(tmp))
+        imports = import_times(sides)
         for seed in args.seed:
             workloads: dict = {}
             for workload in args.workloads:
@@ -232,6 +257,7 @@ def main(argv=None) -> int:
         "order": "pair i runs the parent first when i is even, the change first when i "
                  "is odd; each side runs from its own copy of src/ and perfbench/, both "
                  "byte-compiled with `python -m compileall -q src perfbench` before timing",
+        "import_s": imports,
     }
     doc = document(head, by_seed, env)
     with open(args.out, "w", encoding="utf-8") as fh:

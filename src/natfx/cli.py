@@ -16,7 +16,6 @@ import itertools
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -82,6 +81,12 @@ def _fmt4(x: float) -> str:
     return f"{_round12(x):.4g}"
 
 
+def _dekker(x: np.ndarray, ten: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * ten as hi + lo exactly (Dekker's product of Veltkamp's halves)."""
+    (xh, th), hi = [(c := 134217729.0 * v) - (c - v) for v in (x, ten)], x * ten
+    return hi, ((xh * th - hi) + xh * (ten - th) + (x - xh) * th) + (x - xh) * (ten - th)
+
+
 def _csv_rows(prefixes: np.ndarray, cell: np.ndarray, y: np.ndarray) -> tuple[bytes, int]:
     """Each row's ``prefixes[cell]`` words and ``repr(y)``, as bytes with the
     pad byte 0xFF dropped, and how many values were left to `repr` itself.
@@ -104,13 +109,11 @@ def _csv_rows(prefixes: np.ndarray, cell: np.ndarray, y: np.ndarray) -> tuple[by
     e = (exp - 1023) * 78913 >> 18  # floor(log10(2) * binary exponent): e or e - 1
     e += x >= tens.take(e + 5)
     half_ulp = ((exp - 53) << 52).view(np.float64)
-    split = [(c := 134217729.0 * v) - (c - v) for v in (x, tens)]  # Veltkamp's high halves
 
     def scaled(s):  # x * 10^s as floor(hi) + f, f within 2e-15
-        ten, th = tens.take(s + 4), split[1].take(s + 4)
-        xh, xl, tl, hi = split[0], x - split[0], ten - th, x * ten
+        hi, lo = _dekker(x, ten := tens.take(s + 4))
         base = np.floor(hi)
-        return base, (hi - base) + (((xh * th - hi) + xh * tl + xl * th) + xl * tl), ten
+        return base, (hi - base) + lo, ten
 
     p = np.zeros(len(y), np.int64)
     for digits in (15, 16, 17):
@@ -372,69 +375,106 @@ def _type_column(cells: list[str], column: str, lines: list[int], numeric_only: 
     raise AssertionError("unreachable")
 
 
-def _loadtxt(body: bytes, usecols: Sequence[int], dtypes: Sequence[Any]) -> np.ndarray | None:
-    """The `usecols` fields of comma-separated ASCII lines as one record
-    array, field ``f{i}`` of dtype ``dtypes[i]``, skipping empty lines; None
-    where numpy rejects the text or warns (numpy 1.x warns when it reads
-    ``1.0`` as an integer)."""
-    dtype = np.dtype([(f"f{i}", dt) for i, dt in enumerate(dtypes)])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",", comments=None,
-                              usecols=usecols, ndmin=1, encoding="ascii")
-    except (ValueError, Warning):
-        return None
-
-
-def _loadtxt_columns(path: str, names: Sequence[str]) -> dict[str, np.ndarray] | None:
-    """The named columns of a headered CSV read by `np.loadtxt`, or None for
-    text this reader cannot vouch for, which `_csv_columns` reads instead.
-
-    It vouches only for ASCII text that holds no quote, carriage return or
-    NUL (which the csv module of Python 3.10 rejects), whose lines all fit
-    the csv field size limit, whose non-empty lines all have the header's
-    field count, and whose named columns each read whole at the type their
-    first row suggests: int64 where that cell reads as an integer, else
-    float.  The csv reader gives ints only when every cell is one, so a
-    column whose first cell is not stays float there too; an int64 read
-    fails on any other cell, an integer beyond int64 included.  On ASCII,
-    numpy rejects some spellings that `int` and `float` accept (``1_000``,
-    a blank field), never the reverse, so a failed read means None; beyond
-    ASCII its integer reader takes some letters for digits (U+196E reads as
-    6462).  On the text it accepts, the columns equal the csv reader's in
-    value and dtype, with no row dropped.
+def _plain_columns(path: str, names: Sequence[str]) -> dict[str, np.ndarray] | None:
+    """The named columns of a headered CSV, or None for text this reader
+    cannot vouch for, which `_csv_columns` reads instead: not ASCII, a quote,
+    CR or NUL, a line over the csv field size limit or (empty lines aside)
+    without the header's field count, a named cell `float` rejects or with a
+    byte outside ``0-9+-.eE``, an integer past int64, or -0 in an int column.
+    A column is int64 when every cell is ``[+-]?digits``, else float.  Blocks
+    of about 8,192 lines are parsed eight digits to a uint64 word (Lemire's
+    SWAR) into the mantissa M and decimal count k of each cell ``[+-]?I[.F]``
+    of at most 19 digits, I at most 8.  M / 10^k is exact when M <= 2^53
+    (Clinger); past that, x = M / 10^k moves by the ulps the exact residual
+    ``M - x 10^k`` (Dekker) gives, kept only 1e-9 inside ``ulp(x) / 2 * 10^k``
+    and no power of two.  Exponents, 20 digits, ``.5``, ``5.``, ties: `float`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.isascii() or b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    widths = np.diff(ends, prepend=-1) - 1
-    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
-    rows = widths[1:] > 0
-    if not rows.any() or widths.max() > csv.field_size_limit():
+    raw += b"" if raw.endswith(b"\n") else b"\n"
+    head = raw[: raw.index(b"\n")].decode("ascii")
+    fields, limit = head.split(",") if head else [], csv.field_size_limit()
+    if not set(names) <= set(fields) or len(head) > limit:
         return None
-    header = raw[: ends[0]].decode("ascii")
-    fields = header.split(",") if header else []
-    if not set(names) <= set(fields) or (commas[1:][rows] != len(fields) - 1).any():
-        return None
-    usecols = [fields.index(name) for name in names]
-    first = int(np.argmax(rows)) + 1
-    cells = raw[ends[first - 1] + 1 : ends[first]].decode("ascii").split(",")
-    body = raw[ends[0] + 1 :]
-    guess = [np.int64 if isinstance(_parse_level(cells[j].strip()), int) else float
-             for j in usecols]
-    table = _loadtxt(body, usecols, guess)
-    if table is None:
-        return None
-    columns = [table[field] for field in table.dtype.names]
-    if any(len(column) != np.count_nonzero(rows) for column in columns):
-        return None
-    return {name: np.ascontiguousarray(column) for name, column in zip(names, columns)}
+    width, lines = len(fields), raw.count(b"\n")
+    chunk, out = (len(raw) << 13) // lines, {name: np.empty(lines, np.int64) for name in names}
+    tens, p10 = np.array([float(10**k) for k in range(20)]), 10 ** np.arange(20, dtype=np.uint64)
+    keep = np.array([2**64 - 2 ** (64 - 8 * c) for c in range(9)], np.uint64)  # top c bytes
+    rows, start = 0, len(head) + 1
+    while start < len(raw):
+        stop = raw.find(b"\n", start + chunk) + 1 or len(raw)
+        blk = np.full(stop - start + 24, 48, np.uint8)  # room for every word read, and
+        blk[23], blk[24:] = 10, np.frombuffer(raw, np.uint8, stop - start, start)  # a line end
+        tok = np.flatnonzero(blk < 47)  # line ends, commas, signs, points, other low bytes
+        kind = blk.take(tok)
+        at = np.flatnonzero((kind == 10) | (kind == 44))  # field ends in tok
+        sep, lines = tok.take(at), raw.count(b"\n", start, stop)
+        if raw.find(b"\n\n", start - 1, stop) >= 0:  # drop empty lines
+            nl = blk.take(sep) == 10
+            full = np.append(True, ~nl[1:] | ~nl[:-1] | (np.diff(sep) > 1))
+            at, sep, lines = at[full], sep[full], lines - len(full) + np.count_nonzero(full)
+        start, n = stop, (len(sep) - 1) // width
+        ends, starts = sep[1:], sep[:-1] + 1
+        if (n * width + 1 != len(sep) or lines != n or (blk.take(sep[width::width]) != 10).any()
+                or (ends[width - 1 :: width] - starts[::width] > limit).any()):
+            return None
+        words = np.ndarray((len(blk) - 7,), "<u8", blk, 0, (1,))  # bytes p to p + 7
+        for name, column in out.items():
+            j = fields.index(name)
+            e, s, a = ends[j::width], starts[j::width], at[j + 1 :: width]
+            if column.dtype == np.int64 and (e - s == 1).all():  # one-digit codes
+                column[rows : rows + n] = digit = blk.take(s) - 48
+                if (digit > 9).any():
+                    return None
+                continue
+            first, last, extra = blk.take(s), tok.take(a - 1), a - at[j:-1:width] - 1  # low bytes
+            neg, signed = first == 45, (first == 43) | (first == 45)
+            point = (extra - signed == 1) & (blk.take(last) == 46)
+            dot = np.where(point, last, s + signed - 1)
+            nf, ni = e - dot - 1, dot - s - signed  # digits after the point (or all), before
+            ok = (extra - signed <= 1) & (nf > 0) & (ni != 0) & (ni <= 8) & (nf + abs(ni) <= 19)
+            runs = [(e - 8 * i, nf - 8 * i, p10[8 * i]) for i in range(3) if (ok & (nf > 8 * i)).any()]
+            runs += [(dot, ni, p10.take(nf, mode="clip"))] if (ok & point).any() else []
+            m, bad = np.zeros(n, np.uint64), 0
+            for end, count, scale in runs:
+                v = (words[end - 8] ^ 0x3030303030303030) & keep.take(count, mode="clip")
+                bad |= (v + 0x7676767676767676) & 0x8080808080808080  # a byte past '9'
+                v = (v * 2561 >> 8 & 0x00FF00FF00FF00FF) * 6553601 >> 16
+                m += ((v & 0x0000FFFF0000FFFF) * 42949672960001 >> 32) * scale
+            ok &= bad == 0
+            ten = tens.take(np.where(ok & point, nf, 0))
+            x, proved, hard = m / ten, ok.copy(), np.flatnonzero(ok & (m > 2**53))
+            hi, lo = _dekker(x[hard], ten[hard])
+            r = (m[hard] - hi.astype(np.uint64)).view(np.int64) - lo  # M - x 10^k
+            bits = x[hard].view(np.int64)
+            half = ((bits >> 52) - 53 << 52).view(np.float64) * ten[hard]  # ulp / 2 * 10^k
+            step = np.rint(r / (2 * half))
+            moved = bits + step.astype(np.int64)
+            x[hard] = moved.view(np.float64)
+            proved[hard] = ((np.abs(r - step * 2 * half) < half - 1e-9) & (moved >> 52 == bits >> 52)
+                            & (moved & 2**52 - 1 != 0))
+            values, isint = m.view(np.int64), ok & ~point
+            for signed_values in (x, values):
+                np.negative(signed_values, out=signed_values, where=neg)
+            try:
+                for i in np.flatnonzero(~proved).tolist():
+                    text = blk[s[i] : e[i]].tobytes()
+                    x[i] = float(b"?" if text.translate(None, b"0123456789+-.eE") else text)
+                    if not ok[i] and text[text[:1] in b"+-" :].isdigit():
+                        isint[i], values[i] = True, int(text)
+            except (ValueError, OverflowError):  # not a number, or an integer beyond int64
+                return None
+            if column.dtype == np.int64 and isint.all():
+                if (neg & (m == 0)).any():  # "-0" is 0 here, -0.0 once the column is float
+                    return None
+                column[rows : rows + n] = values
+            else:
+                out[name] = column = column.astype(np.float64, copy=False)
+                column[rows : rows + n] = x
+        rows += n
+    return {name: column[:rows] for name, column in out.items()} if rows else None
 
 
 def _csv_columns(path: str, names: Sequence[str]) -> tuple[Any, int]:
@@ -495,14 +535,14 @@ def load_dataset(path: str, roles: Mapping[str, Any]) -> Dataset:
     Quoting follows the csv module's defaults; an empty bound field marks
     the row missing and listwise deletion drops it, counted in the result.
     Outcome and covariate columns must be numeric; exposure and mediator
-    columns may stay categorical strings.  Plain numeric text is read by
-    `np.loadtxt` (`_loadtxt_columns`); any other text, and every error, goes
+    columns may stay categorical strings.  Plain numeric text is read by a
+    numpy kernel (`_plain_columns`); any other text, and every error, goes
     through the csv module (`_csv_columns`), and both give the same dataset.
     """
     cov_names = list(roles.get("covariates", []))
     bound = {role: roles[role] for role in _ROLE_KEYS if roles.get(role)}
     names = list(bound.values()) + cov_names
-    fast = _loadtxt_columns(path, names)
+    fast = _plain_columns(path, names)
     if fast is None:
         column, dropped = _csv_columns(path, names)
     else:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,23 @@ def test_several_seeds_keep_a_summary_and_claim_per_seed():
     assert bench_pairs.document(head, {17: no_claim, 29: no_claim}, {})["claim"] is None
     assert bench_pairs.parse_args(["--out", "x.json"]).seed == [17]
     assert bench_pairs.parse_args(["--out", "x.json", "--seed", "17", "29"]).seed == [17, 29]
+
+
+def test_import_times_interleave_blocking_runs_with_no_timeout():
+    calls, ticks = [], iter(range(1000))
+
+    def run(argv, **kwargs):
+        calls.append((argv[1:], kwargs))
+
+    sides = {"parent": Path("/p"), "change": Path("/c")}
+    got = bench_pairs.import_times(sides, runs=4, run=run, clock=lambda: next(ticks) ** 2)
+    # one untimed warm-up a side, then the sides alternate as the pairs do
+    order = "/c /p /p /c /c /p /p /c /c /p".split()
+    assert [kw["cwd"] for _, kw in calls] == list(map(Path, order))
+    assert all(argv == ["-c", "import natfx.cli"] for argv, _ in calls)
+    assert all("timeout" not in kw and kw["check"] for _, kw in calls)
+    assert calls[0][1]["env"]["PYTHONPATH"] == "/c/src"
+    # the clock reads t**2 at its t-th call; the warm-ups read it once each
+    assert got["parent"]["runs"] == [5, 17, 21, 33] and got["change"]["runs"] == [9, 13, 25, 29]
+    assert got["parent"]["median"] == statistics.median([5, 17, 21, 33]) == 19
+    assert got["parent"]["iqr"] == pytest.approx(got["parent"]["q3"] - got["parent"]["q1"])

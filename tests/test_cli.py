@@ -132,8 +132,8 @@ class TestLoadDataset:
         rows[2500] = ",".join([f'"{quoted_row[0]}"', *quoted_row[1:]])
         quoted = write(tmp_path / "quoted.csv", "\n".join(["A,M1,M2,Y", *rows]) + "\n")
         # the quote sends the copy through the csv module, the plain file not
-        assert natfx.cli._loadtxt_columns(plain, list(ROLES2.values())) is not None
-        assert natfx.cli._loadtxt_columns(quoted, list(ROLES2.values())) is None
+        assert natfx.cli._plain_columns(plain, list(ROLES2.values())) is not None
+        assert natfx.cli._plain_columns(quoted, list(ROLES2.values())) is None
         want, got = load_dataset(quoted, ROLES2), load_dataset(plain, ROLES2)
         assert got.n_dropped == want.n_dropped == 0
         for role in ("exposure", "m1", "m2", "outcome"):

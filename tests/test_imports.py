@@ -83,3 +83,13 @@ def test_the_cli_starts_without_numpy_random():
 def test_the_cli_starts_without_compiling_a_catalog():
     # a command prices at most one of the catalogs; each compiles on first use
     assert after_importing_the_cli("natfx.decomp._compiled.cache_info().currsize") == "0\n"
+
+
+def test_the_cli_starts_without_exact_arithmetic_or_reader_tables():
+    # the CSV reader proves its floats with numpy alone, and builds its
+    # tables when it runs: the digit pairs of the writer are the one array
+    # made at import
+    assert not loaded_by_importing_the_cli("decimal")
+    assert not loaded_by_importing_the_cli("fractions")
+    arrays = "sorted(k for k, v in vars(natfx.cli).items() if type(v).__name__ == 'ndarray')"
+    assert after_importing_the_cli(arrays) == "['_DIGIT_PAIRS']\n"
