@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-10
-# rows of [X | y] factored per step of fit_ols: memory stays at one block
-# beside the running triangle, whatever the sample size
+# rows of [X | y] factored per step of `_triangle`: memory stays at one
+# block beside the running triangle, whatever the sample size
 _QR_BLOCK_ROWS = 8192
 
 
@@ -119,10 +119,8 @@ class LinearParams:
             object.__setattr__(self, name, _floats(name, getattr(self, name)))
         lengths = {len(self.theta_c), len(self.beta_c), len(self.gamma_c)}
         if len(lengths) > 1:
-            raise ValueError(
-                "covariate coefficient vectors must share one length, got "
-                f"{sorted(lengths)}"
-            )
+            raise ValueError("covariate coefficient vectors must share one length, "
+                             f"got {sorted(lengths)}")
         try:
             object.__setattr__(self, "sigma2_m1", float(self.sigma2_m1))
         except (TypeError, ValueError):
@@ -140,15 +138,8 @@ class LinearParams:
         return len(self.theta_c)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "theta": list(self.theta),
-            "theta_c": list(self.theta_c),
-            "beta": list(self.beta),
-            "beta_c": list(self.beta_c),
-            "gamma": list(self.gamma),
-            "gamma_c": list(self.gamma_c),
-            "sigma2_m1": self.sigma2_m1,
-        }
+        names = ("theta", "theta_c", "beta", "beta_c", "gamma", "gamma_c")
+        return {**{name: list(getattr(self, name)) for name in names}, "sigma2_m1": self.sigma2_m1}
 
     @staticmethod
     def from_dict(doc: Any) -> "LinearParams":
@@ -156,12 +147,8 @@ class LinearParams:
             raise ValueError(f"parameter document must be a JSON object, got {type(doc).__name__}")
         try:
             return LinearParams(
-                theta=doc["theta"],
-                beta=doc["beta"],
-                gamma=doc["gamma"],
-                theta_c=doc.get("theta_c", ()),
-                beta_c=doc.get("beta_c", ()),
-                gamma_c=doc.get("gamma_c", ()),
+                **{name: doc[name] for name in ("theta", "beta", "gamma")},
+                **{name: doc.get(name, ()) for name in ("theta_c", "beta_c", "gamma_c")},
                 sigma2_m1=doc.get("sigma2_m1", 0.0),
             )
         except KeyError as err:
@@ -184,9 +171,7 @@ class CovariateProfile:
         if self.names is not None:
             names = tuple(str(n) for n in self.names)
             if len(names) != len(self.values):
-                raise ValueError(
-                    f"{len(names)} covariate names for {len(self.values)} values"
-                )
+                raise ValueError(f"{len(names)} covariate names for {len(self.values)} values")
             object.__setattr__(self, "names", names)
 
 
@@ -198,10 +183,8 @@ def _covariate_vector(
         return (0.0,) * k
     values = c.values if isinstance(c, CovariateProfile) else tuple(float(v) for v in c)
     if len(values) != k:
-        raise ValueError(
-            f"covariate profile has {len(values)} values; the model has {k} "
-            "covariate coefficients"
-        )
+        raise ValueError(f"covariate profile has {len(values)} values; the model has {k} "
+                         "covariate coefficients")
     return values
 
 
@@ -336,27 +319,46 @@ def _pivoted_qr(
     return qt.T, r, pivots, ratio
 
 
+def _triangle(rows_of: Callable[[slice], np.ndarray], n: int, width: int) -> np.ndarray:
+    """The `width`-square R of ``rows_of(slice(0, n))`` by R-only QR of `_QR_BLOCK_ROWS` rows at
+    a time, each block stacked under the triangle so far and zero rows padding fewer rows.  A
+    block with a non-finite entry raises ValueError."""
+    r0 = np.empty((0, width))
+    for lo in range(0, n, _QR_BLOCK_ROWS):
+        block = rows_of(slice(lo, lo + _QR_BLOCK_ROWS))
+        if not np.isfinite(block).all():
+            raise ValueError("design and response must be finite")
+        r0 = np.linalg.qr(np.concatenate([r0, block]), mode="r")
+    return np.concatenate([r0, np.zeros((width - len(r0), width))])
+
+
+def _least_squares(t: np.ndarray, n: int, pivoted: tuple) -> tuple[np.ndarray, float, float]:
+    """`fit_ols`'s result from the (p+1)-square triangle T of ``[X | y]`` and `pivoted`,
+    `_pivoted_qr` of its leading p-square.  The RSS is the corner ``T[p, p]`` squared."""
+    q1, r, pivots, ratio = pivoted
+    p = len(pivots)
+    coef = np.empty(p)
+    coef[pivots] = np.linalg.solve(r, q1.T @ t[:p, p])
+    return coef, float(t[p, p]) ** 2 / (n - p) if n > p else 0.0, ratio
+
+
 def fit_ols(
-    design: np.ndarray,
-    response: np.ndarray,
-    names: Sequence[str] | None = None,
+    design: np.ndarray, response: np.ndarray, names: Sequence[str] | None = None
 ) -> tuple[np.ndarray, float, float]:
     """Least squares with a rank guard.
 
     Returns ``(coefficients, residual_variance, pivot_ratio)``.  The
     variance is RSS/(n - p), or 0.0 when n == p.  ``[X | y]`` is factored
-    by unpivoted R-only QR, never forming Q, one block of `_QR_BLOCK_ROWS`
-    rows at a time stacked under the triangle of the rows before it, and
-    the final R0 pivoted by `_pivoted_qr`: any pivot below 1e-10 of the
-    leading one raises :class:`RankDeficient` naming the dependent column
-    instead of returning a garbage solution (of exactly dependent columns,
-    the one pivoting reaches last; rounding orders those of equal norm).
-    The pivot ratio is the smallest pivot over the leading one,
-    ``min|r_kk| / |r_11|``, a cheap gauge of how close the design came to
-    that guard.
+    by `_triangle`, `_QR_BLOCK_ROWS` rows at a time, into one (p+1)-square
+    triangle T, and T's leading p-square by `_pivoted_qr`: any pivot below
+    1e-10 of the leading one raises :class:`RankDeficient` naming the
+    dependent column instead of returning a garbage solution (of exactly
+    dependent columns, the one pivoting reaches last; rounding orders those
+    of equal norm).  The RSS is T's corner squared, with no pass over the
+    residuals.  The pivot ratio, ``min|r_kk| / |r_11|``, is a cheap gauge
+    of how close the design came to that guard.
     """
-    x = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
+    x, y = np.asarray(design, dtype=float), np.asarray(response, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"design must be a 2-d matrix, got shape {x.shape}")
     if y.ndim != 1:
@@ -370,18 +372,8 @@ def fit_ols(
         names = tuple(f"column {j}" for j in range(p))
     elif len(names) != p:
         raise ValueError(f"{len(names)} names for {p} columns")
-    r0 = np.empty((0, p + 1))
-    for lo in range(0, n, _QR_BLOCK_ROWS):
-        block = np.column_stack([x[lo:lo + _QR_BLOCK_ROWS], y[lo:lo + _QR_BLOCK_ROWS]])
-        if not np.isfinite(block).all():
-            raise ValueError("design and response must be finite")
-        r0 = np.linalg.qr(np.concatenate([r0, block]) if lo else block, mode="r")
-    q1, r, pivots, ratio = _pivoted_qr(r0[:p, :p], names)
-    coef = np.empty(p)
-    coef[pivots] = np.linalg.solve(r, q1.T @ r0[:p, p])
-    resid = y - x @ coef
-    sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
-    return coef, sigma2, ratio
+    t = _triangle(lambda rows: np.column_stack([x[rows], y[rows]]), n, p + 1)
+    return _least_squares(t, n, _pivoted_qr(t[:p, :p], names))
 
 
 @dataclass(frozen=True)
@@ -440,12 +432,8 @@ def _prepared_columns(
     """
     if data.m2 is None:
         raise ValueError("two-mediator dataset required: the m2 role is missing")
-    columns: dict[str, np.ndarray] = {
-        "exposure": _numeric_column(data.exposure, "exposure"),
-        "m1": _numeric_column(data.m1, "m1"),
-        "m2": _numeric_column(data.m2, "m2"),
-        "outcome": _numeric_column(data.outcome, "outcome"),
-    }
+    roles = ("exposure", "m1", "m2", "outcome")
+    columns = {role: _numeric_column(getattr(data, role), role) for role in roles}
     cov_names = tuple(data.covariates.keys())
     for name in cov_names:
         if name in columns:
@@ -486,25 +474,34 @@ def _split_coefficients(coefs: Sequence[Any]) -> dict[str, Any]:
     return fields
 
 
-def _designs(
-    columns: Mapping[str, np.ndarray], cov_names: tuple[str, ...]
-) -> list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]]:
-    """(design, response, column names) of each equation in `_EQUATIONS`."""
-    a = columns["exposure"]
-    m1 = columns["m1"]
-    m2 = columns["m2"]
-    covs = [columns[name] for name in cov_names]
-    ones = np.ones_like(a)
-    # one design at a time, so only one equation's product columns are alive
-    designs = (
-        np.column_stack([ones, a, m1, m2, a * m1, a * m2, m1 * m2, a * m1 * m2, *covs]),
-        np.column_stack([ones, a, m1, a * m1, *covs]),
-        np.column_stack([ones, a, *covs]),
-    )
-    return [
-        (x, columns[role], names + cov_names)
-        for x, (role, _, names) in zip(designs, _EQUATIONS)
-    ]
+def _outcome_rows(
+    columns: Mapping[str, np.ndarray], cov_names: tuple[str, ...], rows: slice
+) -> np.ndarray:
+    """Rows `rows` of ``[X | y]``, X the outcome equation's design, whose columns hold every
+    regressor of the three equations and both mediator responses."""
+    a, m1, m2, y = (columns[role][rows] for role in ("exposure", "m1", "m2", "outcome"))
+    covs = [columns[name][rows] for name in cov_names]
+    with np.errstate(over="ignore", invalid="ignore"):  # `_triangle` refuses what is not finite
+        a_m1 = a * m1
+        return np.column_stack([np.ones_like(a), a, m1, m2, a_m1, a * m2, m1 * m2, a_m1 * m2, *covs, y])
+
+
+def _equation_factors(r0: np.ndarray, cov_names: tuple[str, ...], with_response: bool) -> list:
+    """``(role, names, response, u0, t, pivoted)`` of each `_EQUATIONS` equation from the
+    triangle R0 of the outcome design X, or of ``[X | y]`` when `with_response`: its columns
+    of R0, its response last when `with_response`, factored ``U0 T`` by QR, and T's regressor
+    square `pivoted` by `_pivoted_qr`, which raises :class:`RankDeficient`.  ``response``
+    is the response's column of R0, y being the last."""
+    fixed = _EQUATIONS[0][2]
+    covs = list(range(len(fixed), len(fixed) + len(cov_names)))  # a covariate may be named "A"
+    factors = []
+    for role, _, regressors in _EQUATIONS:
+        names, p = regressors + cov_names, len(regressors) + len(cov_names)
+        response = len(fixed) + len(cov_names) if role == "outcome" else fixed.index(role.upper())
+        cols = [fixed.index(name) for name in regressors] + covs
+        u0, t = np.linalg.qr(r0[:, cols + [response] if with_response else cols])
+        factors.append((role, names, response, u0, t, _pivoted_qr(t[:p, :p], names)))
+    return factors
 
 
 def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
@@ -516,17 +513,23 @@ def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
     mediator enters on the log scale; a non-positive value raises
     :class:`LogDomainError` naming its rows.  Rows with non-finite values
     in any used column are dropped and counted.
+
+    One triangle of ``[X | y]``, its row blocks built as they are factored (`_triangle`), gives
+    every equation (`_equation_factors`): no n x p design is held, and each RSS is a corner.
     """
     columns, kept, cov_names = _prepared_columns(data, log_m2)
-    n_used = int(kept.size)
-    designs = _designs(columns, cov_names)
-    fits = [fit_ols(x, y, names) for x, y, names in designs]
+    n_used, p = int(kept.size), len(_EQUATIONS[0][2]) + len(cov_names)
+    if n_used < p:
+        raise ValueError(f"{n_used} rows cannot support {p} regressors")
+    r0 = _triangle(lambda rows: _outcome_rows(columns, cov_names, rows), n_used, p + 1)
+    factors = _equation_factors(r0, cov_names, with_response=True)
+    fits = [_least_squares(t, n_used, pivoted) for *_, t, pivoted in factors]
     (_, sigma2_y, _), (_, sigma2_m2, _), (_, sigma2_m1, _) = fits
 
     params = LinearParams(**_split_coefficients([coef for coef, _, _ in fits]), sigma2_m1=sigma2_m1)
     sample_means = {name: float(np.mean(col)) for name, col in columns.items()}
     tables = {role: {} for role, _, _ in _EQUATIONS}
-    for (role, _, _), (_, _, names), (coef, _, _) in zip(_EQUATIONS, designs, fits):
+    for (role, names, *_), (coef, _, _) in zip(factors, fits):
         for name, value in zip(names, coef.tolist()):
             while name in tables[role]:  # a covariate named like a fixed regressor, "A" say
                 name = f"covariate {name}"
@@ -540,8 +543,8 @@ def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
         covariate_names=cov_names,
         sample_means=sample_means,
         tables=tables,
-        pivot_ratio={role: ratio for (role, _, _), (_, _, ratio) in zip(_EQUATIONS, fits)},
-        residual_dof={role: n_used - x.shape[1] for (role, _, _), (x, _, _) in zip(_EQUATIONS, designs)},
+        pivot_ratio={role: ratio for (role, *_), (_, _, ratio) in zip(factors, fits)},
+        residual_dof={role: n_used - len(names) for role, names, *_ in factors},
     )
 
 

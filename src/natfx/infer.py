@@ -30,15 +30,14 @@ import numpy as np
 from .cfexpr import Scenario
 from .decomp import DecompositionResult, Query, _catalog, _totals, decompose
 from .estimate import (
-    _EQUATIONS,
     _PIVOT_TOL,
     _SEQ2,
     CovariateProfile,
     _covariate_vector,
-    _designs,
+    _equation_factors,
     _linear_levels,
     _linear_pricer,
-    _pivoted_qr,
+    _outcome_rows,
     _prepared_columns,
     _split_coefficients,
     fit_linear_system,
@@ -216,15 +215,16 @@ class _LinearChunkPricer:
     of all three equations, and the responses M2 and M1, are columns of the
     outcome design X, so X alone is factored, once: ``X = Q B``.  For an
     equation's columns B_e of B, a QR ``B_e = U0 R0`` and `_pivoted_qr` of
-    R0 give ``X_e[:, piv] = (Q T) R`` with ``T = U0 U1``.  With ``G = Qᵀ W
-    Q``, W = diag(w), the equation's Gram matrix is ``G_e = Tᵀ G T`` and its
+    R0 give ``X_e[:, piv] = (Q T) R`` with ``T = U0 U1`` (`_equation_factors`,
+    which `fit_linear_system` runs on its triangle of ``[X | y]``).  With
+    ``G = Qᵀ W Q``, W = diag(w), the equation's Gram matrix is ``G_e = Tᵀ G T`` and its
     coefficients are ``b[piv] = R⁻¹ G_e⁻¹ Tᵀ Qᵀ W y``, where a mediator
     response's ``Qᵀ W y`` is G times its column of B, ``resp``.  For M1, with z
     its solve, y - X b is Q c for ``c = resp - T z``, so ``sigma2_m1 = Σ w (y -
     X b)² / (n_w - p)`` takes ``cᵀ G c``: like the residuals, and unlike ``respᵀ
     G resp - (Tᵀ G resp)ᵀ z``, it is stationary at the solve, so z's rounding
     enters only at second order.  The weights average 1, so G_e stays near the
-    identity and X_e's conditioning is carried by R alone, as in `fit_ols`.
+    identity and X_e's conditioning is carried by R alone, as in `fit_linear_system`.
 
     G and ``Qᵀ W y`` are the rows of ``W K``, K = ``[Q_i Q_j, i <= j | Q_i
     y]`` formed once, p(p+1)/2 + p columns: its width grows as p squared (65
@@ -241,18 +241,18 @@ class _LinearChunkPricer:
     has regressors ("rows") or a G_e falls below the line ("conditioning");
     ``extras["min_gram_rcond"]`` is the least rcond of a G_e checked.
 
-    The line.  `fit_ols` rejects a design A when its pivoted QR has
+    The line.  `fit_linear_system` rejects a design A when its pivoted QR has
     ``min|r_kk| <= tau |r_11|``, tau = `_PIVOT_TOL`, so ``kappa(A) >=
     1/tau``: a triangle's diagonal holds its eigenvalues, which lie between
     its extreme singular values.  A replicate's design, rows repeated by
     multiplicity, has the singular values of ``diag(sqrt w) X_e``, whose
     permuted columns are ``diag(sqrt w) Q T R``, so ``kappa(A) <=
-    sqrt(kappa(G_e)) kappa(R)``: a replicate `fit_ols` would reject has
-    ``rcond(G_e) <= (tau kappa(R))^2``.  The line doubles tau, for the
-    rounding in `fit_ols`'s own QR, and adds `_RCOND_SLACK` = sqrt(eps), for
+    sqrt(kappa(G_e)) kappa(R)``: a replicate `fit_linear_system` would reject
+    has ``rcond(G_e) <= (tau kappa(R))^2``.  The line doubles tau, for the
+    rounding in the fit's own QRs, and adds `_RCOND_SLACK` = sqrt(eps), for
     the rounding in forming G_e and its eigenvalues (about p n eps of its
     largest eigenvalue, below sqrt(eps) for p n up to 6.7e7), so nothing
-    kept above it in every equation is `RankDeficient` to `fit_ols`.  kappa(R)
+    kept above it in every equation is `RankDeficient` to the fit.  kappa(R)
     comes from R's singular values; the pivot ratio fixes it only to ~2^p.
     """
 
@@ -261,20 +261,16 @@ class _LinearChunkPricer:
 
     def __init__(self, data: Dataset, estimator: LinearEstimator) -> None:
         columns, self._kept, cov_names = _prepared_columns(data, estimator.log_m2)
-        designs = _designs(columns, cov_names)
-        x, y, names = designs[0]
-        (q, b), p = np.linalg.qr(x), len(names)
-        # B's columns by position: a covariate may be named "A", say
-        fixed, covs = _EQUATIONS[0][2], list(range(len(_EQUATIONS[0][2]), p))
+        xy = _outcome_rows(columns, cov_names, slice(None))
+        (q, b), y = np.linalg.qr(xy[:, :-1]), columns["outcome"]
         self._equations = []
-        for role, _, regressors in _EQUATIONS:
-            u0, r0 = np.linalg.qr(b[:, [fixed.index(name) for name in regressors] + covs])
-            u1, r, piv, _ = _pivoted_qr(r0, regressors + cov_names)
-            resp = None if role == "outcome" else b[:, fixed.index(role.upper())]  # "m2" is "M2"
+        for role, _, col, u0, _, (u1, r, piv, _) in _equation_factors(b, cov_names, False):
             sigma = np.linalg.svd(r, compute_uv=False)
             line = (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK
+            resp = None if role == "outcome" else b[:, col]
             self._equations.append(_Equation(u0 @ u1, resp, piv, np.linalg.inv(r), line))
-        del x, designs, columns  # every design and column but y, before K, the largest array
+        del xy, columns  # every design and column but y, before K, the largest array
+        p = b.shape[1]
         i, j = self._pairs = np.triu_indices(p)
         self._k = np.zeros((-(-len(y) // _GRAM_BLOCK), _GRAM_BLOCK, len(i) + p))
         for block, lo in zip(self._k, range(0, len(y), _GRAM_BLOCK)):

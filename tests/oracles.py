@@ -354,6 +354,56 @@ def linear_world_exact(params, e_y, e_m2, e_m1, c_value=0.0):
 
 
 # ---------------------------------------------------------------------------
+# the three linear equations, one whole design each
+
+
+def linear_designs(columns, cov_names):
+    """(design, response, column names) of the outcome, M2 and M1 equations,
+    each design stacked whole from the prepared columns."""
+    a, m1, m2 = columns["exposure"], columns["m1"], columns["m2"]
+    covs = [columns[name] for name in cov_names]
+    ones = np.ones_like(a)
+    return [
+        (np.column_stack([ones, a, m1, m2, a * m1, a * m2, m1 * m2, a * m1 * m2, *covs]),
+         columns["outcome"],
+         ("intercept", "A", "M1", "M2", "A:M1", "A:M2", "M1:M2", "A:M1:M2", *cov_names)),
+        (np.column_stack([ones, a, m1, a * m1, *covs]), m2, ("intercept", "A", "M1", "A:M1", *cov_names)),
+        (np.column_stack([ones, a, *covs]), m1, ("intercept", "A", *cov_names)),
+    ]
+
+
+def pivoted_least_squares(design, response):
+    """``(coefficients, RSS/(n - p), min|r_kk| / |r_11|)`` of y on X by
+    Businger-Golub column-pivoted Householder QR of the whole design, y
+    carried through the same reflections, and the RSS by a pass over the
+    residuals."""
+    n, p = design.shape
+    r = np.column_stack([design, response]).astype(float)
+    pivots = np.arange(p)
+    for k in range(p):
+        j = k + int(np.argmax(np.square(r[k:, k:p]).sum(axis=0)))
+        r[:, [k, j]], pivots[[k, j]] = r[:, [j, k]], pivots[[j, k]]
+        v = r[k:, k].copy()
+        v[0] += np.copysign(np.linalg.norm(v), v[0])
+        v /= np.linalg.norm(v)
+        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
+    coef = np.empty(p)
+    coef[pivots] = np.linalg.solve(np.triu(r[:p, :p]), r[:p, p])
+    resid = response - design @ coef
+    diag = np.abs(np.diag(r[:p, :p]))
+    return coef, float(resid @ resid) / (n - p) if n > p else 0.0, float(diag[-1] / diag[0])
+
+
+def linear_system_fit(columns, cov_names):
+    """Each equation of `linear_designs` fitted on its own whole design, by
+    role: ``(coefficients, RSS/(n - p), pivot ratio, n - p)``."""
+    return {
+        role: (*pivoted_least_squares(x, y), len(y) - x.shape[1])
+        for role, (x, y, _) in zip(("outcome", "m2", "m1"), linear_designs(columns, cov_names))
+    }
+
+
+# ---------------------------------------------------------------------------
 # weighted least-squares systems, one equation's own QR
 
 

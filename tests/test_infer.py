@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from natfx import infer
 from natfx.cfexpr import Scenario
 from natfx.decomp import ComponentValue, DecompositionResult, Query, decompose
-from natfx.estimate import _designs, _prepared_columns, fit_linear_system, plugin_seq2
+from natfx.estimate import _prepared_columns, fit_linear_system, plugin_seq2
 from natfx.infer import (
     BootstrapConfig,
     LinearEstimator,
@@ -806,7 +806,7 @@ class TestChunkedLinear:
         rng = np.random.default_rng(len(kept))
         counts = np.stack([np.bincount(rng.integers(0, len(kept), len(kept)), minlength=len(kept))
                            for _ in range(6)])
-        designs = _designs(columns, cov_names)
+        designs = oracles.linear_designs(columns, cov_names)
         for (x, y, _), eq, (grams, rhs) in zip(designs, pricer._equations, pricer._systems(counts)[1]):
             sign = np.sign(np.diag(eq.r_inv))  # the pricer's R need not have a positive diagonal
             for w, gram, b in zip(counts, grams, rhs):

@@ -30,11 +30,13 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import natfx.cli
 from natfx.cli import _plain_columns, load_dataset, main
+from natfx.scm import save_model, simulate
 
 SPECIAL = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "+3", "-0", "1e5",
            ".5", "5.", "1_000", "1_0.5", "٣", "１", "١.٥", "0x10", "1e",
@@ -233,3 +235,20 @@ def test_kernel_proves_the_simulate_fit_outcomes(tmp_path, monkeypatch):
     with open(sample, encoding="ascii") as fh:
         texts = [line.rsplit(",", 1)[1] for line in fh.read().split()[1:]]
     assert got["Y"].tolist() == list(map(float, texts))
+
+
+@pytest.mark.parametrize("n", [7, 20_000])
+@pytest.mark.parametrize("plain", [True, False], ids=["plain reader", "csv reader"])
+def test_simulate_outcomes_read_back_bit_for_bit(tmp_path, dm1, n, plain):
+    # the CSV writer's shortest digits and either reader round-trip every double
+    model, sample = str(tmp_path / "model.json"), str(tmp_path / "sample.csv")
+    save_model(dm1, model)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--model", model, "--n", str(n), "--seed", "5", "--out", sample]) == 0
+    roles = {"exposure": "A", "m1": "M1", "m2": "M2", "outcome": "Y"}
+    assert _plain_columns(sample, list(roles.values())) is not None  # the kernel takes the file
+    with mock.patch.object(natfx.cli, "_plain_columns", _plain_columns if plain else lambda path, names: None):
+        got = load_dataset(sample, roles)
+    want = simulate(dm1, n, seed=5)
+    assert got.n == n and got.n_dropped == 0
+    assert got.outcome.view(np.int64).tolist() == want.outcome.view(np.int64).tolist()
