@@ -24,7 +24,9 @@ each whose change median is above the parent's by more than the metric's
 Before the pairs, ``import_s`` times 15 fresh ``python -c "import natfx.cli"``
 runs a side, interleaved, each a blocking ``subprocess.run`` with no timeout
 (perfbench's ``setup_s`` polls its child on a 50 ms grid).  The file records
-each side's median and IQR as information; no verdict reads them.
+each side's median and IQR as information; no verdict reads them.  So is
+``src_lines``, each side's line count of ``src/natfx/*.py`` as ``wc -l``
+counts it.
 
 With several ``--seed`` values every seed runs its own pairs, and the file
 holds each seed's summaries, claim verdict and ``not_met`` under
@@ -169,6 +171,11 @@ def import_times(sides: dict[str, Path], runs: int = IMPORT_RUNS, run=subprocess
     return {side: {**(q := quartiles(t)), "iqr": q["q3"] - q["q1"]} for side, t in times.items()}
 
 
+def source_lines(root: Path) -> int:
+    """The newlines in ``src/natfx/*.py`` under `root`: the total ``wc -l`` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "natfx").glob("*.py"))
+
+
 def run_side(path: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -229,6 +236,7 @@ def main(argv=None) -> int:
     by_seed: dict[int, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = copy_sides(commit, Path(tmp))
+        lines = {side: source_lines(path) for side, path in sides.items()}
         imports = import_times(sides)
         for seed in args.seed:
             workloads: dict = {}
@@ -258,6 +266,7 @@ def main(argv=None) -> int:
                  "is odd; each side runs from its own copy of src/ and perfbench/, both "
                  "byte-compiled with `python -m compileall -q src perfbench` before timing",
         "import_s": imports,
+        "src_lines": lines,
     }
     doc = document(head, by_seed, env)
     with open(args.out, "w", encoding="utf-8") as fh:

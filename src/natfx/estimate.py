@@ -420,42 +420,6 @@ def _numeric_column(values: np.ndarray, role: str) -> np.ndarray:
         raise ValueError(f"column for role {role!r} is not numeric") from None
 
 
-def _prepared_columns(
-    data: Dataset, log_m2: bool
-) -> tuple[dict[str, np.ndarray], np.ndarray, tuple[str, ...]]:
-    """The fit's columns by role: rows with a non-finite value in any used
-    column dropped, then M2 taken on the log scale if `log_m2` is set.
-
-    Returns the columns, the kept row indices into `data`, and the
-    covariate names.  The mask and the log act row by row, so the columns
-    of a resample are the resampled rows of these.
-    """
-    if data.m2 is None:
-        raise ValueError("two-mediator dataset required: the m2 role is missing")
-    roles = ("exposure", "m1", "m2", "outcome")
-    columns = {role: _numeric_column(getattr(data, role), role) for role in roles}
-    cov_names = tuple(data.covariates.keys())
-    for name in cov_names:
-        if name in columns:
-            raise ValueError(f"covariate name {name!r} collides with a role name")
-        columns[name] = _numeric_column(data.covariates[name], name)
-
-    mask = np.ones(data.n, dtype=bool)
-    for col in columns.values():
-        mask &= np.isfinite(col)
-    kept = np.nonzero(mask)[0]
-    if kept.size == 0:
-        raise ValueError("no complete rows left after dropping missing values")
-    columns = {name: col[kept] for name, col in columns.items()}
-
-    if log_m2:
-        bad = np.nonzero(columns["m2"] <= 0.0)[0]
-        if bad.size:
-            raise LogDomainError("m2", kept[bad])
-        columns["m2"] = np.log(columns["m2"])
-    return columns, kept, cov_names
-
-
 # The three equations in fitting order: (response role, `LinearParams`
 # field, regressor names before the covariates).
 _EQUATIONS = (
@@ -486,22 +450,52 @@ def _outcome_rows(
         return np.column_stack([np.ones_like(a), a, m1, m2, a_m1, a * m2, m1 * m2, a_m1 * m2, *covs, y])
 
 
-def _equation_factors(r0: np.ndarray, cov_names: tuple[str, ...], with_response: bool) -> list:
-    """``(role, names, response, u0, t, pivoted)`` of each `_EQUATIONS` equation from the
-    triangle R0 of the outcome design X, or of ``[X | y]`` when `with_response`: its columns
-    of R0, its response last when `with_response`, factored ``U0 T`` by QR, and T's regressor
-    square `pivoted` by `_pivoted_qr`, which raises :class:`RankDeficient`.  ``response``
-    is the response's column of R0, y being the last."""
+def _factored(data: Dataset, log_m2: bool) -> tuple:
+    """``(columns, kept, cov_names, r0, factors)``: the fit's columns by role, once rows with a
+    non-finite entry are dropped (`kept` indexes `data`) and M2 is logged if `log_m2`, which act
+    row by row, so a resample's columns are the resampled rows of these (with no row dropped, a
+    float column is `data`'s own array, to be read only); the (p+1)-square
+    triangle R0 of ``[X | y]`` by `_triangle`, its blocks built by `_outcome_rows`; and each
+    `_EQUATIONS` equation's ``(role, names, response, u0, t, pivoted)``: its columns of R0,
+    response (column ``response``) last, factored ``U0 T`` by QR, and T's regressor square
+    `pivoted` by `_pivoted_qr`, which raises :class:`RankDeficient`."""
+    if data.m2 is None:
+        raise ValueError("two-mediator dataset required: the m2 role is missing")
+    roles = ("exposure", "m1", "m2", "outcome")
+    columns = {role: _numeric_column(getattr(data, role), role) for role in roles}
+    cov_names = tuple(data.covariates.keys())
+    for name in cov_names:
+        if name in columns:
+            raise ValueError(f"covariate name {name!r} collides with a role name")
+        columns[name] = _numeric_column(data.covariates[name], name)
+
+    mask = np.ones(data.n, dtype=bool)
+    for col in columns.values():
+        mask &= np.isfinite(col)
+    kept = np.nonzero(mask)[0]
+    if kept.size == 0:
+        raise ValueError("no complete rows left after dropping missing values")
+    if kept.size < data.n:
+        columns = {name: col[kept] for name, col in columns.items()}
+    if log_m2:
+        bad = np.nonzero(columns["m2"] <= 0.0)[0]
+        if bad.size:
+            raise LogDomainError("m2", kept[bad])
+        columns["m2"] = np.log(columns["m2"])
+
     fixed = _EQUATIONS[0][2]
-    covs = list(range(len(fixed), len(fixed) + len(cov_names)))  # a covariate may be named "A"
+    n, p = int(kept.size), len(fixed) + len(cov_names)
+    if n < p:
+        raise ValueError(f"{n} rows cannot support {p} regressors")
+    r0 = _triangle(lambda rows: _outcome_rows(columns, cov_names, rows), n, p + 1)
+    covs = list(range(len(fixed), p))  # a covariate may be named "A"
     factors = []
     for role, _, regressors in _EQUATIONS:
-        names, p = regressors + cov_names, len(regressors) + len(cov_names)
-        response = len(fixed) + len(cov_names) if role == "outcome" else fixed.index(role.upper())
-        cols = [fixed.index(name) for name in regressors] + covs
-        u0, t = np.linalg.qr(r0[:, cols + [response] if with_response else cols])
-        factors.append((role, names, response, u0, t, _pivoted_qr(t[:p, :p], names)))
-    return factors
+        names = regressors + cov_names
+        response = p if role == "outcome" else fixed.index(role.upper())
+        u0, t = np.linalg.qr(r0[:, [fixed.index(name) for name in regressors] + covs + [response]])
+        factors.append((role, names, response, u0, t, _pivoted_qr(t[:-1, :-1], names)))
+    return columns, kept, cov_names, r0, factors
 
 
 def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
@@ -514,15 +508,11 @@ def fit_linear_system(data: Dataset, *, log_m2: bool = False) -> LinearFit:
     :class:`LogDomainError` naming its rows.  Rows with non-finite values
     in any used column are dropped and counted.
 
-    One triangle of ``[X | y]``, its row blocks built as they are factored (`_triangle`), gives
-    every equation (`_equation_factors`): no n x p design is held, and each RSS is a corner.
+    One triangle of ``[X | y]``, its row blocks built as they are factored, gives every equation
+    (`_factored`, shared with `_LinearChunkPricer`): no n x p design is held; each RSS is a corner.
     """
-    columns, kept, cov_names = _prepared_columns(data, log_m2)
-    n_used, p = int(kept.size), len(_EQUATIONS[0][2]) + len(cov_names)
-    if n_used < p:
-        raise ValueError(f"{n_used} rows cannot support {p} regressors")
-    r0 = _triangle(lambda rows: _outcome_rows(columns, cov_names, rows), n_used, p + 1)
-    factors = _equation_factors(r0, cov_names, with_response=True)
+    columns, kept, cov_names, _, factors = _factored(data, log_m2)
+    n_used = int(kept.size)
     fits = [_least_squares(t, n_used, pivoted) for *_, t, pivoted in factors]
     (_, sigma2_y, _), (_, sigma2_m2, _), (_, sigma2_m1, _) = fits
 

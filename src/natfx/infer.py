@@ -31,14 +31,14 @@ from .cfexpr import Scenario
 from .decomp import DecompositionResult, Query, _catalog, _totals, decompose
 from .estimate import (
     _PIVOT_TOL,
+    _QR_BLOCK_ROWS,
     _SEQ2,
     CovariateProfile,
     _covariate_vector,
-    _equation_factors,
+    _factored,
     _linear_levels,
     _linear_pricer,
     _outcome_rows,
-    _prepared_columns,
     _split_coefficients,
     fit_linear_system,
     linear_components,
@@ -119,7 +119,7 @@ class LinearEstimator:
     with ``fit = fit_linear_system(data, log_m2=log_m2)``.
 
     Called on a dataset it is exactly that.  `bootstrap` prices its
-    resamples in chunks from one factorization of the full data's designs,
+    resamples in chunks from the full data's one triangle of ``[X | y]``,
     to roundoff of the same values.
     """
 
@@ -197,10 +197,10 @@ _GRAM_BLOCK = 512
 
 
 class _Equation(NamedTuple):
-    """An equation ``x[:, piv] = (Q t) r`` on the outcome design's basis Q."""
+    """An equation ``x[:, piv] = (Q t) r`` on the basis ``Q = X R_X⁻¹`` of the outcome design."""
 
     t: np.ndarray  # p x p_e, orthonormal columns
-    resp: np.ndarray | None  # the response's column of B; None for the outcome
+    resp: np.ndarray | None  # the response's column of R_X; None for the outcome
     piv: np.ndarray
     r_inv: np.ndarray
     min_rcond: float  # the line a replicate's Gram matrix must clear
@@ -213,18 +213,23 @@ class _LinearChunkPricer:
     is the fit weighted by w on the full data's design.  The finiteness mask
     and the log of M2 act row by row and are applied once.  The regressors
     of all three equations, and the responses M2 and M1, are columns of the
-    outcome design X, so X alone is factored, once: ``X = Q B``.  For an
-    equation's columns B_e of B, a QR ``B_e = U0 R0`` and `_pivoted_qr` of
-    R0 give ``X_e[:, piv] = (Q T) R`` with ``T = U0 U1`` (`_equation_factors`,
-    which `fit_linear_system` runs on its triangle of ``[X | y]``).  With
-    ``G = Qᵀ W Q``, W = diag(w), the equation's Gram matrix is ``G_e = Tᵀ G T`` and its
-    coefficients are ``b[piv] = R⁻¹ G_e⁻¹ Tᵀ Qᵀ W y``, where a mediator
-    response's ``Qᵀ W y`` is G times its column of B, ``resp``.  For M1, with z
-    its solve, y - X b is Q c for ``c = resp - T z``, so ``sigma2_m1 = Σ w (y -
-    X b)² / (n_w - p)`` takes ``cᵀ G c``: like the residuals, and unlike ``respᵀ
-    G resp - (Tᵀ G resp)ᵀ z``, it is stationary at the solve, so z's rounding
-    enters only at second order.  The weights average 1, so G_e stays near the
-    identity and X_e's conditioning is carried by R alone, as in `fit_linear_system`.
+    outcome design X, so the triangle R0 of ``[X | y]`` that `_factored` gives
+    `fit_linear_system` serves here too.  With R_X its leading p-square, the
+    triangle of X, the basis is ``Q = X R_X⁻¹``, formed a block of rows at a
+    time as K is filled and never held whole.  An equation's columns of R0,
+    its response last, are ``U0 S`` by QR, and `_pivoted_qr` of S's regressor
+    square is ``U1 R``, so ``X_e[:, piv] = (Q T) R`` with ``T = U0[:p, :p_e]
+    U1``: the row of U0 left out is zero, as R0's regressor columns are zero
+    in its last row.  With ``G = Qᵀ W Q``, W = diag(w), the equation's Gram
+    matrix is ``G_e = Tᵀ G T`` and its coefficients are ``b[piv] = R⁻¹ G_e⁻¹
+    Tᵀ Qᵀ W y``, where a mediator response's ``Qᵀ W y`` is G times its column
+    of R_X, ``resp``.  For M1, with z its solve, y - X b is Q c for ``c = resp
+    - T z``, so ``sigma2_m1 = Σ w (y - X b)² / (n_w - p)`` takes ``cᵀ G c``:
+    like the residuals, and unlike ``respᵀ G resp - (Tᵀ G resp)ᵀ z``, it is
+    stationary at the solve, so z's rounding enters only at second order.
+    The weights average 1 and Q's columns are orthonormal to about kappa(R_X)
+    eps, so G_e stays near the identity and X_e's conditioning is carried by
+    R alone, as in `fit_linear_system`.
 
     G and ``Qᵀ W y`` are the rows of ``W K``, K = ``[Q_i Q_j, i <= j | Q_i
     y]`` formed once, p(p+1)/2 + p columns: its width grows as p squared (65
@@ -246,9 +251,11 @@ class _LinearChunkPricer:
     1/tau``: a triangle's diagonal holds its eigenvalues, which lie between
     its extreme singular values.  A replicate's design, rows repeated by
     multiplicity, has the singular values of ``diag(sqrt w) X_e``, whose
-    permuted columns are ``diag(sqrt w) Q T R``, so ``kappa(A) <=
-    sqrt(kappa(G_e)) kappa(R)``: a replicate `fit_linear_system` would reject
-    has ``rcond(G_e) <= (tau kappa(R))^2``.  The line doubles tau, for the
+    permuted columns are ``diag(sqrt w) Q T R``, and ``(diag(sqrt w) Q T)ᵀ
+    (diag(sqrt w) Q T) = G_e``, so ``kappa(A) <= sqrt(kappa(G_e)) kappa(R)``.
+    That needs only ``X_e[:, piv] = Q T R``, which ``Q = X R_X⁻¹`` gives by
+    construction, not an orthonormal Q.  A replicate `fit_linear_system`
+    would reject has ``rcond(G_e) <= (tau kappa(R))^2``.  The line doubles tau, for the
     rounding in the fit's own QRs, and adds `_RCOND_SLACK` = sqrt(eps), for
     the rounding in forming G_e and its eigenvalues (about p n eps of its
     largest eigenvalue, below sqrt(eps) for p n up to 6.7e7), so nothing
@@ -260,23 +267,24 @@ class _LinearChunkPricer:
     least_chunk = _GRAM_ROWS
 
     def __init__(self, data: Dataset, estimator: LinearEstimator) -> None:
-        columns, self._kept, cov_names = _prepared_columns(data, estimator.log_m2)
-        xy = _outcome_rows(columns, cov_names, slice(None))
-        (q, b), y = np.linalg.qr(xy[:, :-1]), columns["outcome"]
+        columns, self._kept, cov_names, r0, factors = _factored(data, estimator.log_m2)
+        p = len(r0) - 1
         self._equations = []
-        for role, _, col, u0, _, (u1, r, piv, _) in _equation_factors(b, cov_names, False):
+        for role, _, col, u0, _, (u1, r, piv, _) in factors:
             sigma = np.linalg.svd(r, compute_uv=False)
             line = (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK
-            resp = None if role == "outcome" else b[:, col]
-            self._equations.append(_Equation(u0 @ u1, resp, piv, np.linalg.inv(r), line))
-        del xy, columns  # every design and column but y, before K, the largest array
-        p = b.shape[1]
-        i, j = self._pairs = np.triu_indices(p)
-        self._k = np.zeros((-(-len(y) // _GRAM_BLOCK), _GRAM_BLOCK, len(i) + p))
-        for block, lo in zip(self._k, range(0, len(y), _GRAM_BLOCK)):
-            qb = q[lo:lo + _GRAM_BLOCK]  # one block's pair products alive at a time
-            np.multiply(qb[:, i], qb[:, j], out=block[:len(qb), :len(i)])
-            np.multiply(qb, y[lo:lo + _GRAM_BLOCK, None], out=block[:len(qb), len(i):])
+            resp = None if role == "outcome" else r0[:p, col]
+            self._equations.append(_Equation(u0[:p, :len(piv)] @ u1, resp, piv, np.linalg.inv(r), line))
+        r_inv, n = np.linalg.inv(r0[:p, :p]), len(self._kept)
+        self._pairs = np.triu_indices(p)
+        self._k = np.zeros((-(-n // _GRAM_BLOCK), _GRAM_BLOCK, len(self._pairs[0]) + p))
+        for lo in range(0, n, _QR_BLOCK_ROWS):  # Q = X R_X⁻¹, a block of rows at a time
+            xy = _outcome_rows(columns, cov_names, slice(lo, lo + _QR_BLOCK_ROWS))
+            q, rows = xy[:, :p] @ r_inv, self._k.reshape(-1, self._k.shape[2])[lo:lo + len(xy)]
+            # the pairs (a, b >= a) are adjacent columns of K, from where `triu_indices` reaches a
+            for a, start in enumerate(np.searchsorted(self._pairs[0], range(p))):
+                np.multiply(q[:, a:], q[:, a, None], out=rows[:, start:start + p - a])
+            np.multiply(q, xy[:, p:], out=rows[:, -p:])
         self._max_p = max(len(eq.piv) for eq in self._equations)
         self.catalog = _catalog(_SEQ2)
         self._level = _linear_levels(estimator.q)

@@ -357,6 +357,20 @@ def linear_world_exact(params, e_y, e_m2, e_m1, c_value=0.0):
 # the three linear equations, one whole design each
 
 
+def prepared_columns(data, log_m2):
+    """The linear fit's float columns by role and covariate name, rows with a
+    non-finite entry in any of them dropped and M2 logged if `log_m2`; and
+    the covariate names."""
+    roles = ("exposure", "m1", "m2", "outcome")
+    columns = {role: np.asarray(getattr(data, role), dtype=float) for role in roles}
+    columns.update((name, np.asarray(col, dtype=float)) for name, col in data.covariates.items())
+    complete = np.logical_and.reduce([np.isfinite(col) for col in columns.values()])
+    columns = {name: col[complete] for name, col in columns.items()}
+    if log_m2:
+        columns["m2"] = np.log(columns["m2"])
+    return columns, tuple(data.covariates)
+
+
 def linear_designs(columns, cov_names):
     """(design, response, column names) of the outcome, M2 and M1 equations,
     each design stacked whole from the prepared columns."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,15 @@ def test_import_times_interleave_blocking_runs_with_no_timeout():
     assert got["parent"]["runs"] == [5, 17, 21, 33] and got["change"]["runs"] == [9, 13, 25, 29]
     assert got["parent"]["median"] == statistics.median([5, 17, 21, 33]) == 19
     assert got["parent"]["iqr"] == pytest.approx(got["parent"]["q3"] - got["parent"]["q1"])
+
+
+def test_source_lines_count_newlines_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "natfx"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts none
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("nor\nthis\n")
+    wc = subprocess.run(["wc", "-l", "a.py", "b.py"], cwd=package, capture_output=True,
+                        text=True, check=True).stdout
+    assert bench_pairs.source_lines(tmp_path) == int(wc.split()[-2]) == 3

@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from natfx import infer
 from natfx.cfexpr import Scenario
 from natfx.decomp import ComponentValue, DecompositionResult, Query, decompose
-from natfx.estimate import _prepared_columns, fit_linear_system, plugin_seq2
+from natfx.estimate import _EQUATIONS, _QR_BLOCK_ROWS, fit_linear_system, plugin_seq2
 from natfx.infer import (
     BootstrapConfig,
     LinearEstimator,
@@ -492,7 +492,13 @@ class TestChunkedPlugin:
 # same draws.  Computing sigma2_m1 from the expanded quadratic form instead
 # of the residuals moved it by up to 5.6e-13; from cᵀ G c, which like the
 # residuals is stationary at the solve, it read 1.1e-14 over another 2,500
-# seeded draws, on which the residual pass read 1.6e-15.
+# seeded draws, on which the residual pass read 1.6e-15.  A covariate equal
+# to M1 plus noise of scale 1e-4 takes the least pivot ratio to 1.6e-6
+# (median 1e-5): over 400 derandomized examples the CI ends differed by
+# 2.0e-11 of the scale at worst.  At 1e-5 it read 3.9e-10, and at 1e-6, with
+# ratios of 1.6e-8 to 1e-7, 14 of 400 examples exceeded LINEAR_TOL, and 18
+# did with Q from a QR of the whole design: both sides' rounding grows with
+# the conditioning, so `gaussian_chain_runs` stops at 1e-4.
 LINEAR_TOL = 1e-9
 SIGMA2_TOL = 1e-13
 
@@ -526,13 +532,16 @@ for row in out.components:
 """
 
 
-def gaussian_chain(rng, n, k, log_m2, non_finite):
+def gaussian_chain(rng, n, k, log_m2, non_finite, near_m1=None):
     """Chain data from the Gaussian-linear model with `k` covariates and a
-    few non-finite entries in M1, M2 or Y."""
+    few non-finite entries in M1, M2 or Y; with `near_m1`, one more
+    covariate, M1 plus noise of that scale."""
     c = {f"c{i}": rng.normal(size=n) for i in range(k)}
     a = (rng.random(n) < rng.uniform(0.3, 0.7)).astype(float)
     m1 = (rng.uniform(-10, 10) + rng.normal() * a + 0.3 * sum(c.values(), np.zeros(n))
           + rng.normal(size=n) * rng.uniform(0.3, 2))
+    if near_m1 is not None:
+        c["m1_near"] = m1 + near_m1 * rng.normal(size=n)
     lm2 = (rng.normal() + rng.normal() * a + 0.25 * m1 + 0.1 * a * m1
            + rng.normal(size=n) * rng.uniform(0.3, 1))
     y = (1 + 0.5 * a + 0.4 * m1 + 0.6 * lm2 + 0.2 * a * m1 + 0.1 * m1 * lm2
@@ -545,14 +554,17 @@ def gaussian_chain(rng, n, k, log_m2, non_finite):
 
 
 @st.composite
-def gaussian_chain_runs(draw):
+def gaussian_chain_runs(draw, near_m1=False):
+    """Data, estimator and config of a linear bootstrap; with `near_m1`, the
+    data may have a covariate all but equal to M1 (see LINEAR_TOL)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(0, 2))
     log_m2 = draw(st.booleans())
     non_finite = draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=2))
-    data = gaussian_chain(rng, draw(st.integers(60, 250)), k, log_m2, non_finite)
+    eps = draw(st.sampled_from([None, 1e-2, 1e-4])) if near_m1 else None
+    data = gaussian_chain(rng, draw(st.integers(60, 250)), k, log_m2, non_finite, eps)
     q = Query(a=1.0, a_star=0.0, m1_star=float(rng.normal()), m2_star=float(rng.normal()))
-    estimator = LinearEstimator(q, tuple(rng.normal(size=k)), log_m2)
+    estimator = LinearEstimator(q, tuple(rng.normal(size=len(data.covariates))), log_m2)
     cfg = BootstrapConfig(replicates=draw(st.integers(2, 40)), seed=draw(st.integers(0, 2**31)))
     return data, estimator, cfg
 
@@ -610,7 +622,7 @@ class TestChunkedLinear:
     """The chunked linear path against the per-resample closure it replaces."""
 
     @settings(max_examples=60, deadline=None)
-    @given(gaussian_chain_runs())
+    @given(gaussian_chain_runs(near_m1=True))
     def test_matches_plain_closure(self, run):
         data, estimator, cfg = run
         try:
@@ -757,30 +769,20 @@ class TestChunkedLinear:
         bootstrap(data, estimator, BootstrapConfig(replicates=30, seed=2))
         assert heights == [3 * infer._GRAM_ROWS] * 2 + [30 - 6 * infer._GRAM_ROWS]
 
-    def test_init_frees_every_prepared_column_but_y_before_k(self, monkeypatch):
-        # after the designs only the outcome is read; K is the pricer's largest array
-        data = gaussian_chain(np.random.default_rng(4), 60, 2, True, [])
-        refs, alive = {}, []
-        prepared = infer._prepared_columns
-
-        def prepared_spy(*args):
-            columns, kept, cov_names = prepared(*args)
-            refs.update((name, weakref.ref(column)) for name, column in columns.items())
-            return columns, kept, cov_names
-
-        class NumpySpy:  # infer's numpy; its first `zeros` in the pricer's init is K
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def zeros(self, *args, **kwargs):
-                alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
-                return np.zeros(*args, **kwargs)
-
-        monkeypatch.setattr(infer, "_prepared_columns", prepared_spy)
-        monkeypatch.setattr(infer, "np", NumpySpy())
-        infer._LinearChunkPricer(data, LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5, -0.5), True))
-        assert sorted(refs) == ["c0", "c1", "exposure", "m1", "m2", "outcome"]
-        assert alive[0] == ["outcome"]
+    def test_init_holds_nothing_large_but_k(self):
+        # K is the pricer's one n-row array: while it fills, Q = X R⁻¹ and [X | y] are held a
+        # block at a time.  Beside K this reads 5.4 MiB against a bound of 9.8; holding a whole
+        # Q (15.3 MiB at 200k rows and two covariates) read 18.9
+        data = gaussian_chain(np.random.default_rng(4), 200_000, 2, True, [])
+        columns, cov_names = oracles.prepared_columns(data, True)
+        block = _QR_BLOCK_ROWS * (len(_EQUATIONS[0][2]) + len(cov_names) + 1) * 8
+        tracemalloc.start()
+        try:
+            pricer = infer._LinearChunkPricer(data, LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5, -0.5), True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - pricer._k.nbytes < sum(col.nbytes for col in columns.values()) + block
 
     def test_output_is_the_same_for_any_blas_thread_count(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -802,10 +804,10 @@ class TestChunkedLinear:
             pricer = infer._LinearChunkPricer(data, estimator)
         except ValueError:  # the full data's fit fails; `bootstrap` raises first
             return
-        columns, kept, cov_names = _prepared_columns(data, estimator.log_m2)
-        rng = np.random.default_rng(len(kept))
-        counts = np.stack([np.bincount(rng.integers(0, len(kept), len(kept)), minlength=len(kept))
-                           for _ in range(6)])
+        columns, cov_names = oracles.prepared_columns(data, estimator.log_m2)
+        n = len(columns["outcome"])
+        rng = np.random.default_rng(n)
+        counts = np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(6)])
         designs = oracles.linear_designs(columns, cov_names)
         for (x, y, _), eq, (grams, rhs) in zip(designs, pricer._equations, pricer._systems(counts)[1]):
             sign = np.sign(np.diag(eq.r_inv))  # the pricer's R need not have a positive diagonal
