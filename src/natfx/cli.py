@@ -208,7 +208,7 @@ class Report:
         if "components" in doc:
             lines.extend(_component_lines(doc))
         elif self.subcommand == "fit":
-            body = {k: v for k, v in doc.items() if k not in ("subcommand", "provenance")}
+            body = {k: v for k, v in doc.items() if k not in ("subcommand", "diagnostics", "provenance")}
             lines.extend(_diagnostic_lines(body, title="fit"))
         else:
             lines.extend(_kv_lines({k: v for k, v in doc.items() if k != "subcommand"}))
@@ -240,7 +240,7 @@ def _component_lines(doc: Mapping[str, Any]) -> list[str]:
     have_ci = any(r["ci"] is not None for r in rows)
     header = f"{'Component':<{name_w}}  {'Estimate':>10}"
     if have_ci:
-        header += f"  {'95% C.I.':>22}"
+        header += "  " + f"{100 * doc['provenance']['level']:g}% C.I.".rjust(22)
     lines = [header, "-" * len(header)]
     for r in rows:
         line = f"{r['name']:<{name_w}}  {_fmt4(r['estimate']):>10}"

@@ -36,7 +36,8 @@ from .cfexpr import (
     TREATMENT,
     format_cf,
 )
-from .scm import DiscreteScm, _compile_formula, _price_formulas
+from .scm import Dataset, DiscreteScm, _compile_formula, _price_formulas, from_dataset
+from .scm import _encode, _formula_rows, _price_tables, _tables, _tally
 
 __all__ = [
     "ComponentSpec",
@@ -44,6 +45,7 @@ __all__ = [
     "DecompositionResult",
     "EvaluationOfProblematicSpec",
     "MissingFixedLevel",
+    "PluginEstimator",
     "Query",
     "components_for",
     "components_nonseq2",
@@ -474,15 +476,18 @@ def _gather_plan(rows: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_sums(rows: tuple, addends: np.ndarray, names: Sequence[str],
-                failed: dict[int, Exception]) -> tuple[np.ndarray, int]:
+                failed: dict[int, Exception], batch: bool = True) -> tuple[np.ndarray, int]:
     """The `math.fsum` of each row's signed addends, ``[row, replicate]``,
     from ``addends[formula, addend, replicate]`` and each row's (sign,
     formula) terms, and how many sums `_distil` left to `math.fsum`.  A
     replicate in `failed` is skipped there; an error fails it, an overflow
-    as a `ValueError` naming the row, and its sum is NaN."""
+    as a `ValueError` naming the row, and its sum is NaN.  Unless `batch`,
+    no certificate is run and every sum is left to `math.fsum`."""
     flat = addends.reshape(addends.shape[0] * addends.shape[1], -1)
     index, sign = _gather_plan(rows, addends.shape[1])
-    sums, ok = _distil(flat[i] * s for i, s in zip(index, sign))
+    shape = len(rows), flat.shape[1]
+    sums, ok = _distil(flat[i] * s for i, s in zip(index, sign)) if batch else (
+        np.empty(shape), np.zeros(shape, dtype=bool))
     row, rep = np.nonzero(~ok)
     for i, r in zip(row.tolist(), rep.tolist()):
         real = sign[:, i, 0] != 0
@@ -498,10 +503,10 @@ def _exact_sums(rows: tuple, addends: np.ndarray, names: Sequence[str],
     return sums, row.size
 
 
-def _totals(catalog: _Catalog, addends: np.ndarray) -> tuple:
+def _totals(catalog: _Catalog, addends: np.ndarray, batch: bool = True) -> tuple:
     """Row values ``[row, replicate]``, TE and ``sum_gap`` of a compiled
     catalog from its addends ``[formula, addend, replicate]``, each failed
-    replicate's first error and the count of sums left to `math.fsum`.
+    replicate's first error and the count of sums left to `math.fsum` (all unless `batch`).
 
     Rows are exact sums (`_exact_sums`), so addends that cancel between the
     terms of a row cancel exactly, and a row that is zero in exact
@@ -512,15 +517,15 @@ def _totals(catalog: _Catalog, addends: np.ndarray) -> tuple:
     names = [spec.name for spec in catalog.specs]
     in_sum = tuple((1, i) for i, spec in enumerate(catalog.specs) if spec.in_sum)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, left = _exact_sums((*catalog.rows, catalog.te), addends, (*names, "TE"), failed)
-        total, more = _exact_sums((in_sum,), sums[:-1, None], ("the in-sum rows' total",), failed)
+        sums, left = _exact_sums((*catalog.rows, catalog.te), addends, (*names, "TE"), failed, batch)
+        total, more = _exact_sums((in_sum,), sums[:-1, None], ("the in-sum rows' total",), failed, batch)
     return sums[:-1], sums[-1], np.abs(total[0] - sums[-1]), failed, left + more
 
 
 def _assemble(catalog: _Catalog, addends: np.ndarray) -> DecompositionResult:
     """A `DecompositionResult` of the rows `_totals` computes from the
     priced formula addends ``[formula, addend]``."""
-    values, te, sum_gap, failed, _ = _totals(catalog, addends[..., None])
+    values, te, sum_gap, failed, _ = _totals(catalog, addends[..., None], batch=False)
     if failed:
         raise failed[0]
     rows = tuple(
@@ -559,3 +564,56 @@ def decompose(
     """Catalog lookup by the model's scenario plus evaluation, in one call."""
     return _evaluate(model, _catalog(model.scenario, extended), q)
 
+
+@dataclass(frozen=True)
+class PluginEstimator:
+    """The plug-in estimator ``decompose(from_dataset(data, scenario), q)``.
+
+    Called on a dataset it is exactly that.  `infer.bootstrap` prices its resamples
+    in chunks from one encoding of the data (`_PluginChunkPricer`), with the same values.
+    """
+
+    scenario: Scenario
+    q: Query
+
+    def __call__(self, data: Dataset) -> DecompositionResult:
+        return decompose(from_dataset(data, self.scenario), self.q)
+
+
+class _PluginChunkPricer:
+    """A `PluginEstimator`'s resamples priced a chunk at a time, for `infer.bootstrap`.
+
+    The data is encoded once on the full data's level grid.  A chunk's
+    resamples are tabulated together (`scm._tally`), turned into tables
+    together (`scm._tables`), and the catalog's formulas are priced over all
+    of them in one contraction.  A resample with an empty cell on the full
+    grid is not priced ("empty_cell"): on its own, its support may shrink or
+    its estimate fail.
+    """
+
+    reasons = ("empty_cell",)
+    least_chunk = 1
+
+    def __init__(self, data: Dataset, estimator: PluginEstimator) -> None:
+        self._scenario = estimator.scenario
+        self.catalog = _catalog(estimator.scenario)
+        levels, self._cell, self._y = _encode(data, estimator.scenario)
+        self._shape = tuple(len(lv) for lv in levels)
+        self._rows = _formula_rows(self.catalog.formulas, estimator.q.to_binding(), levels)
+        self._gathered: tuple[np.ndarray, np.ndarray] | None = None
+        self.extras: dict = {}
+
+    def __call__(self, idx: np.ndarray) -> tuple[list[str], np.ndarray]:
+        if self._gathered is None:  # the first chunk is the largest
+            self._gathered = np.empty(idx.shape, self._cell.dtype), np.empty(idx.shape)
+        # "clip" moves no index here and, unlike "raise", takes into `out` with no temporary
+        cells, y = (np.take(source, idx, out=buf[:len(idx)], mode="clip")
+                    for source, buf in zip((self._cell, self._y), self._gathered))
+        counts, ysum = _tally(cells, y, self._shape)
+        full = counts.reshape(len(idx), -1).all(axis=1)
+        tables = _tables(self._scenario, counts[full], ysum[full])
+        reasons = ["" if ok else "empty_cell" for ok in full.tolist()]
+        return reasons, _price_tables(*tables, self._rows)
+
+    def addends(self, parts: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts).T[:, None]

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "Assumption",
     "AssumptionLedger",
     "CovariateProfile",
+    "LinearEstimator",
     "LinearFit",
     "LinearParams",
     "LogDomainError",
@@ -592,6 +594,15 @@ def _linear_pricer(
     return addends
 
 
+def _linear_addends(params: Any, cvec: tuple[float, ...], level: Mapping[str, float]) -> np.ndarray:
+    """`_linear_pricer`'s addends of the seq2 catalog, ``[formula, addend(, replicate)]``."""
+    price = _linear_pricer(params, cvec, level)
+    rows = [price(f) for f in _catalog(_SEQ2).formulas]
+    if np.ndim(params.sigma2_m1):  # over replicates, the `t_c` of no covariates is still 0
+        rows = [np.broadcast_arrays(*row) for row in rows]
+    return np.array(rows, dtype=float)
+
+
 def _linear_levels(q: Query) -> dict[str, float]:
     """The query's levels as the reals the seq2 linear pricer binds."""
     _check_requires(_catalog(_SEQ2).requires, q)
@@ -619,10 +630,184 @@ def linear_components(
     identity.  Exposure levels may be any reals; a == a* collapses
     everything to zero.
     """
-    catalog = _catalog(_SEQ2)
     level = _linear_levels(q)
-    price = _linear_pricer(params, _covariate_vector(params.n_covariates, c), level)
-    return _assemble(catalog, np.array([price(f) for f in catalog.formulas], dtype=float))
+    addends = _linear_addends(params, _covariate_vector(params.n_covariates, c), level)
+    return _assemble(_catalog(_SEQ2), addends)
+
+
+@dataclass(frozen=True)
+class LinearEstimator:
+    """The linear estimator ``linear_components(fit.params, q, profile)``
+    with ``fit = fit_linear_system(data, log_m2=log_m2)``.
+
+    Called on a dataset it is exactly that.  `infer.bootstrap` prices its resamples in
+    chunks from the full data's one triangle of ``[X | y]`` (`_LinearChunkPricer`), to
+    roundoff of the same values.
+    """
+
+    q: Query
+    profile: CovariateProfile | Sequence[float] | None = None
+    log_m2: bool = False
+
+    def __call__(self, data: Dataset) -> DecompositionResult:
+        fit = fit_linear_system(data, log_m2=self.log_m2)
+        return linear_components(fit.params, self.q, self.profile)
+
+
+# Added to the reciprocal condition number a replicate's Gram matrix must
+# exceed; see `_LinearChunkPricer`.
+_RCOND_SLACK = math.sqrt(np.finfo(float).eps)
+
+# Replicates per gemm, and rows of K per block; see `_LinearChunkPricer`.
+_GRAM_ROWS = 4
+_GRAM_BLOCK = 512
+
+
+class _Equation(NamedTuple):
+    """An equation ``x[:, piv] = (Q t) r`` on the basis ``Q = X R_X⁻¹`` of the outcome design."""
+
+    t: np.ndarray  # p x p_e, orthonormal columns
+    resp: np.ndarray | None  # the response's column of R_X; None for the outcome
+    piv: np.ndarray
+    r_inv: np.ndarray
+    min_rcond: float  # the line a replicate's Gram matrix must clear
+
+
+class _LinearChunkPricer:
+    """A `LinearEstimator`'s resamples fitted and priced a chunk at a time, for `infer.bootstrap`.
+
+    A resample is a vector w of row multiplicities, so its least-squares fit
+    is the fit weighted by w on the full data's design.  The finiteness mask
+    and the log of M2 act row by row and are applied once.  The regressors
+    of all three equations, and the responses M2 and M1, are columns of the
+    outcome design X, so the triangle R0 of ``[X | y]`` that `_factored` gives
+    `fit_linear_system` serves here too.  With R_X its leading p-square, the
+    triangle of X, the basis is ``Q = X R_X⁻¹``, formed a block of rows at a
+    time as K is filled and never held whole.  An equation's columns of R0,
+    its response last, are ``U0 S`` by QR, and `_pivoted_qr` of S's regressor
+    square is ``U1 R``, so ``X_e[:, piv] = (Q T) R`` with ``T = U0[:p, :p_e]
+    U1``: the row of U0 left out is zero, as R0's regressor columns are zero
+    in its last row.  With ``G = Qᵀ W Q``, W = diag(w), the equation's Gram
+    matrix is ``G_e = Tᵀ G T`` and its coefficients are ``b[piv] = R⁻¹ G_e⁻¹
+    Tᵀ Qᵀ W y``, where a mediator response's ``Qᵀ W y`` is G times its column
+    of R_X, ``resp``.  For M1, with z its solve, y - X b is Q c for ``c = resp
+    - T z``, so ``sigma2_m1 = Σ w (y - X b)² / (n_w - p)`` takes ``cᵀ G c``:
+    like the residuals, and unlike ``respᵀ G resp - (Tᵀ G resp)ᵀ z``, it is
+    stationary at the solve, so z's rounding enters only at second order.
+    The weights average 1 and Q's columns are orthonormal to about kappa(R_X)
+    eps, so G_e stays near the identity and X_e's conditioning is carried by
+    R alone, as in `fit_linear_system`.
+
+    G and ``Qᵀ W y`` are the rows of ``W K``, K = ``[Q_i Q_j, i <= j | Q_i
+    y]`` formed once, p(p+1)/2 + p columns: its width grows as p squared (65
+    columns, 520 B per kept row, at two covariates; 135 at seven).  W K is
+    a run of gemms of one fixed shape, `_GRAM_ROWS` replicates by
+    `_GRAM_BLOCK` rows of K, zero-padded and summed over the blocks in
+    order: BLAS picks kernels and threads by shape, and one product over a
+    chunk gave bits that moved with its height and the thread count.  A
+    chunk holds a group at least (`least_chunk`), so at large n only the
+    last group is padded.  Batched `solve` and `eigvalsh` factor each small
+    system on its own.
+
+    A replicate is not priced when it keeps no more rows than an equation
+    has regressors ("rows") or a G_e falls below the line ("conditioning");
+    ``extras["min_gram_rcond"]`` is the least rcond of a G_e checked.
+
+    The line.  `fit_linear_system` rejects a design A when its pivoted QR has
+    ``min|r_kk| <= tau |r_11|``, tau = `_PIVOT_TOL`, so ``kappa(A) >=
+    1/tau``: a triangle's diagonal holds its eigenvalues, which lie between
+    its extreme singular values.  A replicate's design, rows repeated by
+    multiplicity, has the singular values of ``diag(sqrt w) X_e``, whose
+    permuted columns are ``diag(sqrt w) Q T R``, and ``(diag(sqrt w) Q T)ᵀ
+    (diag(sqrt w) Q T) = G_e``, so ``kappa(A) <= sqrt(kappa(G_e)) kappa(R)``.
+    That needs only ``X_e[:, piv] = Q T R``, which ``Q = X R_X⁻¹`` gives by
+    construction, not an orthonormal Q.  A replicate `fit_linear_system`
+    would reject has ``rcond(G_e) <= (tau kappa(R))^2``.  The line doubles tau, for the
+    rounding in the fit's own QRs, and adds `_RCOND_SLACK` = sqrt(eps), for
+    the rounding in forming G_e and its eigenvalues (about p n eps of its
+    largest eigenvalue, below sqrt(eps) for p n up to 6.7e7), so nothing
+    kept above it in every equation is `RankDeficient` to the fit.  kappa(R)
+    comes from R's singular values; the pivot ratio fixes it only to ~2^p.
+    """
+
+    reasons = ("rows", "conditioning")
+    least_chunk = _GRAM_ROWS
+
+    def __init__(self, data: Dataset, estimator: LinearEstimator) -> None:
+        columns, self._kept, cov_names, r0, factors = _factored(data, estimator.log_m2)
+        p = len(r0) - 1
+        self._equations = []
+        for role, _, col, u0, _, (u1, r, piv, _) in factors:
+            sigma = np.linalg.svd(r, compute_uv=False)
+            line = (2.0 * _PIVOT_TOL * sigma[0] / sigma[-1]) ** 2 + _RCOND_SLACK
+            resp = None if role == "outcome" else r0[:p, col]
+            self._equations.append(_Equation(u0[:p, :len(piv)] @ u1, resp, piv, np.linalg.inv(r), line))
+        r_inv, n = np.linalg.inv(r0[:p, :p]), len(self._kept)
+        self._pairs = np.triu_indices(p)
+        self._k = np.zeros((-(-n // _GRAM_BLOCK), _GRAM_BLOCK, len(self._pairs[0]) + p))
+        for lo in range(0, n, _QR_BLOCK_ROWS):  # Q = X R_X⁻¹, a block of rows at a time
+            xy = _outcome_rows(columns, cov_names, slice(lo, lo + _QR_BLOCK_ROWS))
+            q, rows = xy[:, :p] @ r_inv, self._k.reshape(-1, self._k.shape[2])[lo:lo + len(xy)]
+            # the pairs (a, b >= a) are adjacent columns of K, from where `triu_indices` reaches a
+            for a, start in enumerate(np.searchsorted(self._pairs[0], range(p))):
+                np.multiply(q[:, a:], q[:, a, None], out=rows[:, start:start + p - a])
+            np.multiply(q, xy[:, p:], out=rows[:, -p:])
+        self._max_p = max(len(eq.piv) for eq in self._equations)
+        self.catalog = _catalog(_SEQ2)
+        self._level = _linear_levels(estimator.q)
+        self._cvec = _covariate_vector(len(cov_names), estimator.profile)
+        self.extras = {"min_gram_rcond": None}
+
+    def _systems(self, counts: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """G, and each equation's G_e and ``(Q T)ᵀ W y``, one per row of `counts`."""
+        blocks, height, width = self._k.shape
+        w = np.zeros((-(-len(counts) // _GRAM_ROWS) * _GRAM_ROWS, blocks * height))
+        w[:len(counts), :counts.shape[1]] = counts
+        w = w.reshape(-1, _GRAM_ROWS, blocks, height).transpose(0, 2, 1, 3)
+        sums = np.matmul(w, self._k).sum(axis=1).reshape(-1, width)[:len(counts)]
+        (i, j), p = self._pairs, len(self._equations[0].t)
+        g = np.empty((len(counts), p, p))
+        g[:, i, j] = g[:, j, i] = sums[:, :len(i)]
+        return g, [(eq.t.T @ g @ eq.t, eq.t.T @ (sums[:, len(i):] if eq.resp is None else g @ eq.resp)[..., None])
+                for eq in self._equations]
+
+    def __call__(self, idx: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        m, n = idx.shape
+        counts = np.bincount((idx + n * np.arange(m)[:, None]).ravel(), minlength=m * n)
+        counts = counts.reshape(m, n)
+        if len(self._kept) < n:
+            counts = counts[:, self._kept]
+        rows = counts.sum(axis=1)
+        reason = np.full(m, "", dtype=object)
+        reason[rows <= self._max_p] = "rows"
+        live = np.nonzero(rows > self._max_p)[0]
+        g, systems = self._systems(counts)
+        systems = [(gram[live], rhs[live]) for gram, rhs in systems]
+        for eq, (gram, _) in zip(self._equations, systems):
+            eig = np.linalg.eigvalsh(gram)
+            rcond = eig[:, 0] / eig[:, -1]
+            reason[live[~(rcond > eq.min_rcond)]] = "conditioning"
+            if rcond.size:
+                seen = self.extras["min_gram_rcond"]
+                self.extras["min_gram_rcond"] = min(float(rcond.min()), math.inf if seen is None else seen)
+
+        good = reason[live] == ""
+        solves = [np.linalg.solve(gram[good], rhs[good]) for gram, rhs in systems]
+        coefs = []
+        for eq, z in zip(self._equations, solves):
+            coef = np.empty((int(good.sum()), len(eq.piv)))
+            coef[:, eq.piv] = (eq.r_inv @ z)[..., 0]
+            coefs.append(coef)
+        m1, z = self._equations[-1], solves[-1]
+        c = m1.resp[:, None] - m1.t @ z  # y - X b is Q c
+        rss = (np.swapaxes(c, 1, 2) @ g[live[good]] @ c)[:, 0, 0]
+        sigma2_m1 = rss / (rows[live[good]] - len(m1.piv))
+        return reason, [*coefs, sigma2_m1]
+
+    def addends(self, parts: list[list[np.ndarray]]) -> np.ndarray:
+        *coefs, sigma2_m1 = (np.concatenate(column) for column in zip(*parts))
+        params = SimpleNamespace(**_split_coefficients([c.T for c in coefs]), sigma2_m1=sigma2_m1)
+        return _linear_addends(params, self._cvec, self._level)
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,15 @@ class TestFitCommand:
         assert "sigma2_m1" in out
         assert "pivot_ratio: outcome=" in out
 
+    def test_table_shows_each_diagnostic_once(self, tmp_path, capsys):
+        # the diagnostics get their own block, not a second line in the fit block
+        data, roles = linear_csv(tmp_path, n=200)
+        assert main(["fit", "--data", data, "--roles", roles, "--format", "table"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("pivot_ratio") == 1
+        assert out.count("residual_dof") == 1
+        assert out.startswith("fit:\n") and "\ndiagnostics:\n" in out
+
     def test_pivot_ratio_per_equation(self, tmp_path):
         data, roles = linear_csv(tmp_path)
         report, _ = run_argv("fit", "--data", data, "--roles", roles)
@@ -512,6 +521,19 @@ class TestBootstrapReportCommand:
         assert abs(te.value - 3.12) < 0.4
         assert report.provenance["seed"] == 5
         assert report.provenance["replicates"] == 200
+
+    def test_table_labels_the_intervals_with_their_level(self, tmp_path, dm1, capsys):
+        model = write(tmp_path / "m.json", "")
+        save_model(dm1, model)
+        sim = tmp_path / "sim.csv"
+        run_argv("simulate", "--model", model, "--n", "500", "--seed", "2", "--out", str(sim))
+        argv = ["bootstrap-report", "--data", str(sim), "--roles", write_roles(tmp_path),
+                "--a", "1", "--aref", "0", "--m1star", "0", "--m2star", "0",
+                "--boot", "20", "--seed", "5", "--format", "table"]
+        for level, title in ((None, "95% C.I."), ("0.8", "80% C.I."), ("0.975", "97.5% C.I.")):
+            assert main(argv + (["--level", level] if level else [])) == 0
+            header = capsys.readouterr().out.splitlines()[0]
+            assert header.endswith(f"  {title:>22}") and header.count("C.I.") == 1
 
     def test_failed_replicates_are_counted_by_cause(self, tmp_path, capsys):
         # M2 = 1 in only three rows of each (A, M1) cell, so some resamples

@@ -26,7 +26,9 @@ from natfx.decomp import (
     mediated_contrasts,
     total_effect,
 )
-from natfx.scm import DiscreteScm
+from natfx.estimate import LinearParams, linear_components
+from natfx.infer import BootstrapConfig, PluginEstimator, bootstrap
+from natfx.scm import DiscreteScm, simulate
 
 Q = Query(a=1, a_star=0, m1_star=0, m2_star=0)
 SEQ2 = Scenario.chain(2)
@@ -550,3 +552,33 @@ class TestExactSums:
                                      ["fine", "big"], failed)
         assert sums[0, 0] == 0.0 and sent == 1
         assert str(failed[0]) == "big overflows the float range"
+
+    @settings(max_examples=100, deadline=None)
+    @given(summation_runs())
+    def test_a_single_result_sums_by_fsum_alone(self, run):
+        # each replicate on its own, as one result: the same sums and errors
+        addends, rows = run
+        names = [f"R{i}" for i in range(len(rows))]
+        for r, want in enumerate(fsum_rows(rows, addends, names)):
+            failed = {}
+            with np.errstate(all="ignore"):
+                sums, _ = _exact_sums(rows, addends[..., r:r + 1], names, failed, batch=False)
+            if isinstance(want, Exception):
+                assert type(failed[0]) is type(want) and str(failed[0]) == str(want)
+            else:
+                assert not failed
+                assert [v.hex() for v in sums[:, 0].tolist()] == [v.hex() for v in want]
+
+    def test_single_results_run_no_certificate(self, dm1, monkeypatch):
+        # a decomposition is one result, summed by `math.fsum` alone; a
+        # bootstrap batch still proves its sums with `_distil`
+        calls = []
+        distil = decomp._distil
+        monkeypatch.setattr(decomp, "_distil", lambda columns: calls.append(1) or distil(columns))
+        decompose(dm1, Q)
+        params = LinearParams(theta=[1, 0.5, 0.4, 0.3, 0.2, 0.1, 0.1, 0.05], beta=[0.2, 0.3, 0.25, 0.1],
+                              gamma=[0.5, 0.8], sigma2_m1=0.7)
+        linear_components(params, Query(1.0, 0.0, 0.3, 0.1))
+        assert calls == []
+        bootstrap(simulate(dm1, 400, 1), PluginEstimator(SEQ2, Q), BootstrapConfig(replicates=4, seed=1))
+        assert calls

@@ -55,6 +55,33 @@ def test_check_sees_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == ["line 1: field"]
 
 
+def private_imports(source: str) -> list[str]:
+    """The underscored names `source` imports from the package's own modules."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("natfx"))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_infer_takes_only_the_pricers_and_the_row_sums_from_the_engines():
+    # each engine's private layout is known by its own module: a chunk
+    # pricer lives beside the engine it batches, and the bootstrap needs
+    # only the pricers and the exact row sums
+    source = (SRC / "infer.py").read_text(encoding="utf-8")
+    assert private_imports(source) == ["_LinearChunkPricer", "_PluginChunkPricer", "_totals"]
+
+
+def test_private_import_check_reads_relative_and_absolute_imports():
+    source = (
+        "from .scm import Dataset, _tally\n"
+        "from natfx.decomp import _totals\n"
+        "from numpy import _globals\n"
+        "def f():\n"
+        "    from .estimate import _factored\n"
+    )
+    assert private_imports(source) == ["_factored", "_tally", "_totals"]
+
+
 def after_importing_the_cli(expression: str) -> str:
     """What a fresh interpreter prints for `expression` after ``import natfx.cli``."""
     code = f"import sys, natfx.cli; print({expression})"

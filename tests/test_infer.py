@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from natfx import infer
+from natfx import decomp, estimate, infer
 from natfx.cfexpr import Scenario
 from natfx.decomp import ComponentValue, DecompositionResult, Query, decompose
 from natfx.estimate import _EQUATIONS, _QR_BLOCK_ROWS, fit_linear_system, plugin_seq2
@@ -443,7 +443,7 @@ class TestChunkedPlugin:
         q = Query(a=1, a_star=0, m1_star=3)
         cfg = BootstrapConfig(replicates=300, seed=8, max_fail=0.99)
         calls = []
-        monkeypatch.setattr(infer, "from_dataset", lambda d, s: calls.append(1) or from_dataset(d, s))
+        monkeypatch.setattr(decomp, "from_dataset", lambda d, s: calls.append(1) or from_dataset(d, s))
         plain, chunked = plain_and_plugin(data, Scenario.single(), q, cfg)
         assert chunked == [plain] * 3
         diagnostics = plain[3]
@@ -599,9 +599,9 @@ def batched_fits(data, estimator, draws):
     and sigma2_m1 as the chunked path computes them, or None where it falls
     back."""
     seen = []
-    real = infer._linear_pricer
+    real = estimate._linear_pricer
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(infer, "_linear_pricer", lambda coefs, *rest: seen.append(coefs) or real(coefs, *rest))
+        mp.setattr(estimate, "_linear_pricer", lambda coefs, *rest: seen.append(coefs) or real(coefs, *rest))
         pricer = infer._LinearChunkPricer(data, estimator)
         reasons, part = pricer(np.stack(draws))
         pricer.addends([part])
@@ -736,7 +736,7 @@ class TestChunkedLinear:
         runs = []
         # chunks of one replicate, one fewer than a gemm group, a group, one
         # more, seven, and the default
-        per_chunk = (1, infer._GRAM_ROWS - 1, infer._GRAM_ROWS, infer._GRAM_ROWS + 1, 7)
+        per_chunk = (1, estimate._GRAM_ROWS - 1, estimate._GRAM_ROWS, estimate._GRAM_ROWS + 1, 7)
         for cap in (*(k * data.n for k in per_chunk), infer._CHUNK_ENTRIES):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(infer, "_CHUNK_ENTRIES", cap)
@@ -762,12 +762,12 @@ class TestChunkedLinear:
         monkeypatch.setattr(infer, "_CHUNK_ENTRIES", 1)
         estimator = LinearEstimator(Query(1.0, 0.0, 0.3, 0.1), (0.5,))
         bootstrap(data, estimator, BootstrapConfig(replicates=10, seed=2))
-        assert heights == [infer._GRAM_ROWS] * 2 + [10 - 2 * infer._GRAM_ROWS]
+        assert heights == [estimate._GRAM_ROWS] * 2 + [10 - 2 * estimate._GRAM_ROWS]
         # a cap of 13 replicates holds three whole groups, not three and a padded one
         heights.clear()
         monkeypatch.setattr(infer, "_CHUNK_ENTRIES", 13 * data.n)
         bootstrap(data, estimator, BootstrapConfig(replicates=30, seed=2))
-        assert heights == [3 * infer._GRAM_ROWS] * 2 + [30 - 6 * infer._GRAM_ROWS]
+        assert heights == [3 * estimate._GRAM_ROWS] * 2 + [30 - 6 * estimate._GRAM_ROWS]
 
     def test_init_holds_nothing_large_but_k(self):
         # K is the pricer's one n-row array: while it fills, Q = X R⁻¹ and [X | y] are held a
