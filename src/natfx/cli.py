@@ -51,6 +51,7 @@ __all__ = [
 
 _ROLE_KEYS = ("exposure", "m1", "m2", "outcome")
 _SIMULATE_CHUNK = 1 << 13
+_READ_BLOCK = 1 << 13  # lines in a block of `_plain_columns`, on average
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
 
 
@@ -381,10 +382,13 @@ def _plain_columns(path: str, names: Sequence[str]) -> dict[str, np.ndarray] | N
     CR or NUL, a line over the csv field size limit or (empty lines aside)
     without the header's field count, a named cell `float` rejects or with a
     byte outside ``0-9+-.eE``, an integer past int64, or -0 in an int column.
-    A column is int64 when every cell is ``[+-]?digits``, else float.  Blocks
-    of about 8,192 lines are parsed eight digits to a uint64 word (Lemire's
-    SWAR) into the mantissa M and decimal count k of each cell ``[+-]?I[.F]``
-    of at most 19 digits, I at most 8.  M / 10^k is exact when M <= 2^53
+    A column is int64 when every cell is ``[+-]?digits``, else float.  In
+    blocks of about `_READ_BLOCK` lines, one scan for bytes below ``/`` finds
+    the line ends and field ends; an empty line, a line end one byte after
+    another, is dropped, and the field after it starts past its line end.
+    Cells are parsed eight digits to a uint64 word (Lemire's SWAR) into the
+    mantissa M and decimal count k of each cell ``[+-]?I[.F]`` of at most 19
+    digits, I at most 8.  M / 10^k is exact when M <= 2^53
     (Clinger); past that, x = M / 10^k moves by the ulps the exact residual
     ``M - x 10^k`` (Dekker) gives, kept only 1e-9 inside ``ulp(x) / 2 * 10^k``
     and no power of two.  Exponents, 20 digits, ``.5``, ``5.``, ties: `float`.
@@ -399,7 +403,7 @@ def _plain_columns(path: str, names: Sequence[str]) -> dict[str, np.ndarray] | N
     if not set(names) <= set(fields) or len(head) > limit:
         return None
     width, lines = len(fields), raw.count(b"\n")
-    chunk, out = (len(raw) << 13) // lines, {name: np.empty(lines, np.int64) for name in names}
+    chunk, out = len(raw) * _READ_BLOCK // lines, {name: np.empty(lines, np.int64) for name in names}
     tens, p10 = np.array([float(10**k) for k in range(20)]), 10 ** np.arange(20, dtype=np.uint64)
     keep = np.array([2**64 - 2 ** (64 - 8 * c) for c in range(9)], np.uint64)  # top c bytes
     rows, start = 0, len(head) + 1
@@ -409,14 +413,16 @@ def _plain_columns(path: str, names: Sequence[str]) -> dict[str, np.ndarray] | N
         blk[23], blk[24:] = 10, np.frombuffer(raw, np.uint8, stop - start, start)  # a line end
         tok = np.flatnonzero(blk < 47)  # line ends, commas, signs, points, other low bytes
         kind = blk.take(tok)
-        at = np.flatnonzero((kind == 10) | (kind == 44))  # field ends in tok
-        sep, lines = tok.take(at), raw.count(b"\n", start, stop)
-        if raw.find(b"\n\n", start - 1, stop) >= 0:  # drop empty lines
-            nl = blk.take(sep) == 10
-            full = np.append(True, ~nl[1:] | ~nl[:-1] | (np.diff(sep) > 1))
-            at, sep, lines = at[full], sep[full], lines - len(full) + np.count_nonzero(full)
-        start, n = stop, (len(sep) - 1) // width
-        ends, starts = sep[1:], sep[:-1] + 1
+        nl = kind == 10
+        at, lines = np.flatnonzero(nl | (kind == 44)), np.count_nonzero(nl) - 1  # field ends in tok
+        sep = tok.take(at)
+        before, starts = at[:-1], sep[:-1] + 1  # each field's separator in tok, and its start
+        if (np.diff(tok[nl]) == 1).any():  # drop empty lines: a line end right after another
+            nl = nl.take(at)
+            full = np.flatnonzero(np.append(True, ~nl[1:] | ~nl[:-1] | (np.diff(sep) > 1)))
+            at, before, lines = at.take(full), at.take(full[1:] - 1), lines - len(at) + len(full)
+            sep, starts = tok.take(at), tok.take(before) + 1
+        start, n, ends = stop, (len(sep) - 1) // width, sep[1:]
         if (n * width + 1 != len(sep) or lines != n or (blk.take(sep[width::width]) != 10).any()
                 or (ends[width - 1 :: width] - starts[::width] > limit).any()):
             return None
@@ -429,7 +435,7 @@ def _plain_columns(path: str, names: Sequence[str]) -> dict[str, np.ndarray] | N
                 if (digit > 9).any():
                     return None
                 continue
-            first, last, extra = blk.take(s), tok.take(a - 1), a - at[j:-1:width] - 1  # low bytes
+            first, last, extra = blk.take(s), tok.take(a - 1), a - before[j::width] - 1  # low bytes
             neg, signed = first == 45, (first == 43) | (first == 45)
             point = (extra - signed == 1) & (blk.take(last) == 46)
             dot = np.where(point, last, s + signed - 1)

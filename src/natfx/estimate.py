@@ -756,13 +756,18 @@ class _LinearChunkPricer:
         self.catalog = _catalog(_SEQ2)
         self._level = _linear_levels(estimator.q)
         self._cvec = _covariate_vector(len(cov_names), estimator.profile)
+        self._w: np.ndarray | None = None
         self.extras = {"min_gram_rcond": None}
 
     def _systems(self, counts: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """G, and each equation's G_e and ``(Q T)ᵀ W y``, one per row of `counts`."""
         blocks, height, width = self._k.shape
-        w = np.zeros((-(-len(counts) // _GRAM_ROWS) * _GRAM_ROWS, blocks * height))
+        padded = -(-len(counts) // _GRAM_ROWS) * _GRAM_ROWS
+        if self._w is None:  # the first chunk is the largest
+            self._w = np.zeros((padded, blocks * height))
+        w = self._w[:padded]
         w[:len(counts), :counts.shape[1]] = counts
+        w[len(counts):] = 0  # the rows a short last chunk leaves
         w = w.reshape(-1, _GRAM_ROWS, blocks, height).transpose(0, 2, 1, 3)
         sums = np.matmul(w, self._k).sum(axis=1).reshape(-1, width)[:len(counts)]
         (i, j), p = self._pairs, len(self._equations[0].t)

@@ -498,12 +498,20 @@ def eval_expectation(
 def _sample_rows(
     rng: np.random.Generator, prob_rows: np.ndarray, row_idx: np.ndarray
 ) -> np.ndarray:
-    """Draw one categorical value per row from per-row probability vectors;
-    the cumulative table is built once over the k rows, then gathered."""
-    cum = np.cumsum(prob_rows, axis=1)[row_idx]
+    """Draw one categorical value per row from per-row probability vectors.
+
+    The cumulative table is built once over the k table rows; a row's value
+    counts the columns j < k - 1 whose sum, gathered a column at a time, is
+    below its uniform.  Sums of non-negative floats never decrease, so that
+    is the count over all k columns clipped at k - 1.  A one-row table is
+    compared as scalars, so its `row_idx` may be a broadcast zero.
+    """
+    cum = np.cumsum(prob_rows, axis=1)
     u = rng.random(len(row_idx))
-    idx = (cum < u[:, None]).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)
+    idx = np.zeros(len(u), np.intp)
+    for col in cum.T[:-1]:
+        idx += (col[0] if len(col) == 1 else col.take(row_idx)) < u
+    return idx
 
 
 def simulate(model: DiscreteScm, n: int, seed: int, noise_sd: float = 1.0) -> Dataset:
@@ -529,7 +537,7 @@ def _draw(model: DiscreteScm, n: int, seed: int, noise_sd: float) -> tuple[list,
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     ka = len(model.exposure_levels)
     rng = np.random.default_rng(seed)
-    a_idx = _sample_rows(rng, np.full((1, ka), 1.0 / ka), np.zeros(n, dtype=int))
+    a_idx = _sample_rows(rng, np.full((1, ka), 1.0 / ka), np.broadcast_to(0, n))
     cells = [a_idx, _sample_rows(rng, model._p1, a_idx)]
     if model.k == 2:
         k1, k2 = model._p2.shape[1:]

@@ -172,6 +172,71 @@ def test_plain_reader_matches_the_csv_reader(tmp_path_factory, case):
     assert not seen, [str(w.message) for w in seen]
 
 
+def read_both(path, roles):
+    """`load_dataset` through the kernel and through the csv reader alone."""
+    got = outcome(str(path), roles)
+    with mock.patch.object(natfx.cli, "_plain_columns", lambda path, names: None):
+        return got, outcome(str(path), roles)
+
+
+@st.composite
+def blank_line_files(draw):
+    """A plain file with runs of 1 to 3 empty lines after the header, between
+    rows and at the end, and a block size of a few lines, so that the runs
+    fall on both sides of block edges; or the real block size."""
+    kinds = [draw(st.sampled_from([ints, double_texts(), decimal_texts(), st.one_of(ints, double_texts())]))
+             for _ in range(draw(st.integers(1, 4)))]
+    rows = [",".join(draw(kind) for kind in kinds) for _ in range(draw(st.integers(1, 30)))]
+    runs = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=len(rows) + 1, max_size=len(rows) + 1)
+                .filter(any))
+    lines = [",".join(f"c{j}" for j in range(len(kinds)))]
+    for row, run in zip([None, *rows], runs):
+        lines += ([row] if row is not None else []) + [""] * run
+    final = "\n" if runs[-1] or draw(st.booleans()) else ""
+    return "\n".join(lines) + final, len(rows), draw(st.sampled_from([1, 2, 3, natfx.cli._READ_BLOCK]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blank_line_files())
+def test_plain_reader_reads_files_with_empty_lines(tmp_path_factory, case):
+    text, n, block = case
+    path = tmp_path_factory.mktemp("blank") / "data.csv"
+    path.write_text(text)
+    names = text.partition("\n")[0].split(",")
+    roles = {"exposure": names[0], "m1": names[-1], "outcome": names[-1], "covariates": names[1:-1]}
+    with mock.patch.object(natfx.cli, "_READ_BLOCK", block):
+        columns = _plain_columns(str(path), names)
+        assert columns is not None
+        assert all(len(column) == n for column in columns.values())
+        got, want = read_both(path, roles)
+    assert got == want
+
+
+@pytest.mark.parametrize("case", ["float in a later block", "-0 in a later block", "ragged last row"])
+def test_plain_reader_matches_the_csv_reader_past_one_block(tmp_path, case):
+    # about 8,192 lines a block: 20,000 rows are three blocks
+    rng = np.random.default_rng(7)
+    rows = [[str(a), str(m), repr(y)] for a, m, y in
+            zip(rng.integers(0, 2, 20_000).tolist(), rng.integers(-9, 99, 20_000).tolist(),
+                rng.normal(size=20_000).tolist())]
+    if case == "float in a later block":
+        rows[15_000][1] = "2.5"  # the int column turns float
+    elif case == "-0 in a later block":
+        rows[15_000][1] = "-0"  # 0 as an int, -0.0 once the column is float
+    else:
+        rows[-3] = rows[-3][:2]
+    path = tmp_path / "d.csv"
+    path.write_text("A,M,Y\n" + "".join(",".join(row) + "\n" for row in rows))
+    assert len(rows) > 2 * natfx.cli._READ_BLOCK
+    columns = _plain_columns(str(path), ["A", "M", "Y"])
+    if case == "float in a later block":
+        assert columns["M"].dtype == np.float64 and columns["M"][15_000] == 2.5
+    else:
+        assert columns is None  # the kernel refuses; the csv reader reads or raises
+    got, want = read_both(path, {"exposure": "A", "m1": "M", "outcome": "Y"})
+    assert got == want
+
+
 def plain_floats(path, texts):
     """The kernel's float column of `texts`, and the texts it left to `float`."""
     path.write_text("Y,Z\n" + "".join(f"{t},1\n" for t in ["0.5", *texts]))

@@ -292,8 +292,9 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [1, 13, 17])
     @pytest.mark.parametrize("kind", ["single", "seq2", "nonseq2"])
     def test_draws_match_gather_then_cumsum(self, monkeypatch, kind, seed):
-        # the cumulative table is built once over the k rows and gathered;
-        # the gather-then-cumsum oracle pins the RNG stream and every value
+        # the cumulative table is built once over the k rows and compared a
+        # column at a time; the gather-then-cumsum oracle pins the RNG stream
+        # and every value
         pm1, pm2, ymean = oracles.random_seq2_tables(np.random.default_rng(5), ka=3, k1=4, k2=3)
         if kind == "single":
             y1 = {a: {m1: ys[0] for m1, ys in row.items()} for a, row in ymean.items()}
@@ -310,6 +311,30 @@ class TestSimulate:
                 assert kind == "single" and want.m2 is None
                 continue
             assert np.array_equal(getattr(got, column), getattr(want, column)), column
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 6), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_sample_rows_is_the_gathered_draw_bit_for_bit(self, data, k, rows, seed):
+        # zero probabilities, rows a few ulps off 1, one-row tables (also with
+        # a broadcast zero index) and random row indices
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+        table = np.array(data.draw(st.lists(st.lists(weight, min_size=k, max_size=k)
+                                            .filter(any), min_size=rows, max_size=rows)))
+        table /= table.sum(axis=1, keepdims=True)
+        for row in table:
+            j = data.draw(st.integers(0, k - 1))
+            for _ in range(data.draw(st.integers(0, 3))):
+                row[j] = np.nextafter(row[j], data.draw(st.sampled_from([0.0, 2.0])))
+        n = data.draw(st.integers(1, 200))
+        if rows == 1 and data.draw(st.booleans()):
+            row_idx = np.broadcast_to(0, n)
+        else:
+            row_idx = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)))
+        got = natfx.scm._sample_rows(np.random.default_rng(seed), table, row_idx)
+        want = oracles.sample_rows_gathered(np.random.default_rng(seed), table, row_idx)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 class TestFromDataset:
