@@ -25,8 +25,11 @@ Before the pairs, ``import_s`` times 15 fresh ``python -c "import natfx.cli"``
 runs a side, interleaved, each a blocking ``subprocess.run`` with no timeout
 (perfbench's ``setup_s`` polls its child on a 50 ms grid).  The file records
 each side's median and IQR as information; no verdict reads them.  So is
-``src_lines``, each side's line count of ``src/natfx/*.py`` as ``wc -l``
-counts it.
+``cold_op_s``: each workload's op at the first seed, its inputs built once
+by ``perfbench/workloads.py``, run 9 times a side, interleaved, with every
+command in a fresh ``python -m natfx.cli`` interpreter on one BLAS thread,
+timed as ``import_s`` is.  So is ``src_lines``, each side's line count of
+``src/natfx/*.py`` as ``wc -l`` counts it.
 
 With several ``--seed`` values every seed runs its own pairs, and the file
 holds each seed's summaries, claim verdict and ``not_met`` under
@@ -51,6 +54,8 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("op_ref", "setup_s", "peak_rss_mb")  # BENCHMARK.json's end-to-end metrics
 SIDES = ("parent", "change")
 IMPORT_RUNS = 15
+COLD_OP_RUNS = 9
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -155,20 +160,63 @@ def copy_sides(parent: str, tmp: Path) -> dict[str, Path]:
     return sides
 
 
-def import_times(sides: dict[str, Path], runs: int = IMPORT_RUNS, run=subprocess.run,
-                 clock=time.perf_counter) -> dict:
-    """Wall seconds of fresh ``import natfx.cli`` interpreters, `runs` a side
-    in the order `pair_order` gives, after one untimed run a side that warms
-    the file cache: each side's quartiles and IQR."""
+def interleaved(op, runs: int, clock=time.perf_counter) -> dict:
+    """Wall seconds of ``op(side)``, `runs` a side in the order `pair_order`
+    gives, after one untimed op a side that warms the file cache: each side's
+    quartiles and IQR."""
     times: dict[str, list[float]] = {side: [] for side in SIDES}
     for i in range(-1, runs):
         for side in pair_order(i):
-            env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
             start = clock()
-            run([sys.executable, "-c", "import natfx.cli"], cwd=sides[side], env=env, check=True)
+            op(side)
             if i >= 0:
                 times[side].append(clock() - start)
     return {side: {**(q := quartiles(t)), "iqr": q["q3"] - q["q1"]} for side, t in times.items()}
+
+
+def import_times(sides: dict[str, Path], runs: int = IMPORT_RUNS, run=subprocess.run,
+                 clock=time.perf_counter) -> dict:
+    """`interleaved` fresh ``import natfx.cli`` interpreters."""
+    def op(side: str) -> None:
+        env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
+        run([sys.executable, "-c", "import natfx.cli"], cwd=sides[side], env=env, check=True)
+
+    return interleaved(op, runs, clock)
+
+
+def cold_op_times(sides: dict[str, Path], ops: dict[str, tuple], runs: int = COLD_OP_RUNS,
+                  run=subprocess.run, clock=time.perf_counter) -> dict:
+    """Per workload, `interleaved` ops, ``ops[name]`` being its commands, the
+    files they write and the directory they run in: the files are removed,
+    then every command runs in a fresh ``python -m natfx.cli`` interpreter
+    with one BLAS thread."""
+    def op(side: str, commands: list, files: list, cwd: str) -> None:
+        env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"), **ONE_THREAD)
+        for path in files:
+            Path(path).unlink(missing_ok=True)
+        for argv in commands:
+            run([sys.executable, "-m", "natfx.cli", *argv], cwd=cwd, env=env, check=True,
+                stdout=subprocess.DEVNULL)
+
+    return {name: interleaved(lambda side: op(side, *spec), runs, clock)
+            for name, spec in ops.items()}
+
+
+def workload_ops(tmp: str, names: list[str], seed: int) -> dict[str, tuple]:
+    """Each named workload's op at full size, its inputs built under `tmp`
+    by the working tree's ``perfbench/workloads.py``."""
+    for path in (ROOT / "src", ROOT / "perfbench"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import workloads as table
+
+    ops = {}
+    for name in names:
+        os.mkdir(directory := os.path.join(tmp, name))
+        workload = table.WORKLOADS[name]
+        inputs = workload.build(directory, seed, workload.full)
+        ops[name] = (inputs.commands, inputs.files, directory)
+    return ops
 
 
 def source_lines(root: Path) -> int:
@@ -238,6 +286,8 @@ def main(argv=None) -> int:
         sides = copy_sides(commit, Path(tmp))
         lines = {side: source_lines(path) for side, path in sides.items()}
         imports = import_times(sides)
+        os.mkdir(inputs := os.path.join(tmp, "inputs"))
+        cold = cold_op_times(sides, workload_ops(inputs, args.workloads, args.seed[0]))
         for seed in args.seed:
             workloads: dict = {}
             for workload in args.workloads:
@@ -266,6 +316,7 @@ def main(argv=None) -> int:
                  "is odd; each side runs from its own copy of src/ and perfbench/, both "
                  "byte-compiled with `python -m compileall -q src perfbench` before timing",
         "import_s": imports,
+        "cold_op_s": {"seed": args.seed[0], "runs": COLD_OP_RUNS, "workloads": cold},
         "src_lines": lines,
     }
     doc = document(head, by_seed, env)

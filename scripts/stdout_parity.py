@@ -18,6 +18,12 @@ every command whose exit code, stdout or written files differ, then a
 summary line that also counts the commands exiting non-zero on either side
 (identical failures are no evidence), and exits 1 on any difference.
 Stderr is not compared.
+
+``simulate`` makes its CSV on every usable CPU, and its bytes must not
+depend on how many there are.  So where the platform has
+``os.sched_setaffinity``, each op's ``simulate`` commands run once more on
+the change side, pinned to one CPU in the child, and any difference from
+the change side's unpinned run is printed and counted as a difference too.
 """
 from __future__ import annotations
 
@@ -54,8 +60,15 @@ def workloads():
     return table.WORKLOADS
 
 
-def run_op(src: Path, commands: list[list[str]], files: list[str], cwd: str) -> list[Outcome]:
-    """Each command of one op, in order, under the package at `src`."""
+def one_cpu() -> None:
+    """Pin the calling process to the lowest of its usable CPUs."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_op(src: Path, commands: list[list[str]], files: list[str], cwd: str,
+           pinned: bool = False) -> list[Outcome]:
+    """Each command of one op, in order, under the package at `src`; with
+    `pinned`, each child process runs on one CPU."""
     env = dict(os.environ, PYTHONPATH=str(src), **ONE_THREAD)
     for path in files:
         Path(path).unlink(missing_ok=True)
@@ -63,7 +76,8 @@ def run_op(src: Path, commands: list[list[str]], files: list[str], cwd: str) -> 
     for argv in commands:
         before = {path: digest(path) for path in files}
         done = subprocess.run([sys.executable, "-m", "natfx.cli", *argv], cwd=cwd, env=env,
-                              capture_output=True, timeout=600)
+                              capture_output=True, timeout=600,
+                              preexec_fn=one_cpu if pinned else None)
         written = {path: Path(path).read_bytes() for path in files if digest(path) != before[path]}
         outcomes.append(Outcome(done.returncode, done.stdout, written))
     return outcomes
@@ -86,22 +100,32 @@ def differences(a: Outcome, b: Outcome) -> list[str]:
     return found
 
 
-def compare(trees: dict[str, Path], seeds: list[int], names: list[str], size: str) -> tuple[list[str], int, int]:
-    """Every differing command as a line, the number of commands compared, and
-    how many of them exited non-zero on either side."""
+def compare(trees: dict[str, Path], seeds: list[int], names: list[str],
+            size: str) -> tuple[list[str], int, int, int]:
+    """Every differing command as a line, the number of commands compared, how
+    many of them exited non-zero on either side, and how many ``simulate``
+    runs were repeated on one CPU."""
     table = workloads()
-    report, compared, failed = [], 0, 0
+    report, compared, failed, repeated = [], 0, 0, 0
     for seed in seeds:
         for name in names:
             workload = table[name]
             with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
                 inputs = workload.build(tmp, seed, getattr(workload, size))
                 runs = [run_op(trees[side] / "src", inputs.commands, inputs.files, tmp) for side in SIDES]
+                again = [i for i, argv in enumerate(inputs.commands)
+                         if argv[0] == "simulate" and hasattr(os, "sched_setaffinity")]
+                pinned = run_op(trees["change"] / "src", [inputs.commands[i] for i in again],
+                                inputs.files, tmp, pinned=True)
             for i, (argv, a, b) in enumerate(zip(inputs.commands, *runs)):
                 compared, failed = compared + 1, failed + bool(a.code or b.code)
                 for what in differences(a, b):
                     report.append(f"seed {seed} {name} command {i} ({argv[0]}): {what}")
-    return report, compared, failed
+            for i, one in zip(again, pinned):
+                repeated, failed = repeated + 1, failed + bool(one.code or runs[1][i].code)
+                for what in differences(runs[1][i], one):
+                    report.append(f"seed {seed} {name} command {i} (simulate) on one CPU: {what}")
+    return report, compared, failed, repeated
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -127,11 +151,12 @@ def main(argv=None) -> int:
             archive = subprocess.run(["git", "archive", args.parent, "src"], cwd=ROOT, check=True,
                                      capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        report, compared, failed = compare(trees, args.seed, names, args.size)
+        report, compared, failed, repeated = compare(trees, args.seed, names, args.size)
     for line in report:
         print(line)
     verdict = f"{len(report)} difference(s)" if report else "exit codes, stdout and files identical"
-    print(f"{compared} commands compared over seeds {args.seed}, {failed} exiting non-zero: {verdict}")
+    print(f"{compared} commands compared over seeds {args.seed}, {failed} exiting non-zero, "
+          f"{repeated} simulate run(s) repeated on one CPU: {verdict}")
     return 1 if report else 0
 
 

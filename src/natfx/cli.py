@@ -16,8 +16,9 @@ import itertools
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 _ROLE_KEYS = ("exposure", "m1", "m2", "outcome")
-_SIMULATE_CHUNK = 1 << 13
+_SIMULATE_CHUNK = 1 << 14
 _READ_BLOCK = 1 << 13  # lines in a block of `_plain_columns`, on average
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
 
@@ -152,6 +153,38 @@ def _csv_rows(prefixes: np.ndarray, cell: np.ndarray, y: np.ndarray) -> tuple[by
     return flat[flat != 0xFF].tobytes(), left.size
 
 
+def _write_in_order(make: Callable, parts: list, write: Callable) -> None:
+    """``write(make(part))`` for each part in order, in rounds of one part per
+    usable CPU: the main thread makes and writes a round's first part while a
+    helper thread makes each other part, written in turn once joined.  A
+    helper's error raises at its part's turn; no helper outlives its round,
+    and with one CPU or one part none starts."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k, made = min(usable, len(parts)), {}
+
+    def build(i: int) -> None:
+        try:
+            made[i] = make(parts[i])
+        except BaseException as err:  # raised by the main thread at part i's turn
+            made[i] = err
+
+    for first in range(0, len(parts), k):
+        helpers = [threading.Thread(target=build, args=(i,))
+                   for i in range(first + 1, min(first + k, len(parts)))]
+        for thread in helpers:
+            thread.start()
+        try:
+            write(make(parts[first]))
+            for i, thread in enumerate(helpers, first + 1):
+                thread.join()
+                if isinstance(block := made.pop(i), BaseException):
+                    raise block
+                write(block)
+        finally:
+            for thread in helpers:
+                thread.join()
+
+
 # ---------------------------------------------------------------------------
 # report container
 
@@ -214,25 +247,17 @@ class Report:
         else:
             lines.extend(_kv_lines({k: v for k, v in doc.items() if k != "subcommand"}))
         if "assumptions" in doc:
-            lines.append("")
-            lines.extend(_ledger_lines(doc["assumptions"]))
+            lines += ["", *_ledger_lines(doc["assumptions"])]
         if "diagnostics" in doc:
-            lines.append("")
-            lines.extend(_diagnostic_lines(doc["diagnostics"]))
+            lines += ["", *_diagnostic_lines(doc["diagnostics"])]
         if "provenance" in doc:
-            lines.append("")
-            lines.append("provenance: " + json.dumps(doc["provenance"], allow_nan=False))
+            lines += ["", "provenance: " + json.dumps(doc["provenance"], allow_nan=False)]
         return "\n".join(lines)
 
 
 def _kv_lines(doc: Mapping[str, Any]) -> list[str]:
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, (Mapping, list)):
-            lines.append(f"{key}: {json.dumps(value, allow_nan=False)}")
-        else:
-            lines.append(f"{key}: {value}")
-    return lines
+    return [f"{key}: {json.dumps(v, allow_nan=False) if isinstance(v, (Mapping, list)) else v}"
+            for key, v in doc.items()]
 
 
 def _component_lines(doc: Mapping[str, Any]) -> list[str]:
@@ -661,14 +686,18 @@ def _run_simulate(args: argparse.Namespace) -> tuple[Report, int]:
     prefixes = np.frombuffer(b"".join(h.ljust(width, b"\xff") for h in heads), np.uint64)
     codes, outcome = _draw(model, args.n, seed, args.noise_sd)
     cell = np.ravel_multi_index(codes, tuple(map(len, spelled)))
+    del codes  # freed before the blocks' temporaries peak
     ends = range(_SIMULATE_CHUNK, args.n, _SIMULATE_CHUNK)
-    blocks = (_csv_rows(prefixes.reshape(len(heads), -1), c, y)[0]  # each row starts "\n"
-              for c, y in zip(np.split(cell, ends), np.split(outcome, ends)))
+    parts = list(zip(np.split(cell, ends), np.split(outcome, ends)))
+    make = lambda part: _csv_rows(prefixes.reshape(len(heads), -1), *part)[0]  # each row starts "\n"
     header = ",".join(columns).encode()
     if args.out is None:
-        return Report("simulate", {}, raw=(header + b"".join(blocks)).decode()), 0
+        _write_in_order(make, parts, (blocks := [header]).append)
+        return Report("simulate", {}, raw=b"".join(blocks).decode()), 0
     with open(args.out, "wb") as fh:
-        fh.writelines(itertools.chain([header], blocks, [b"\n"]))  # each block as it is made
+        fh.write(header)
+        _write_in_order(make, parts, fh.write)  # each block as soon as it and those before are made
+        fh.write(b"\n")
     body = {"rows": args.n, "columns": columns, "seed": seed, "noise_sd": args.noise_sd,
             "out": args.out}
     return Report("simulate", body), 0

@@ -136,6 +136,33 @@ def test_import_times_interleave_blocking_runs_with_no_timeout():
     assert got["parent"]["iqr"] == pytest.approx(got["parent"]["q3"] - got["parent"]["q1"])
 
 
+def test_cold_op_times_interleave_fresh_ops_with_no_timeout(tmp_path):
+    calls, ticks = [], iter(range(1000))
+    written = tmp_path / "sample.csv"
+
+    def run(argv, **kwargs):
+        calls.append((argv[1:], kwargs, written.exists()))
+        written.touch()
+
+    sides = {"parent": Path("/p"), "change": Path("/c")}
+    ops = {"two": ([["simulate", "--out", str(written)], ["fit"]], [str(written)], "/work")}
+    got = bench_pairs.cold_op_times(sides, ops, runs=2, run=run, clock=lambda: next(ticks) ** 2)
+    # one untimed op a side, then the sides alternate as the pairs do; each
+    # command in a fresh interpreter, each op's files removed before it starts
+    assert [kw["env"]["PYTHONPATH"] for _, kw, _ in calls[::2]] == [
+        f"/{side}/src" for side in "c p p c c p".split()]
+    assert [argv for argv, _, _ in calls[:2]] == [
+        ["-m", "natfx.cli", "simulate", "--out", str(written)], ["-m", "natfx.cli", "fit"]]
+    assert [existed for _, _, existed in calls] == [False, True] * 6
+    assert all("timeout" not in kw and kw["check"] and kw["cwd"] == "/work" for _, kw, _ in calls)
+    assert all(kw["env"]["OPENBLAS_NUM_THREADS"] == "1" for _, kw, _ in calls)
+    # the clock reads t**2 at its t-th call; the warm-ups read it once each
+    assert got["two"]["parent"]["runs"] == [3**2 - 2**2, 9**2 - 8**2] == [5, 17]
+    assert got["two"]["change"]["runs"] == [5**2 - 4**2, 7**2 - 6**2] == [9, 13]
+    assert got["two"]["change"]["iqr"] == pytest.approx(
+        got["two"]["change"]["q3"] - got["two"]["change"]["q1"])
+
+
 def test_source_lines_count_newlines_as_wc_does(tmp_path):
     package = tmp_path / "src" / "natfx"
     (package / "sub").mkdir(parents=True)

@@ -9,6 +9,8 @@ import io
 import os
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import natfx.cli
 import oracles
 from natfx.cfexpr import Scenario
 from natfx.cli import _SIMULATE_CHUNK, _csv_rows, load_dataset, main
@@ -112,6 +115,80 @@ def test_large_and_noiseless_samples_equal_the_row_by_row_writer(kind, n, noise_
     assert code == 0, stderr
     assert written == want.encode("utf-8")
     assert stdout == want.rstrip("\n") + "\n"
+
+
+def usable_cpus(monkeypatch, count):
+    """Make `simulate` see `count` usable CPUs, and record each thread it starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self))[1])
+    return started
+
+
+LEVELS = (["a,1", 'b"0', "c"], ["\u00e9\u4e2d", "7", "x\ny"], ["m,hi", "w", "0"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [3 * _SIMULATE_CHUNK + 5, 2 * _SIMULATE_CHUNK, _SIMULATE_CHUNK + 1])
+def test_the_bytes_do_not_depend_on_the_usable_cpus(monkeypatch, cpus, n):
+    model = level_model("seq2", *LEVELS)
+    want = oracles.sample_csv(simulate_model(model, n, 29))
+    started = usable_cpus(monkeypatch, cpus)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, stderr, written = run_simulate(model, 29, tmp, n)
+    assert code == 0, stderr
+    assert written == want.encode("utf-8")
+    assert stdout == want.rstrip("\n") + "\n"
+    blocks = -(-n // _SIMULATE_CHUNK)
+    k = min(cpus, blocks)  # a round of k blocks starts k - 1 helpers; two runs
+    assert len(started) == 2 * (blocks - -(-blocks // k))
+
+
+def test_no_helper_outlives_a_threaded_run(monkeypatch):
+    model = level_model("nonseq2", *LEVELS)
+    started = usable_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, stderr, _ = run_simulate(model, 13, tmp, 3 * _SIMULATE_CHUNK + 5)
+    assert code == 0, stderr
+    assert len(started) == 4 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_helpers_error_surfaces_once_and_every_helper_is_joined(monkeypatch, cpus):
+    """The second block raises.  On three CPUs the first round's third block
+    is still being made, slowly, when the main thread stops at the second."""
+    model = level_model("single", *LEVELS)
+    n, seed = 3 * _SIMULATE_CHUNK + 5, 17
+    outcome = simulate_model(model, n, seed).outcome
+    usable_cpus(monkeypatch, cpus)
+
+    def rows(prefixes, cell, y):
+        if y[0] == outcome[_SIMULATE_CHUNK]:
+            raise ValueError("the second block")
+        if y[0] == outcome[2 * _SIMULATE_CHUNK]:
+            time.sleep(0.2)
+        return csv_rows(prefixes, cell, y)
+
+    csv_rows = natfx.cli._csv_rows
+    monkeypatch.setattr(natfx.cli, "_csv_rows", rows)
+    before = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, stderr, written = run_simulate(model, seed, tmp, n)
+        assert threading.active_count() == before
+    assert (code, stdout) == (1, "")
+    assert stderr == "natfx: error: the second block\n"
+    assert written.startswith(b"A,M1,Y\n")  # the first block went out before the error
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    model = level_model("seq2", *LEVELS)
+    started = usable_cpus(monkeypatch, 1)
+    before = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, stderr, _ = run_simulate(model, 13, tmp, 3 * _SIMULATE_CHUNK + 5)
+    assert code == 0, stderr
+    assert started == [] and threading.active_count() == before
 
 
 NEWLINE = np.frombuffer(b"\n".ljust(8, b"\xff"), np.uint64).reshape(1, 1)
