@@ -101,9 +101,11 @@ def test_bytes_equal_the_row_by_row_writer(kind, a_levels, m1_levels, m2_levels,
 
 
 @pytest.mark.parametrize(("kind", "n", "noise_sd"), [
-    ("seq2", 2 * _SIMULATE_CHUNK + 5, 1.0),  # rows across two chunk boundaries
+    ("seq2", 16389, 1.0),  # one full block and a short one
     ("nonseq2", 3000, 0.0),  # outcomes are cell means: 0.0, -0.25, 0.875, 2.0 ...
     ("single", 3000, 1.0),
+    ("single", 16389, 0.0),
+    ("seq2", 2 * _SIMULATE_CHUNK + 5, 1.0),  # rows across two chunk boundaries
     ("single", 2 * _SIMULATE_CHUNK + 5, 0.0),
 ])
 def test_large_and_noiseless_samples_equal_the_row_by_row_writer(kind, n, noise_sd):
